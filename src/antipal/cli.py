@@ -191,7 +191,7 @@ def cmd_fixedpoint(args) -> int:
 def cmd_factors(args) -> int:
     m = parse_morphism(args.morphism)
     letter = _auto_letter(m, args.seed_letter)
-    n_max = args.max_len or min(64, args.prefix_len // 4)
+    n_max = args.max_len if args.max_len is not None else min(64, args.prefix_len // 4)
     idx = build_index(m, letter, args.prefix_len, n_max)
     rows = idx.census()
     if args.format == "csv":
@@ -228,14 +228,14 @@ def cmd_bispecials(args) -> int:
     from .language import bispecial_orbit
 
     m = parse_morphism(args.morphism)
-    letter = _auto_letter(m, args.seed_letter)
-    n_max = args.max_len or min(64, args.prefix_len // 4)
-    idx = build_index(m, letter, args.prefix_len, n_max)
     if args.orbit is not None:
         orbit = bispecial_orbit(m, parse_word(args.orbit), args.steps)
         payload = {"seed": orbit.seed, "steps": list(orbit.steps)}
         _emit(args, payload, "\n".join([orbit.seed or "(empty)"] + list(orbit.steps)))
         return 0
+    letter = _auto_letter(m, args.seed_letter)
+    n_max = args.max_len if args.max_len is not None else min(64, args.prefix_len // 4)
+    idx = build_index(m, letter, args.prefix_len, n_max)
     bs = idx.bispecials()
     if args.format == "json":
         print(json.dumps({"stable_up_to": idx.stable_up_to, "bispecials": list(bs)}))
@@ -248,52 +248,39 @@ def cmd_bispecials(args) -> int:
 # ------------------------------------------------------------------ equation
 
 
+def _fields(fields: dict):
+    return fields, " ".join(f"{name}={value}" for name, value in fields.items())
+
+
+def _solution(s):
+    return _fields(dict(vars(s)))
+
+
+def _split_lines(splits):
+    return {"splits": [list(s) for s in splits]}, "\n".join(f"{p}|{q}" for p, q in splits) or "(no split)"
+
+
+# kind -> (word count, solver, render); render turns a solution into the
+# JSON fields that follow "ok" and the text output.
+_EQUATIONS = {
+    "commutation": (2, equations.solve_commutation, _solution),
+    "transfer": (3, equations.solve_transfer, _solution),
+    "pal-antipal": (2, equations.solve_pal_antipal, _solution),
+    "fine-wilf": (3, equations.fine_wilf_root, lambda z: _fields({"z": z})),
+    "two-palindromes": (1, equations.decompose_two_palindromes, _split_lines),
+    "two-antipalindromes": (1, equations.decompose_two_antipalindromes, _split_lines),
+    "normal-form": (1, equations.antipal_periodic_normal_form, lambda ck: _fields({"c": ck[0], "k": ck[1]})),
+}
+
+
 def cmd_equation(args) -> int:
-    kind = args.kind
+    arity, solve, render = _EQUATIONS[args.kind]
     ws = [parse_word(w) for w in args.words]
-
-    def need(n):
-        if len(ws) != n:
-            raise ParseError(f"equation {kind} expects {n} word(s), got {len(ws)}")
-
+    if len(ws) != arity:
+        raise ParseError(f"equation {args.kind} expects {arity} word(s), got {len(ws)}")
     try:
-        if kind == "commutation":
-            need(2)
-            s = equations.solve_commutation(*ws)
-            payload = {"ok": True, "u": s.u, "i": s.i, "j": s.j}
-            text = f"u={s.u} i={s.i} j={s.j}"
-        elif kind == "transfer":
-            need(3)
-            s = equations.solve_transfer(*ws)
-            payload = {"ok": True, "u": s.u, "v": s.v, "i": s.i}
-            text = f"u={s.u} v={s.v} i={s.i}"
-        elif kind == "pal-antipal":
-            need(2)
-            s = equations.solve_pal_antipal(*ws)
-            payload = {"ok": True, "u": s.u, "i": s.i, "j": s.j}
-            text = f"u={s.u} i={s.i} j={s.j}"
-        elif kind == "fine-wilf":
-            need(3)
-            z = equations.fine_wilf_root(*ws)
-            payload = {"ok": True, "z": z}
-            text = f"z={z}"
-        elif kind == "two-palindromes":
-            need(1)
-            splits = equations.decompose_two_palindromes(*ws)
-            payload = {"ok": True, "splits": [list(s) for s in splits]}
-            text = "\n".join(f"{p}|{q}" for p, q in splits) or "(no split)"
-        elif kind == "two-antipalindromes":
-            need(1)
-            splits = equations.decompose_two_antipalindromes(*ws)
-            payload = {"ok": True, "splits": [list(s) for s in splits]}
-            text = "\n".join(f"{p}|{q}" for p, q in splits) or "(no split)"
-        elif kind == "normal-form":
-            need(1)
-            c, k = equations.antipal_periodic_normal_form(*ws)
-            payload = {"ok": True, "c": c, "k": k}
-            text = f"c={c} k={k}"
-        else:
-            raise ParseError(f"unknown equation kind {kind!r}")
+        fields, text = render(solve(*ws))
+        payload = {"ok": True, **fields}
     except NoSolution as exc:
         payload = {"ok": False, "error": type(exc).__name__, "detail": str(exc)}
         text = f"no solution: {type(exc).__name__}: {exc}"
@@ -330,10 +317,10 @@ def scan_space(max_image_len: int) -> list[str]:
     return texts
 
 
-def _classify_chunk(chunk: list[str], prefix_len: int, factor: int) -> list[str]:
+def _classify_chunk(chunk: list[str], cfg: EvidenceConfig) -> list[str]:
     lines = []
     for text in chunk:
-        report = classify(parse_morphism(text), EvidenceConfig(prefix_len, factor))
+        report = classify(parse_morphism(text), cfg)
         lines.append(json.dumps(report.to_dict(), separators=(",", ":")))
     return lines
 
@@ -358,6 +345,7 @@ def _valid_existing_lines(path: Path, space: list[str]) -> list[str]:
 def cmd_scan(args) -> int:
     if args.max_image_len < 1:
         raise ParseError("--max-image-len must be at least 1")
+    cfg = EvidenceConfig(args.prefix_len, args.evidence_factor)
     space = scan_space(args.max_image_len)
     out = Path(args.out)
 
@@ -367,23 +355,16 @@ def cmd_scan(args) -> int:
     todo = space[len(existing) :]
 
     chunks = [todo[i : i + _SCAN_CHUNK] for i in range(0, len(todo), _SCAN_CHUNK)]
-    mode = "w"
-    prelude = existing
-    with out.open(mode) as fh:
-        for line in prelude:
+    with out.open("w") as fh:
+        for line in existing:
             fh.write(line + "\n")
         if args.parallelism > 1 and chunks:
             with ProcessPoolExecutor(max_workers=args.parallelism) as pool:
-                for lines in pool.map(
-                    _classify_chunk,
-                    chunks,
-                    [args.prefix_len] * len(chunks),
-                    [args.evidence_factor] * len(chunks),
-                ):
+                for lines in pool.map(_classify_chunk, chunks, [cfg] * len(chunks)):
                     fh.write("\n".join(lines) + "\n")
         else:
             for chunk in chunks:
-                fh.write("\n".join(_classify_chunk(chunk, args.prefix_len, args.evidence_factor)) + "\n")
+                fh.write("\n".join(_classify_chunk(chunk, cfg)) + "\n")
 
     verdicts: dict[str, int] = {}
     candidates = []
@@ -463,18 +444,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bispecials)
 
     p = sub.add_parser("equation", parents=[common], help="solve one of the supported word equations")
-    p.add_argument(
-        "kind",
-        choices=(
-            "commutation",
-            "transfer",
-            "pal-antipal",
-            "fine-wilf",
-            "two-palindromes",
-            "two-antipalindromes",
-            "normal-form",
-        ),
-    )
+    p.add_argument("kind", choices=tuple(_EQUATIONS))
     p.add_argument("words", nargs="+")
     p.set_defaults(func=cmd_equation)
 

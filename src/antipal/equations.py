@@ -132,26 +132,20 @@ def fine_wilf_root(x: Word, y: Word, w: Word) -> Word:
     return z
 
 
-def decompose_two_palindromes(w: Word) -> tuple[tuple[Word, Word], ...]:
-    """All splits w = p + q with both parts palindromes (empty parts allowed)."""
+def _two_splits(w: Word, mirror) -> tuple[tuple[Word, Word], ...]:
     if not w:
         raise EmptyWordError("need a nonempty word to decompose")
-    return tuple(
-        (w[:k], w[k:])
-        for k in range(len(w) + 1)
-        if is_palindrome(w[:k]) and is_palindrome(w[k:])
-    )
+    return tuple((w[:k], w[k:]) for k in range(len(w) + 1) if mirror(w[:k]) and mirror(w[k:]))
+
+
+def decompose_two_palindromes(w: Word) -> tuple[tuple[Word, Word], ...]:
+    """All splits w = p + q with both parts palindromes (empty parts allowed)."""
+    return _two_splits(w, is_palindrome)
 
 
 def decompose_two_antipalindromes(w: Word) -> tuple[tuple[Word, Word], ...]:
     """All splits of w into two antipalindromes (empty parts allowed)."""
-    if not w:
-        raise EmptyWordError("need a nonempty word to decompose")
-    return tuple(
-        (w[:k], w[k:])
-        for k in range(len(w) + 1)
-        if is_antipalindrome(w[:k]) and is_antipalindrome(w[k:])
-    )
+    return _two_splits(w, is_antipalindrome)
 
 
 def antipal_periodic_normal_form(w: Word) -> tuple[Word, int]:

@@ -24,7 +24,7 @@ back to two-scale empirical evidence otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from typing import Callable, ClassVar
 
 from .equations import decompose_two_antipalindromes, decompose_two_palindromes
 from .errors import CyclicMorphism, NotInThetaImage, PreconditionViolated
@@ -54,39 +54,37 @@ from .words import (
 
 
 @dataclass(frozen=True)
-class PWitness:
+class _SplitWitness:
+    """image_a == prefix + tail_a with all three parts fixed by ``mirror``."""
+
+    kind: ClassVar[str]
+    mirror: ClassVar[Callable[[Word], bool]]
+    prefix: Word
+    tail0: Word
+    tail1: Word
+
+    def build(self) -> Morphism:
+        return Morphism(self.prefix + self.tail0, self.prefix + self.tail1)
+
+    def is_valid(self) -> bool:
+        return all(self.mirror(w) for w in (self.prefix, self.tail0, self.tail1))
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "prefix": self.prefix, "tail0": self.tail0, "tail1": self.tail1}
+
+
+class PWitness(_SplitWitness):
     """image_a == prefix + tail_a with all three parts palindromes."""
 
-    prefix: Word
-    tail0: Word
-    tail1: Word
-
-    def build(self) -> Morphism:
-        return Morphism(self.prefix + self.tail0, self.prefix + self.tail1)
-
-    def is_valid(self) -> bool:
-        return all(is_palindrome(w) for w in (self.prefix, self.tail0, self.tail1))
-
-    def to_dict(self) -> dict:
-        return {"kind": "p", "prefix": self.prefix, "tail0": self.tail0, "tail1": self.tail1}
+    kind = "p"
+    mirror = staticmethod(is_palindrome)
 
 
-@dataclass(frozen=True)
-class EPWitness:
+class EPWitness(_SplitWitness):
     """image_a == prefix + tail_a with all three parts antipalindromes."""
 
-    prefix: Word
-    tail0: Word
-    tail1: Word
-
-    def build(self) -> Morphism:
-        return Morphism(self.prefix + self.tail0, self.prefix + self.tail1)
-
-    def is_valid(self) -> bool:
-        return all(is_antipalindrome(w) for w in (self.prefix, self.tail0, self.tail1))
-
-    def to_dict(self) -> dict:
-        return {"kind": "ep", "prefix": self.prefix, "tail0": self.tail0, "tail1": self.tail1}
+    kind = "ep"
+    mirror = staticmethod(is_antipalindrome)
 
 
 @dataclass(frozen=True)
@@ -144,18 +142,21 @@ def witness_from_dict(d: dict) -> Witness:
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
+def _splits(x0: Word, x1: Word, mirror):
+    """Every split x_a == common + rest_a with all three parts fixed by
+    ``mirror``, as (common, rest0, rest1), longest common prefix first."""
+    for plen in range(min(len(x0), len(x1)), -1, -1):
+        common = x0[:plen]
+        if x1[:plen] != common or not mirror(common):
+            continue
+        rest0, rest1 = x0[plen:], x1[plen:]
+        if mirror(rest0) and mirror(rest1):
+            yield common, rest0, rest1
+
+
 def p_witnesses(m: Morphism) -> tuple[PWitness, ...]:
     """All class-P witnesses, longest common prefix first."""
-    out = []
-    top = min(len(m.image0), len(m.image1))
-    for plen in range(top, -1, -1):
-        p = m.image0[:plen]
-        if m.image1[:plen] != p or not is_palindrome(p):
-            continue
-        t0, t1 = m.image0[plen:], m.image1[plen:]
-        if is_palindrome(t0) and is_palindrome(t1):
-            out.append(PWitness(p, t0, t1))
-    return tuple(out)
+    return tuple(PWitness(*parts) for parts in _splits(m.image0, m.image1, PWitness.mirror))
 
 
 def in_class_p(m: Morphism) -> PWitness | None:
@@ -165,16 +166,7 @@ def in_class_p(m: Morphism) -> PWitness | None:
 
 def ep_witnesses(m: Morphism) -> tuple[EPWitness, ...]:
     """All class-EP witnesses, longest common prefix first."""
-    out = []
-    top = min(len(m.image0), len(m.image1))
-    for plen in range(top, -1, -1):
-        p = m.image0[:plen]
-        if m.image1[:plen] != p or not is_antipalindrome(p):
-            continue
-        t0, t1 = m.image0[plen:], m.image1[plen:]
-        if is_antipalindrome(t0) and is_antipalindrome(t1):
-            out.append(EPWitness(p, t0, t1))
-    return tuple(out)
+    return tuple(EPWitness(*parts) for parts in _splits(m.image0, m.image1, EPWitness.mirror))
 
 
 def in_class_ep(m: Morphism) -> EPWitness | None:
@@ -204,17 +196,14 @@ def ep_suffix_witnesses(m: Morphism) -> tuple[EPSuffixWitness, ...]:
     lands in this shape (not the common-prefix one); a suffix-shape
     member is the left conjugate of a prefix-shape member by the shared
     part, so the two shapes agree up to conjugacy.
+
+    Reversal fixes palindromes and antipalindromes alike, so the
+    common-prefix splits of the reversed images are the suffix splits.
     """
-    out = []
-    n0, n1 = len(m.image0), len(m.image1)
-    for plen in range(min(n0, n1), -1, -1):
-        p = m.image0[n0 - plen :] if plen else ""
-        if (m.image1[n1 - plen :] if plen else "") != p or not is_antipalindrome(p):
-            continue
-        h0, h1 = m.image0[: n0 - plen], m.image1[: n1 - plen]
-        if is_antipalindrome(h0) and is_antipalindrome(h1):
-            out.append(EPSuffixWitness(h0, h1, p))
-    return tuple(out)
+    return tuple(
+        EPSuffixWitness(reverse(rest0), reverse(rest1), reverse(common))
+        for common, rest0, rest1 in _splits(reverse(m.image0), reverse(m.image1), is_antipalindrome)
+    )
 
 
 def a1_witnesses(m: Morphism) -> tuple[A1Witness, ...]:
@@ -258,18 +247,24 @@ def a2_witnesses(m: Morphism) -> tuple[A2Witness, ...]:
     return tuple(out)
 
 
-def in_class_a2(m: Morphism) -> tuple[A2Witness, ...]:
-    return a2_witnesses(m)
+def in_class_a2(m: Morphism) -> A2Witness | None:
+    ws = a2_witnesses(m)
+    return ws[0] if ws else None
+
+
+def _mirror_test(chain: ConjugacyChain) -> bool:
+    """Mirror test on the extreme conjugates: reversing every rightmost
+    image must give the corresponding leftmost image."""
+    left, right = chain.leftmost, chain.rightmost
+    return reverse(right.image0) == left.image0 and reverse(right.image1) == left.image1
 
 
 def conjugate_to_p(m: Morphism) -> bool:
-    """Mirror test on the extreme conjugates: reversing every rightmost
-    image must give the corresponding leftmost image."""
+    """Whether some conjugate of the acyclic morphism m is in class P."""
     chain = conjugacy_chain(m)
     if chain.cyclic:
         raise CyclicMorphism(f"{format_morphism(m)} is cyclic")
-    left, right = chain.leftmost, chain.rightmost
-    return reverse(right.image0) == left.image0 and reverse(right.image1) == left.image1
+    return _mirror_test(chain)
 
 
 def a1_palindromicity(w: A1Witness) -> bool:
@@ -320,9 +315,7 @@ class ClassMembership:
 
     @property
     def any_hit(self) -> bool:
-        return any(
-            x is not None for x in (self.direct, self.conjugate, self.square, self.square_conjugate)
-        )
+        return self.first_hit() is not None
 
     def first_hit(self) -> Hit | None:
         if self.direct is not None:
@@ -392,6 +385,12 @@ class EvidenceConfig:
     factor: int = 4
     seed_letter: str | None = None
 
+    def __post_init__(self):
+        if self.prefix_len < 1:
+            raise PreconditionViolated(f"prefix length must be at least 1, got {self.prefix_len}")
+        if self.factor < 2:
+            raise PreconditionViolated(f"evidence factor must be at least 2, got {self.factor}")
+
 
 @dataclass(frozen=True)
 class Evidence:
@@ -427,29 +426,6 @@ def _evidence_source(m: Morphism, m2: Morphism, preferred: str | None):
         if order:
             return source, morphism, order[0]
     return None
-
-
-def _proven_period(host: Morphism, prefix: Word) -> Word | None:
-    """The period word, when the prefix provably extends to a purely
-    periodic fixed point of the host morphism.
-
-    The prefix being a power of r only suggests periodicity; the proof is
-    that r**inf is itself fixed, which one window of length
-    lcm(|r|, |host(r)|) decides because both sides are periodic.  The
-    fixed point starting with a given letter is unique, so equality pins
-    the analyzed word down to r**inf exactly.
-    """
-    p = smallest_period(prefix)
-    if p > len(prefix) // 4:
-        return None
-    r = prefix[:p]
-    image = apply(host, r)
-    if not image:
-        return None
-    window = lcm(p, len(image))
-    if (r * (window // p)) != (image * (window // len(image)))[:window]:
-        return None
-    return r
 
 
 @dataclass(frozen=True)
@@ -507,8 +483,7 @@ def _palindromic_proof(morphism: Morphism, chain: ConjugacyChain) -> bool:
     """
     if chain.cyclic:
         return bool(decompose_two_palindromes(chain.q_full))
-    left, right = chain.leftmost, chain.rightmost
-    return reverse(right.image0) == left.image0 and reverse(right.image1) == left.image1
+    return _mirror_test(chain)
 
 
 def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> ClassificationReport:
@@ -545,36 +520,43 @@ def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> Classificat
     uniform = is_uniform(m)
     source = _evidence_source(m, m2, cfg.seed_letter)
 
-    evidence = None
+    evidence = prefix = None
     if source is not None:
         tag, host, letter = source
         big_len = cfg.prefix_len * cfg.factor
         big = fixed_point_prefix(host, letter, big_len)
+        prefix = big[: cfg.prefix_len]
         evidence = Evidence(
             prefix_len=cfg.prefix_len,
-            a_small=longest_antipalindrome(big[: cfg.prefix_len]),
+            a_small=longest_antipalindrome(prefix),
             big_len=big_len,
             a_big=longest_antipalindrome(big),
             source=tag,
             letter=letter,
         )
 
+    # A prefix that is a power of r only suggests periodicity; the proof
+    # is that r**inf is itself fixed by the host, i.e. r**inf ==
+    # host(r)**inf, which holds exactly when r and host(r) commute
+    # (Lyndon-Schutzenberger).  host(r) is nonempty because r starts with
+    # a prolongable letter, and the fixed point starting with that letter
+    # is unique, so the analyzed word is then exactly r**inf.
     proven_period = None
     if chain.cyclic:
         periodicity = "periodic-proven"
         proven_period = chain.q_full
     elif source is None:
         periodicity = "no-fixed-point"
+    elif (p := smallest_period(prefix)) > len(prefix) // 4:
+        periodicity = "aperiodic-likely"
     else:
-        tag, host, letter = source
-        prefix = fixed_point_prefix(host, letter, cfg.prefix_len)
-        proven_period = _proven_period(host, prefix)
-        if proven_period is not None:
+        r = prefix[:p]
+        image = apply(host, r)
+        if r + image == image + r:
             periodicity = "periodic-proven"
-        elif smallest_period(prefix) <= len(prefix) // 4:
-            periodicity = "periodic-likely"
+            proven_period = r
         else:
-            periodicity = "aperiodic-likely"
+            periodicity = "periodic-likely"
 
     if proven_period is not None:
         split = bool(decompose_two_palindromes(proven_period))
@@ -596,14 +578,12 @@ def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> Classificat
         palindromic_status = "proven" if proven else "proven-absent"
         palindromic_basis = "mirror test on the extreme conjugates of the morphism or its square"
 
-    a1_hit = class_a1.any_hit
-    a2_hit = class_a2.any_hit
+    a1_hit = class_a1.first_hit() if primitive else None
+    class_hit = a1_hit or class_a2.first_hit()
 
-    if (a1_hit and primitive) or a2_hit:
-        hit = class_a1.first_hit() if (a1_hit and primitive) else class_a2.first_hit()
-        kind = "A1" if (a1_hit and primitive) else "A2"
+    if class_hit is not None:
         verdict = "proven-infinite"
-        basis = f"class {kind} membership ({hit.where})"
+        basis = f"class {'A1' if a1_hit else 'A2'} membership ({class_hit.where})"
     elif proven_period is not None:
         if decompose_two_antipalindromes(proven_period):
             verdict = "proven-infinite"
@@ -633,7 +613,7 @@ def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> Classificat
     # speaks about primitive morphisms; non-primitive growing cases (for
     # example (0,101), whose fixed point is the periodic word (10)^inf)
     # are not counterexamples to anything.
-    candidate = verdict == "empirical-growing" and primitive and not (a1_hit or a2_hit)
+    candidate = verdict == "empirical-growing" and primitive
 
     return ClassificationReport(
         morphism=m,

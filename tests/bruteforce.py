@@ -6,6 +6,7 @@ loops.  Slow on purpose; meant for small inputs.
 """
 
 from itertools import product
+from math import gcd
 
 
 def words_of_length(n):
@@ -175,3 +176,32 @@ def bf_longest_antipalindrome(w):
 
 def bf_factor_set(u, n):
     return {u[i : i + n] for i in range(len(u) - n + 1)}
+
+
+def bf_apply(image0, image1, w):
+    return "".join(image0 if c == "0" else image1 for c in w)
+
+
+def bf_fixed_point_prefix(image0, image1, letter, n):
+    """Iterate the morphism from one letter until n letters are fixed."""
+    w = letter
+    while len(w) < n:
+        w = bf_apply(image0, image1, w)
+    return w[:n]
+
+
+def bf_proven_period(image0, image1, prefix):
+    """The lcm-window check: the prefix's smallest period r, when it repeats
+    at least four times and r**inf equals host(r)**inf, compared over one
+    window of lcm(|r|, |host(r)|) letters; None otherwise."""
+    p = bf_smallest_period(prefix)
+    if p > len(prefix) // 4:
+        return None
+    r = prefix[:p]
+    image = bf_apply(image0, image1, r)
+    if not image:
+        return None
+    window = p * len(image) // gcd(p, len(image))
+    if r * (window // p) != image * (window // len(image)):
+        return None
+    return r

@@ -68,6 +68,9 @@ def test_bispecials_and_orbit(capsys):
     code, out, _ = run(capsys, "bispecials", "0->01,1->10", "--orbit", "0",
                        "--steps", "2", "--prefix-len", "512", "--format", "json")
     assert json.loads(out)["steps"] == ["01", "0110"]
+    # the orbit needs no factor index, hence no prolongable letter
+    code, out, _ = run(capsys, "bispecials", "0->10,1->01", "--orbit", "0", "--steps", "2")
+    assert code == 0 and out.split() == ["0", "10", "0110"]
 
 
 def test_equation_commands(capsys):
@@ -82,6 +85,18 @@ def test_equation_commands(capsys):
     assert out.strip() == "z=01"
     code, out, _ = run(capsys, "equation", "normal-form", "0101")
     assert out.strip() == "c=0 k=2"
+    code, out, _ = run(capsys, "equation", "transfer", "01", "0", "10", "--format", "json")
+    assert json.loads(out) == {"ok": True, "u": "0", "v": "1", "i": 0}
+    code, out, _ = run(capsys, "equation", "transfer", "01", "0", "01")
+    assert code == 0 and out.strip() == "no solution: EquationFails: '01'+'0' != '0'+'01'"
+    code, out, _ = run(capsys, "equation", "two-palindromes", "0110")
+    assert out.strip() == "|0110\n0110|"
+    code, out, _ = run(capsys, "equation", "two-antipalindromes", "0101", "--format", "json")
+    assert json.loads(out) == {"ok": True, "splits": [["", "0101"], ["01", "01"], ["0101", ""]]}
+    code, out, _ = run(capsys, "equation", "two-antipalindromes", "011")
+    assert code == 0 and out.strip() == "(no split)"
+    code, _, err = run(capsys, "equation", "commutation", "01")
+    assert code == 1 and err.strip() == "error: equation commutation expects 2 word(s), got 1"
 
 
 def test_parse_error_exit_code(capsys):
@@ -143,3 +158,12 @@ def test_scan_records_round_trip(tmp_path, capsys):
                     host = chain if hit_key == "conjugate" else chain2
                     rebuilt = witness_from_dict(hit["witness"]).build()
                     assert rebuilt == host.chain[hit["index"]]
+
+
+def test_bad_numeric_arguments_rejected(capsys):
+    code, _, err = run(capsys, "classify", "0->01,1->10", "--evidence-factor", "1")
+    assert code == 1 and err.startswith("error: PreconditionViolated")
+    code, _, err = run(capsys, "classify", "0->01,1->10", "--prefix-len", "0")
+    assert code == 1 and err.startswith("error: PreconditionViolated")
+    code, _, err = run(capsys, "factors", "0->01,1->10", "--max-len", "0")
+    assert code == 1 and err.startswith("error: BadBounds")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from antipal.cli import scan_space
 from antipal.errors import CyclicMorphism, PreconditionViolated
 from antipal.membership import (
     A1Witness,
@@ -32,11 +33,12 @@ from antipal.morphisms import (
     fixed_point_prefix,
     is_primitive,
     is_uniform,
+    parse_morphism,
     prolongable_letters,
     square,
 )
 from antipal.words import exchange, is_antipalindrome, reverse, theta_apply
-from bruteforce import words_up_to
+from bruteforce import bf_fixed_point_prefix, bf_proven_period, words_up_to
 
 FIB = Morphism("01", "0")
 THETA = Morphism("01", "10")
@@ -117,11 +119,14 @@ def test_conjugate_to_a1():
 
 
 def test_class_a2_examples():
-    ws = in_class_a2(square(THETA))
+    ws = a2_witnesses(square(THETA))
     assert [(w.core, w.k, w.h) for w in ws] == [("01", 0, 0)]
-    ws = in_class_a2(Morphism("010101", "01"))
+    assert in_class_a2(square(THETA)) == ws[0]
+    ws = a2_witnesses(Morphism("010101", "01"))
     assert [(w.core, w.k, w.h) for w in ws] == [("0", 1, 0)]
-    assert in_class_a2(FIB) == ()
+    assert in_class_a2(Morphism("010101", "01")) == ws[0]
+    assert a2_witnesses(FIB) == ()
+    assert in_class_a2(FIB) is None
 
 
 def test_witness_build_round_trip():
@@ -301,6 +306,31 @@ def test_classify_no_fixed_point():
     rep = classify(Morphism("1", "0"))
     assert rep.periodicity == "no-fixed-point"
     assert rep.antipal_verdict == "not-applicable"
+
+
+def test_proven_period_agrees_with_lcm_window():
+    # The commutation test r + host(r) == host(r) + r accepts exactly the
+    # prefixes the window check over lcm(|r|, |host(r)|) letters accepts.
+    # The image-length <= 3 space has no periodic-likely record, so the
+    # image-length 4 ones that are periodic-likely at these lengths join it.
+    periodic_likely = ["0->11,1->0001", "0->111,1->0001", "0->1010,1->0000", "0->1100,1->000"]
+    for prefix_len in (16, 1000):
+        cfg = EvidenceConfig(prefix_len=prefix_len)
+        for text in scan_space(3) + periodic_likely:
+            m = parse_morphism(text)
+            rep = classify(m, cfg)
+            if rep.evidence is None:
+                continue
+            host = m if rep.evidence.source == "self" else square(m)
+            prefix = bf_fixed_point_prefix(host.image0, host.image1, rep.evidence.letter, prefix_len)
+            expected = bf_proven_period(host.image0, host.image1, prefix) is not None
+            assert (rep.periodicity == "periodic-proven") == expected, (text, prefix_len)
+
+
+def test_proven_period_check_on_long_images():
+    # the window check needs an 886 MB string here; the commutation test does not
+    rep = classify(Morphism("111110001101010101100001", "0111110111000100"))
+    assert rep.periodicity == "periodic-likely"
 
 
 def test_report_serialization_round_trip():
