@@ -9,18 +9,21 @@ deduplicated under the relabeling that swaps the two letters everywhere
 (a morphism and its relabeled mirror classify identically), classifies
 each one, and writes one JSON record per line.  The enumeration order is
 lexicographic in the morphism text; work is chunked and merged in order,
-so output files are byte-identical for every parallelism level, and an
-interrupted scan resumes after the last complete record.
+so output files are byte-identical for every parallelism level.  A resume
+keeps the complete records on disk untouched, cuts a damaged tail in
+place, and refuses a file made under other evidence settings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
 from . import equations
@@ -51,9 +54,15 @@ def _auto_letter(m: Morphism, requested: str | None) -> str:
     return sorted(letters)[0]
 
 
+def _index(args, m: Morphism, n_max: int | None):
+    """Factor index on the seed letter; ``n_max`` defaults to ``min(64, prefix_len // 4)``."""
+    letter = _auto_letter(m, args.seed_letter)
+    if n_max is None:
+        n_max = min(64, args.prefix_len // 4)
+    return build_index(m, letter, args.prefix_len, n_max)
+
+
 def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "csv":
-        raise ParseError("csv output is only available for the factors census")
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -140,13 +149,11 @@ def cmd_analyze(args) -> int:
     payload["frequencies"] = _frequencies_payload(m)
 
     census_payload = None
-    try:
-        letter = _auto_letter(m, args.seed_letter)
+    try:  # no census without a prolongable letter, nor below 4 letters
+        idx = _index(args, m, None) if args.prefix_len >= 4 else None
     except ParseError:
-        letter = None
-    if letter is not None:
-        n_max = min(64, args.prefix_len // 4)
-        idx = build_index(m, letter, args.prefix_len, n_max)
+        idx = None
+    if idx is not None:
         rows = idx.census()
         census_payload = {
             "prefix_len": idx.prefix_len,
@@ -179,7 +186,7 @@ def cmd_fixedpoint(args) -> int:
     from .morphisms import fixed_point_prefix
 
     m = parse_morphism(args.morphism)
-    letter = _auto_letter(m, args.letter or args.seed_letter)
+    letter = _auto_letter(m, args.letter)
     word = fixed_point_prefix(m, letter, args.length)
     if args.format == "json":
         print(json.dumps({"morphism": format_morphism(m), "letter": letter, "prefix": word}))
@@ -190,9 +197,7 @@ def cmd_fixedpoint(args) -> int:
 
 def cmd_factors(args) -> int:
     m = parse_morphism(args.morphism)
-    letter = _auto_letter(m, args.seed_letter)
-    n_max = args.max_len if args.max_len is not None else min(64, args.prefix_len // 4)
-    idx = build_index(m, letter, args.prefix_len, n_max)
+    idx = _index(args, m, args.max_len)
     rows = idx.census()
     if args.format == "csv":
         print("length,factor_count,palindrome_count,antipalindrome_count,certified")
@@ -233,9 +238,7 @@ def cmd_bispecials(args) -> int:
         payload = {"seed": orbit.seed, "steps": list(orbit.steps)}
         _emit(args, payload, "\n".join([orbit.seed or "(empty)"] + list(orbit.steps)))
         return 0
-    letter = _auto_letter(m, args.seed_letter)
-    n_max = args.max_len if args.max_len is not None else min(64, args.prefix_len // 4)
-    idx = build_index(m, letter, args.prefix_len, n_max)
+    idx = _index(args, m, args.max_len)
     bs = idx.bispecials()
     if args.format == "json":
         print(json.dumps({"stable_up_to": idx.stable_up_to, "bispecials": list(bs)}))
@@ -325,46 +328,42 @@ def _classify_chunk(chunk: list[str], cfg: EvidenceConfig) -> list[str]:
     return lines
 
 
-def _valid_existing_lines(path: Path, space: list[str]) -> list[str]:
-    """Complete records already on disk, in order; a damaged tail is dropped."""
-    lines = []
-    raw = path.read_text().split("\n")
-    for i, line in enumerate(raw):
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            break
-        if len(lines) >= len(space) or record.get("morphism") != space[len(lines)]:
-            break
-        lines.append(line)
-    return lines
+def _complete_records(path: Path, space: list[str], cfg: EvidenceConfig) -> tuple[int, int]:
+    """Count and byte size of the complete, in-order records that open the file, all made under ``cfg``."""
+    settings = (cfg.prefix_len, cfg.prefix_len * cfg.factor)
+    count = size = 0
+    with path.open("rb") as fh:
+        for line in fh:
+            try:
+                record = json.loads(line)
+            except ValueError:  # also a tail of NUL bytes, which is not UTF-8 to json
+                break
+            if count >= len(space) or not line.endswith(b"\n") or record.get("morphism") != space[count]:
+                break
+            ev = record["antipalindromic"]["evidence"]
+            if ev and (made := (ev["prefix_len"], ev["big_len"])) != settings:
+                raise ParseError(f"{path} was made with evidence lengths {made}, not {settings}; see --overwrite")
+            count += 1
+            size += len(line)
+    return count, size
 
 
 def cmd_scan(args) -> int:
-    if args.max_image_len < 1:
-        raise ParseError("--max-image-len must be at least 1")
     cfg = EvidenceConfig(args.prefix_len, args.evidence_factor)
     space = scan_space(args.max_image_len)
     out = Path(args.out)
 
-    existing: list[str] = []
+    resumed = size = 0
     if out.exists() and not args.overwrite:
-        existing = _valid_existing_lines(out, space)
-    todo = space[len(existing) :]
+        resumed, size = _complete_records(out, space, cfg)
 
-    chunks = [todo[i : i + _SCAN_CHUNK] for i in range(0, len(todo), _SCAN_CHUNK)]
-    with out.open("w") as fh:
-        for line in existing:
-            fh.write(line + "\n")
-        if args.parallelism > 1 and chunks:
-            with ProcessPoolExecutor(max_workers=args.parallelism) as pool:
-                for lines in pool.map(_classify_chunk, chunks, [cfg] * len(chunks)):
-                    fh.write("\n".join(lines) + "\n")
-        else:
-            for chunk in chunks:
-                fh.write("\n".join(_classify_chunk(chunk, cfg)) + "\n")
+    chunks = [space[i : i + _SCAN_CHUNK] for i in range(resumed, len(space), _SCAN_CHUNK)]
+    workers = min(args.parallelism, len(chunks), os.cpu_count() or 1)
+    with out.open("a") as fh, ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        fh.truncate(size)
+        for lines in (pool.map if pool else map)(_classify_chunk, chunks, repeat(cfg)):
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
 
     verdicts: dict[str, int] = {}
     candidates = []
@@ -377,7 +376,7 @@ def cmd_scan(args) -> int:
                 candidates.append(record["morphism"])
     summary = {
         "records": sum(verdicts.values()),
-        "resumed": len(existing),
+        "resumed": resumed,
         "verdicts": dict(sorted(verdicts.items())),
         "counterexample_candidates": candidates,
         "out": str(out),
@@ -402,11 +401,21 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------- main
 
 
+def _at_least(low: int):
+    """An argparse type for an integer count no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--prefix-len", type=int, default=25_000)
-    common.add_argument("--seed-letter", choices=("0", "1"), default=None)
+    prefix = argparse.ArgumentParser(add_help=False)
+    prefix.add_argument("--prefix-len", type=int, default=25_000)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed-letter", choices=("0", "1"), default=None)
 
     parser = argparse.ArgumentParser(
         prog="antipal",
@@ -414,47 +423,47 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="full report: classes, chain, frequencies, census")
+    def command(name, func, summary, parents=(), formats=("text", "json")):
+        p = sub.add_parser(name, parents=list(parents), help=summary)
+        p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("analyze", cmd_analyze, "full report: classes, chain, frequencies, census", (prefix, seed))
     p.add_argument("morphism")
     p.add_argument("--evidence-factor", type=int, default=4)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("classify", parents=[common], help="classification report only")
+    p = command("classify", cmd_classify, "classification report only", (prefix, seed))
     p.add_argument("morphism")
     p.add_argument("--evidence-factor", type=int, default=4)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("fixedpoint", parents=[common], help="print a fixed-point prefix")
+    p = command("fixedpoint", cmd_fixedpoint, "print a fixed-point prefix")
     p.add_argument("morphism")
     p.add_argument("--letter", choices=("0", "1"), default=None)
-    p.add_argument("--length", type=int, default=64)
-    p.set_defaults(func=cmd_fixedpoint)
+    p.add_argument("--length", type=_at_least(0), default=64)
 
-    p = sub.add_parser("factors", parents=[common], help="per-length factor census of a fixed-point prefix")
+    p = command("factors", cmd_factors, "per-length factor census of a fixed-point prefix", (prefix, seed),
+                formats=("text", "json", "csv"))
     p.add_argument("morphism")
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--list", action="store_true", help="also list factors of length <= 8")
-    p.set_defaults(func=cmd_factors)
 
-    p = sub.add_parser("bispecials", parents=[common], help="bispecial factors, or a successor orbit")
+    p = command("bispecials", cmd_bispecials, "bispecial factors, or a successor orbit", (prefix, seed))
     p.add_argument("morphism")
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--orbit", default=None, help="seed word for the successor orbit")
-    p.add_argument("--steps", type=int, default=3)
-    p.set_defaults(func=cmd_bispecials)
+    p.add_argument("--steps", type=_at_least(0), default=3)
 
-    p = sub.add_parser("equation", parents=[common], help="solve one of the supported word equations")
+    p = command("equation", cmd_equation, "solve one of the supported word equations")
     p.add_argument("kind", choices=tuple(_EQUATIONS))
     p.add_argument("words", nargs="+")
-    p.set_defaults(func=cmd_equation)
 
-    p = sub.add_parser("scan", parents=[common], help="classify every small morphism, hunting counterexamples")
-    p.add_argument("--max-image-len", type=int, required=True)
+    p = command("scan", cmd_scan, "classify every small morphism, hunting counterexamples", (prefix,))
+    p.add_argument("--max-image-len", type=_at_least(1), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=_at_least(1), default=1, help="capped at the core count")
     p.add_argument("--evidence-factor", type=int, default=4)
     p.add_argument("--overwrite", action="store_true")
-    p.set_defaults(func=cmd_scan)
 
     return parser
 

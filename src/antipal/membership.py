@@ -486,6 +486,13 @@ def _palindromic_proof(morphism: Morphism, chain: ConjugacyChain) -> bool:
     return _mirror_test(chain)
 
 
+def _period_split(period: Word, decompose, parts: str, yes: str, no: str) -> tuple[str, str]:
+    """Status and basis from whether the period word splits into two ``parts``."""
+    if decompose(period):
+        return yes, f"periodic: the period word splits into two {parts}"
+    return no, f"periodic: the period word does not split into two {parts}"
+
+
 def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> ClassificationReport:
     """Full classification with a settled or empirical antipalindromicity verdict.
 
@@ -559,12 +566,8 @@ def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> Classificat
             periodicity = "periodic-likely"
 
     if proven_period is not None:
-        split = bool(decompose_two_palindromes(proven_period))
-        palindromic_status = "proven" if split else "proven-absent"
-        palindromic_basis = (
-            "periodic: the period word "
-            + ("splits" if split else "does not split")
-            + " into two palindromes"
+        palindromic_status, palindromic_basis = _period_split(
+            proven_period, decompose_two_palindromes, "palindromes", "proven", "proven-absent"
         )
     elif source is None:
         palindromic_status, palindromic_basis = (
@@ -585,26 +588,18 @@ def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> Classificat
         verdict = "proven-infinite"
         basis = f"class {'A1' if a1_hit else 'A2'} membership ({class_hit.where})"
     elif proven_period is not None:
-        if decompose_two_antipalindromes(proven_period):
-            verdict = "proven-infinite"
-            basis = "periodic: the period word splits into two antipalindromes"
-        else:
-            verdict = "proven-finite"
-            basis = "periodic: the period word does not split into two antipalindromes"
+        verdict, basis = _period_split(
+            proven_period, decompose_two_antipalindromes, "antipalindromes", "proven-infinite", "proven-finite"
+        )
     elif source is None:
         verdict, basis = "not-applicable", "no prolongable letter on the morphism or its square"
-    elif uniform and primitive and periodicity == "aperiodic-likely":
+    elif primitive and periodicity == "aperiodic-likely" and (uniform or palindromic_status == "proven"):
         verdict = "proven-finite"
         basis = (
-            "uniform case: no uniform-class hit on the morphism or its square "
-            "(aperiodicity per prefix-period heuristic)"
-        )
-    elif not uniform and primitive and periodicity == "aperiodic-likely" and palindromic_status == "proven":
-        verdict = "proven-finite"
-        basis = (
-            "non-uniform palindromic case: no doubling-class membership on the "
-            "morphism or its square (aperiodicity per prefix-period heuristic)"
-        )
+            "uniform case: no uniform-class hit"
+            if uniform
+            else "non-uniform palindromic case: no doubling-class membership"
+        ) + " on the morphism or its square (aperiodicity per prefix-period heuristic)"
     else:
         verdict = "empirical-growing" if evidence.growing else "empirical-bounded"
         basis = "two-scale longest-antipalindrome evidence"

@@ -1,5 +1,14 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import antipal
+from antipal import cli
 from antipal.cli import main, scan_space
 from antipal.membership import witness_from_dict
 from antipal.morphisms import conjugacy_chain, parse_morphism, square
@@ -167,3 +176,121 @@ def test_bad_numeric_arguments_rejected(capsys):
     assert code == 1 and err.startswith("error: PreconditionViolated")
     code, _, err = run(capsys, "factors", "0->01,1->10", "--max-len", "0")
     assert code == 1 and err.startswith("error: BadBounds")
+
+
+def test_analyze_short_prefix_has_no_census(capsys):
+    # below 4 letters no census length fits, so the census is null
+    code, out, _ = run(capsys, "analyze", "0->01,1->10", "--prefix-len", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["census"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixedpoint", "0->01,1->10", "--length", "-5"],
+        ["bispecials", "0->01,1->10", "--orbit", "0", "--steps", "-2"],
+        ["scan", "--max-image-len", "1", "--parallelism", "0"],
+        # options a subcommand never reads are not offered
+        ["scan", "--max-image-len", "1", "--seed-letter", "1"],
+        ["fixedpoint", "0->01,1->10", "--seed-letter", "1"],
+        ["equation", "commutation", "01", "01", "--prefix-len", "5"],
+        ["classify", "0->01,1->10", "--format", "csv"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_options_rejected_at_parse_time(tmp_path, capsys, argv):
+    out = tmp_path / "scan.jsonl"
+    if argv[0] == "scan":
+        argv = argv + ["--out", str(out), "--prefix-len", "100"]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert "usage:" in err
+    assert not out.exists()
+
+
+def _scan(capsys, out, *extra):
+    return run(capsys, "scan", "--max-image-len", "2", "--out", str(out), "--format", "json", *extra)
+
+
+def test_scan_redoes_damaged_tail(tmp_path, capsys):
+    full = tmp_path / "full.jsonl"
+    _scan(capsys, full, "--prefix-len", "2000", "--overwrite")
+    lines = full.read_bytes().split(b"\n")
+    head = b"".join(line + b"\n" for line in lines[:12])
+    # the last record is complete JSON, but a record ends with its newline;
+    # a crash can also leave a tail of NUL bytes
+    for damaged, resumed in ((full.read_bytes()[:-1], 20), (head + b"\x00" * 64, 12)):
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(damaged)
+        code, out, _ = _scan(capsys, cut, "--prefix-len", "2000")
+        assert code == 0 and json.loads(out)["resumed"] == resumed
+        assert cut.read_bytes() == full.read_bytes()
+
+
+def test_scan_resume_refuses_other_settings(tmp_path, capsys):
+    full = tmp_path / "full.jsonl"
+    _scan(capsys, full, "--prefix-len", "1000", "--overwrite")
+    lines = full.read_bytes().split(b"\n")
+    damaged = b"\n".join(lines[:8]) + b"\n" + lines[8][:40]
+    out = tmp_path / "resume.jsonl"
+    out.write_bytes(damaged)
+    for other in (["--prefix-len", "2000"], ["--prefix-len", "1000", "--evidence-factor", "2"]):
+        code, stdout, err = _scan(capsys, out, *other)
+        assert code == 1 and stdout == ""
+        assert "made with evidence lengths (1000, 4000)" in err
+        assert out.read_bytes() == damaged
+    code, stdout, _ = _scan(capsys, out, "--prefix-len", "1000")
+    assert code == 0 and json.loads(stdout)["resumed"] == 8
+    assert out.read_bytes() == full.read_bytes()
+
+
+def test_scan_crash_keeps_finished_records(tmp_path, capsys):
+    full = tmp_path / "full.jsonl"
+    _scan(capsys, full, "--prefix-len", "2000", "--overwrite")
+    lines = full.read_bytes().split(b"\n")
+    finished = b"".join(line + b"\n" for line in lines[:15])
+    out = tmp_path / "resume.jsonl"
+    out.write_bytes(finished + lines[15][:100])
+    # a resume whose first classify call kills its own process
+    argv = ["scan", "--max-image-len", "2", "--out", str(out), "--prefix-len", "2000"]
+    script = (
+        "import os, signal, sys\n"
+        "from antipal import cli\n"
+        "cli.classify = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    src = str(Path(antipal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == -signal.SIGKILL
+    assert out.read_bytes() == finished
+
+
+class _CountingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count, runs in-process."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
+def test_scan_pool_is_capped(tmp_path, capsys, monkeypatch):
+    # 21 records make 3 chunks; nothing is spawned, the pool is a stand-in
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "workers", [])
+    for cores, expected in ((2, 2), (8, 3)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        code, _, _ = _scan(capsys, tmp_path / "pool.jsonl", "--prefix-len", "100", "--overwrite",
+                           "--parallelism", "64")
+        assert code == 0
+    assert _CountingPool.workers == [2, 3]
