@@ -27,7 +27,7 @@ from .errors import (
     UnstableLength,
 )
 from .morphisms import Morphism, apply, conjugacy_chain, fixed_point_prefix
-from .words import Word, exchange, is_antipalindrome, longest_antipalindrome
+from .words import Word, exchange, is_antipalindrome, longest_antipalindrome, power_table
 
 _MODS = ((2_147_483_647, 1_000_003), (2_147_483_629, 998_244_353))
 
@@ -58,19 +58,8 @@ class _HashedText:
 
 
 def _power_tables(n: int):
-    powers, inverse_powers = [], []
-    for mod, base in _MODS:
-        pw = np.empty(n + 1, dtype=np.int64)
-        inv = np.empty(n + 1, dtype=np.int64)
-        base_inv = pow(base, mod - 2, mod)
-        x = y = 1
-        for j in range(n + 1):
-            pw[j] = x
-            inv[j] = y
-            x = x * base % mod
-            y = y * base_inv % mod
-        powers.append(pw)
-        inverse_powers.append(inv)
+    powers = [power_table(base, mod, n + 1) for mod, base in _MODS]
+    inverse_powers = [power_table(pow(base, mod - 2, mod), mod, n + 1) for mod, base in _MODS]
     return powers, inverse_powers
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyWordError, NotInThetaImage, ParseError
+import numpy as np
+
+from .errors import EmptyWordError, NotInThetaImage, ParseError, PreconditionViolated
 
 Word = str
 
@@ -148,29 +150,121 @@ def s_map(w: Word) -> Word:
     return "".join("1" if a != b else "0" for a, b in zip(w, w[1:]))
 
 
+def power_table(base: int, mod: int, n: int) -> np.ndarray:
+    """``base**j % mod`` for ``j = 0 .. n-1`` as int64, for ``mod < 2**31``.
+
+    Built by doubling: the known head of length k times ``base**k`` gives
+    the next k entries, so the table takes log2(n) vectorised steps.  Each
+    product stays below ``mod**2 < 2**62``.
+    """
+    table = np.empty(n, dtype=np.int64)
+    table[:1] = 1
+    known = 1
+    while known < n:
+        step = min(known, n - known)
+        np.multiply(table[:step], pow(base, known, mod), out=table[known : known + step])
+        table[known : known + step] %= mod
+        known += step
+    return table
+
+
+# The antipalindrome kernel hashes under one Mersenne prime; exactness
+# comes from confirming every answer, not from the modulus (see below).
+_MOD = 2_147_483_647
+_BASE = 1_000_003
+_CHUNK = 8192
+_MAX_LEN = 2**30
+
+
+def _passing(centres: np.ndarray, r: int, h: np.ndarray, pw: np.ndarray, m: int) -> np.ndarray:
+    """The centres whose hashes say the difference word is a palindrome to radius ``r``.
+
+    ``centres`` is sorted, so the centres with room for radius r (``r <= c``
+    and ``c + r < m``) are one slice.  Mirrored windows compare as
+    ``S[c+1 .. c+r]`` against ``S[2m-c .. 2m-c+r-1]`` in ``S = d + reverse(d)``,
+    shifted to the same power by ``pw[b - a]``.
+    """
+    centres = centres[np.searchsorted(centres, r) : np.searchsorted(centres, m - r)]
+    kept = []
+    for i in range(0, len(centres), _CHUNK):
+        c = centres[i : i + _CHUNK]
+        a = c + 1
+        b = 2 * m - c
+        left = (h[a + r] - h[a]) % _MOD * pw[b - a] % _MOD
+        right = (h[b + r] - h[b]) % _MOD
+        kept.append(c[left == right])
+    return np.concatenate(kept) if kept else centres
+
+
 def longest_antipalindrome(w: Word) -> int:
     """Length of the longest antipalindromic factor of ``w`` (0 if none).
 
-    An even factor is an antipalindrome exactly when the letterwise
-    difference word over it is an odd palindrome with central letter 1,
-    so a single Manacher pass over the difference word suffices.  Linear
-    time, which keeps prefix scans at 1e5+ letters cheap.
+    An even factor ``w[c-r .. c+r+1]`` is an antipalindrome exactly when the
+    difference word ``d`` (``d[i] = w[i] xor w[i+1]``) has an odd palindrome
+    of radius r centred on a letter ``d[c] == 1``; the answer is
+    ``2 * (R + 1)`` for the largest such radius R.
+
+    R is found by a threshold search over the 1-centres with rolling
+    hashes of ``d + reverse(d)`` under the prime ``2**31 - 1``: the radius
+    doubles while some centre still passes, keeping only the passing
+    centres, then a binary search runs between the last pass and the first
+    fail.  The result is exact whatever the hashes do:
+
+    * Hashing has no false negatives.  A centre that truly reaches radius
+      r passes every test at radius <= r, so when the search ends at
+      radius ``lo`` every centre that truly reaches ``lo`` is still a
+      survivor, and a failed test at radius ``hi`` proves that no centre
+      reaches ``hi``.
+    * The answer is confirmed by a direct string test ``f == exchange(f)``
+      on the survivors.  If none confirms, no centre reaches ``lo``, so
+      ``lo`` becomes the upper bound and the search runs again below it.
+      The bound falls each time and radius 0 always confirms, so this
+      terminates.  A collision costs time, never a wrong value, so one
+      modulus is enough (and never mod ``2**64``: Thue-Morse words defeat
+      it).
+
+    The prefix sums of the hash are reduced only after the ``cumsum``:
+    the ``2|w|`` terms are each below ``2**31``, so the int64 sum is safe
+    while ``2 * |w| * 2**31 < 2**63``.  The centre indices are int32 and
+    reach ``2|w|``; both bounds hold below ``2**30`` letters, which is
+    checked.
     """
-    m = len(w) - 1
-    if m < 1:
+    n = len(w)
+    if n < 2:
         return 0
-    d = s_map(w)
-    # radius[i] = r means d[i-r .. i+r] is a palindrome, r maximal.
-    radius = [0] * m
-    center = right = 0
-    best = 0
-    for i in range(m):
-        r = min(radius[2 * center - i], right - i) if i < right else 0
-        while i - r - 1 >= 0 and i + r + 1 < m and d[i - r - 1] == d[i + r + 1]:
-            r += 1
-        radius[i] = r
-        if i + r > right:
-            center, right = i, i + r
-        if d[i] == "1" and r + 1 > best:
-            best = r + 1
-    return 2 * best
+    if n >= _MAX_LEN:
+        raise PreconditionViolated(f"longest_antipalindrome takes fewer than 2**30 letters, got {n}")
+    m = n - 1
+    letters = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
+    d = letters[1:] ^ letters[:-1]
+    centres = np.flatnonzero(d).astype(np.int32)
+    if not len(centres):
+        return 0
+    pw = power_table(_BASE, _MOD, 2 * m)
+    h = np.zeros(2 * m + 1, dtype=np.int64)
+    h[1 : m + 1] = d
+    h[m + 1 :] = d[::-1]
+    h[1:] *= pw[: 2 * m]
+    np.cumsum(h[1:], out=h[1:])
+    h %= _MOD
+
+    hi = m  # no centre has room for radius m
+    while True:
+        lo, alive, r = 0, centres, 1
+        while r < hi:
+            found = _passing(alive, r, h, pw, m)
+            if not len(found):
+                hi = r
+                break
+            lo, alive, r = r, found, 2 * r
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            found = _passing(alive, mid, h, pw, m)
+            if len(found):
+                lo, alive = mid, found
+            else:
+                hi = mid
+        for c in alive.tolist():
+            if is_antipalindrome(w[c - lo : c + lo + 2]):
+                return 2 * (lo + 1)
+        hi = lo

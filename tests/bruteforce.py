@@ -174,6 +174,38 @@ def bf_longest_antipalindrome(w):
     return best
 
 
+def bf_manacher_longest_antipalindrome(w):
+    """Linear-time reference for long words: one Manacher pass over the
+    difference word, keeping the odd palindromes centred on a letter 1
+    (exactly the antipalindromes of w)."""
+    m = len(w) - 1
+    if m < 1:
+        return 0
+    d = ["1" if w[i] != w[i + 1] else "0" for i in range(m)]
+    radius = [0] * m
+    center = right = 0
+    best = 0
+    for i in range(m):
+        r = min(radius[2 * center - i], right - i) if i < right else 0
+        while i - r - 1 >= 0 and i + r + 1 < m and d[i - r - 1] == d[i + r + 1]:
+            r += 1
+        radius[i] = r
+        if i + r > right:
+            center, right = i, i + r
+        if d[i] == "1" and r + 1 > best:
+            best = r + 1
+    return 2 * best
+
+
+def bf_power_table(base, mod, n):
+    """base**j % mod for j = 0 .. n-1, one multiplication at a time."""
+    out, x = [], 1
+    for _ in range(n):
+        out.append(x)
+        x = x * base % mod
+    return out
+
+
 def bf_factor_set(u, n):
     return {u[i : i + n] for i in range(len(u) - n + 1)}
 

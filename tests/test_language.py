@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from antipal.errors import (
@@ -10,6 +11,8 @@ from antipal.errors import (
 )
 from antipal.language import (
     BispecialOrbit,
+    _MODS,
+    _power_tables,
     bispecial_orbit,
     bispecial_successor,
     build_index,
@@ -17,10 +20,19 @@ from antipal.language import (
 )
 from antipal.morphisms import Morphism
 from antipal.words import exchange, is_antipalindrome, is_palindrome
-from bruteforce import bf_factor_set
+from bruteforce import bf_factor_set, bf_power_table
 
 FIB = Morphism("01", "0")
 THETA = Morphism("01", "10")
+
+
+def test_power_tables_match_loop():
+    n = 100_000
+    powers, inverse_powers = _power_tables(n)
+    for (mod, base), pw, inv in zip(_MODS, powers, inverse_powers):
+        assert pw.dtype == inv.dtype == np.int64
+        assert np.array_equal(pw, bf_power_table(base, mod, n + 1))
+        assert np.array_equal(inv, bf_power_table(pow(base, mod - 2, mod), mod, n + 1))
 
 
 def test_build_index_basics():

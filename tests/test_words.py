@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import antipal.words
 from antipal import (
     EmptyWordError,
     NotInThetaImage,
     ParseError,
+    PreconditionViolated,
     check_word,
     exchange,
     is_antipalindrome,
@@ -21,7 +25,9 @@ from antipal import (
     theta_factorize,
 )
 from bruteforce import (
+    bf_fixed_point_prefix,
     bf_longest_antipalindrome,
+    bf_manacher_longest_antipalindrome,
     bf_theta_factorizations,
     words_up_to,
 )
@@ -149,6 +155,89 @@ def test_longest_antipalindrome_matches_bruteforce():
     for _ in range(150):
         w = "".join(rng.choice("01") for _ in range(rng.randrange(60)))
         assert longest_antipalindrome(w) == bf_longest_antipalindrome(w), w
+
+
+@st.composite
+def periodic_words(draw):
+    """A prefix of root**inf, sometimes with one letter flipped."""
+    root = draw(st.text(alphabet="01", min_size=1, max_size=12))
+    n = draw(st.integers(0, 2000))
+    w = (root * (n // len(root) + 1))[:n]
+    if w and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        w = w[:i] + "10"[int(w[i])] + w[i + 1 :]
+    return w
+
+
+@st.composite
+def morphic_prefixes(draw):
+    """A prefix of the fixed point from 0 of 0 -> 0u, 1 -> v with u, v nonempty."""
+    image0 = "0" + draw(st.text(alphabet="01", min_size=1, max_size=4))
+    image1 = draw(st.text(alphabet="01", min_size=1, max_size=5))
+    return bf_fixed_point_prefix(image0, image1, "0", draw(st.integers(0, 2000)))
+
+
+kernel_inputs = st.one_of(
+    st.text(alphabet="01", max_size=3),
+    st.text(alphabet="01", max_size=2000),
+    periodic_words(),
+    morphic_prefixes(),
+    st.builds(lambda letter, n: letter * n, st.sampled_from("01"), st.integers(0, 2000)),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(kernel_inputs)
+def test_longest_antipalindrome_matches_manacher(w):
+    assert longest_antipalindrome(w) == bf_manacher_longest_antipalindrome(w)
+
+
+@pytest.mark.parametrize("mod", [3, 7])
+def test_longest_antipalindrome_exact_under_forced_collisions(monkeypatch, mod):
+    """With a tiny modulus almost every hash comparison collides, so the
+    answer rests on the confirm-and-retry step alone."""
+    monkeypatch.setattr(antipal.words, "_MOD", mod)
+    confirm = antipal.words.is_antipalindrome
+    tried = []  # lengths of the factors confirmed during one call
+
+    def recording_confirm(f):
+        tried.append(len(f))
+        return confirm(f)
+
+    monkeypatch.setattr(antipal.words, "is_antipalindrome", recording_confirm)
+    rng = random.Random(mod)
+    words = list(words_up_to(12))
+    words += ["".join(rng.choice("01") for _ in range(rng.randrange(13, 200))) for _ in range(200)]
+    retried = 0
+    for w in words:
+        tried.clear()
+        assert longest_antipalindrome(w) == bf_longest_antipalindrome(w), w
+        retried += len(set(tried)) > 1  # no survivor confirmed, a search below ran
+    assert retried > 0
+
+
+SCALE_WORDS = {
+    "thue-morse": bf_fixed_point_prefix("01", "10", "0", 100_000),
+    "fibonacci": bf_fixed_point_prefix("01", "0", "0", 100_000),
+    "period-doubling": bf_fixed_point_prefix("01", "00", "0", 100_000),
+    "0->0101,1->1100": bf_fixed_point_prefix("0101", "1100", "0", 100_000),
+    "(01)^50000": "01" * 50_000,
+    "0^100000": "0" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", SCALE_WORDS)
+@pytest.mark.parametrize("n", [25_000, 100_000])
+def test_longest_antipalindrome_at_evidence_scales(name, n):
+    w = SCALE_WORDS[name][:n]
+    assert longest_antipalindrome(w) == bf_manacher_longest_antipalindrome(w)
+
+
+def test_longest_antipalindrome_length_guard(monkeypatch):
+    monkeypatch.setattr(antipal.words, "_MAX_LEN", 8)
+    assert longest_antipalindrome("0110100") == 6
+    with pytest.raises(PreconditionViolated):
+        longest_antipalindrome("01101001")
 
 
 def test_word_parsing():
