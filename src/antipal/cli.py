@@ -334,14 +334,15 @@ def _complete_records(path: Path, space: list[str], cfg: EvidenceConfig) -> tupl
     count = size = 0
     with path.open("rb") as fh:
         for line in fh:
-            try:
+            try:  # a tail of NUL bytes is not UTF-8 to json; [] or a partial object is not a record
                 record = json.loads(line)
-            except ValueError:  # also a tail of NUL bytes, which is not UTF-8 to json
+                morphism, ev = record["morphism"], record["antipalindromic"]["evidence"]
+                made = ev and (ev["prefix_len"], ev["big_len"])
+            except (ValueError, LookupError, TypeError):
                 break
-            if count >= len(space) or not line.endswith(b"\n") or record.get("morphism") != space[count]:
+            if count >= len(space) or not line.endswith(b"\n") or morphism != space[count]:
                 break
-            ev = record["antipalindromic"]["evidence"]
-            if ev and (made := (ev["prefix_len"], ev["big_len"])) != settings:
+            if made and made != settings:
                 raise ParseError(f"{path} was made with evidence lengths {made}, not {settings}; see --overwrite")
             count += 1
             size += len(line)

@@ -1,16 +1,17 @@
 """Factor language of a fixed-point prefix.
 
 The index is built over the length-N prefix of a fixed point.  Because a
-prefix only approximates the infinite language, every per-length factor
-set is certified by recomputing it from the half prefix: a length is
-trusted only when both computations agree (``stable_up_to``).  Queries
-beyond the certified range raise instead of silently lying.
+prefix only approximates the infinite language, a length n is trusted only
+when the n-factors of the half prefix and of the full prefix agree.  That
+property is downward closed, so ``stable_up_to`` is an exact threshold
+found by one binary search.  Queries beyond the certified range raise
+instead of silently lying.
 
 Per-length counting works on rolling hashes (two 31-bit prime moduli,
 numpy-vectorized), which keeps full censuses over thousands of lengths
 affordable; collisions across both moduli are negligible at these sizes.
-The special-factor operations work on exact string sets, materialized
-lazily for the small lengths they need.
+The special-factor operations work on exact string sets: every certified
+length is cut from the one set of windows of length ``stable_up_to``.
 """
 
 from __future__ import annotations
@@ -88,86 +89,52 @@ class FactorIndex:
         self._rev = _HashedText(self.prefix[::-1], powers, inverse_powers)
         self._exch = _HashedText(exchange(self.prefix), powers, inverse_powers)
         self._sets: dict[int, frozenset[str]] = {0: frozenset({""})}
-        self._stable_cache: dict[int, bool] = {}
         self.stable_up_to = self._certify()
 
     def _stable_at(self, n: int) -> bool:
         """Factor set of length n agrees between the half and full prefix."""
-        if n not in self._stable_cache:
-            keys = self._fwd.window_keys(n)
-            half_count = self.prefix_len // 2 - n + 1
-            self._stable_cache[n] = half_count >= 1 and bool(
-                np.array_equal(np.unique(keys[:half_count]), np.unique(keys))
-            )
-        return self._stable_cache[n]
+        keys = self._fwd.window_keys(n)
+        half_count = self.prefix_len // 2 - n + 1
+        return half_count >= 1 and bool(
+            np.array_equal(np.unique(keys[:half_count]), np.unique(keys))
+        )
 
     def _certify(self) -> int:
-        """Largest n with every length up to n stable.
+        """Largest n <= n_max with the length-n factor sets stable.
 
-        Stability is monotone apart from rare suffix-boundary effects, so
-        the boundary is located by exponential plus binary search and the
-        lengths below it are spot-checked on a geometric grid; any
-        contradiction drops to the exact sequential scan.
+        Stability is downward closed: when the n-factors of the half and
+        the full prefix agree, every (n-1)-factor of the full prefix is the
+        head or the tail of one of its n-factors, hence a factor of the half
+        prefix.  So one binary search finds the threshold, and every length
+        up to it is stable.
         """
-        if not self._stable_at(1):
-            return 0
-        lo = 1
-        while lo < self.n_max:
-            nxt = min(2 * lo, self.n_max)
-            if self._stable_at(nxt):
-                lo = nxt
+        lo, hi = 0, self.n_max + 1  # length lo is stable; hi is not, or is past n_max
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._stable_at(mid):
+                lo = mid
             else:
-                hi = nxt
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if self._stable_at(mid):
-                        lo = mid
-                    else:
-                        hi = mid
-                break
-        checkpoints = set()
-        c = lo
-        while c > 1:
-            c = c * 3 // 4
-            checkpoints.add(max(c, 1))
-        if all(self._stable_at(c) for c in checkpoints):
-            return lo
-        stable = 0
-        for n in range(1, self.n_max + 1):
-            if not self._stable_at(n):
-                break
-            stable = n
-        return stable
+                hi = mid
+        return lo
 
     def factors(self, n: int) -> frozenset[str]:
-        """Exact set of length-n factors of the prefix (not certification-gated)."""
+        """Exact set of length-n factors of the prefix (not certification-gated).
+
+        A certified length is cut from the length-``stable_up_to`` windows:
+        every length-n factor lies inside one of them, which also occurs in
+        the half prefix, and a window starting inside the half prefix fits
+        in the prefix, so the factor heads a window.  Longer lengths are
+        sliced from the prefix directly.
+        """
         if n < 0 or n > self.prefix_len:
             return frozenset()
         if n not in self._sets:
-            u = self.prefix
-            self._sets[n] = frozenset(u[i : i + n] for i in range(len(u) - n + 1))
+            top, u = self.stable_up_to, self.prefix
+            if n < top:
+                self._sets[n] = frozenset(w[:n] for w in self.factors(top))
+            else:
+                self._sets[n] = frozenset(u[i : i + n] for i in range(len(u) - n + 1))
         return self._sets[n]
-
-    def _certified_sets(self):
-        """Yield (n, factor set) for every certified length with one prefix scan.
-
-        Every length-n factor is a prefix of a full-length window unless it
-        only occurs in the tail, so the per-length sets come from trimming
-        one pool of windows plus the few tail windows.
-        """
-        top = self.stable_up_to
-        if top < 1:
-            return
-        u = self.prefix
-        pool = {u[i : i + top] for i in range(len(u) - top + 1)}
-        tail_start = max(0, len(u) - top + 1)
-        for n in range(1, top + 1):
-            fs = {w[:n] for w in pool}
-            fs.update(u[j : j + n] for j in range(tail_start, len(u) - n + 1))
-            yield n, frozenset(fs)
-
-    def has_factor(self, w: Word) -> bool:
-        return w in self.prefix
 
     def certified_factor(self, w: Word) -> bool:
         return len(w) <= self.stable_up_to and (w == "" or w in self.factors(len(w)))
@@ -191,21 +158,11 @@ class FactorIndex:
 
     def bispecials(self) -> tuple[str, ...]:
         """All bispecial factors within the certified range, shortest first."""
-        out = []
-        prev = self.factors(0)
-        for n, fs in self._certified_sets():
-            out.extend(
-                sorted(
-                    w
-                    for w in prev
-                    if w + "0" in fs
-                    and w + "1" in fs
-                    and "0" + w in fs
-                    and "1" + w in fs
-                )
-            )
-            prev = fs
-        return tuple(out)
+        return tuple(
+            w
+            for n in range(self.stable_up_to)
+            for w in sorted(self.right_special(n) & self.left_special(n))
+        )
 
     def census(self, lengths=None) -> tuple[CensusRow, ...]:
         """Distinct factor / palindrome / antipalindrome counts per length.
@@ -239,7 +196,8 @@ class FactorIndex:
 
     def e_closure_check(self) -> bool:
         """True iff the certified factor sets are closed under the exchange map."""
-        for _, fs in self._certified_sets():
+        for n in range(1, self.stable_up_to + 1):
+            fs = self.factors(n)
             if any(exchange(w) not in fs for w in fs):
                 return False
         return True

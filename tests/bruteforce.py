@@ -237,3 +237,39 @@ def bf_proven_period(image0, image1, prefix):
     if r * (window // p) != image * (window // len(image)):
         return None
     return r
+
+
+def bf_stable_up_to(prefix, n_max):
+    """Largest n <= n_max such that every length 1..n has the same factor
+    set on the half prefix as on the whole prefix, by a sequential scan."""
+    half = prefix[: len(prefix) // 2]
+    stable = 0
+    for n in range(1, n_max + 1):
+        if bf_factor_set(half, n) != bf_factor_set(prefix, n):
+            break
+        stable = n
+    return stable
+
+
+def bf_bispecials(u, top):
+    """Bispecial factors of u of lengths 0 .. top-1, sorted within each length."""
+    out = []
+    for n in range(top):
+        longer = bf_factor_set(u, n + 1)
+        out.extend(
+            sorted(
+                w
+                for w in bf_factor_set(u, n)
+                if all(x in longer for x in (w + "0", w + "1", "0" + w, "1" + w))
+            )
+        )
+    return out
+
+
+def bf_e_closed(u, top):
+    """Whether every factor of u of length 1 .. top has its exchange as a factor."""
+    for n in range(1, top + 1):
+        fs = bf_factor_set(u, n)
+        if any(bf_exchange(w) not in fs for w in fs):
+            return False
+    return True

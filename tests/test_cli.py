@@ -219,8 +219,15 @@ def test_scan_redoes_damaged_tail(tmp_path, capsys):
     lines = full.read_bytes().split(b"\n")
     head = b"".join(line + b"\n" for line in lines[:12])
     # the last record is complete JSON, but a record ends with its newline;
-    # a crash can also leave a tail of NUL bytes
-    for damaged, resumed in ((full.read_bytes()[:-1], 20), (head + b"\x00" * 64, 12)):
+    # a crash can also leave a tail of NUL bytes, or a line that is valid
+    # JSON but not a record
+    partial = json.dumps({"morphism": json.loads(lines[12])["morphism"]}).encode()
+    for damaged, resumed in (
+        (full.read_bytes()[:-1], 20),
+        (head + b"\x00" * 64, 12),
+        (head + b"[]\n", 12),
+        (head + partial + b"\n" + lines[13] + b"\n", 12),
+    ):
         cut = tmp_path / "cut.jsonl"
         cut.write_bytes(damaged)
         code, out, _ = _scan(capsys, cut, "--prefix-len", "2000")

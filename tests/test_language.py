@@ -18,9 +18,16 @@ from antipal.language import (
     build_index,
     q_antipalindrome_check,
 )
-from antipal.morphisms import Morphism
+from antipal.morphisms import Morphism, prolongable_letters
 from antipal.words import exchange, is_antipalindrome, is_palindrome
-from bruteforce import bf_factor_set, bf_power_table
+from bruteforce import (
+    bf_bispecials,
+    bf_e_closed,
+    bf_factor_set,
+    bf_power_table,
+    bf_stable_up_to,
+    words_up_to,
+)
 
 FIB = Morphism("01", "0")
 THETA = Morphism("01", "10")
@@ -48,10 +55,62 @@ def test_build_index_basics():
         build_index(FIB, "1", 64, 2)
 
 
+# Thue-Morse 256/64 certifies fewer than n_max lengths, so factors() also
+# takes its direct-slice path there; 0->000001 at 8 letters certifies none,
+# and Fibonacci at n_max 2 stops just where E-closure first fails.
+EXACT_SET_INDEXES = (
+    (THETA, 512, 16),
+    (THETA, 256, 64),
+    (THETA, 4000, 64),
+    (FIB, 4000, 64),
+    (FIB, 2000, 2),
+    (Morphism("01", "01"), 4000, 64),
+    (Morphism("000001", "1"), 8, 2),
+)
+
+
 def test_factor_sets_match_bruteforce():
-    idx = build_index(THETA, "0", 512, 16)
-    for n in range(1, 17):
-        assert idx.factors(n) == bf_factor_set(idx.prefix, n)
+    for m, prefix_len, n_max in EXACT_SET_INDEXES:
+        idx = build_index(m, "0", prefix_len, n_max)
+        for n in range(n_max + 1):
+            assert idx.factors(n) == bf_factor_set(idx.prefix, n), (str(m), prefix_len, n)
+
+
+def test_exact_set_indexes_reach_each_case():
+    assert 0 < build_index(THETA, "0", 256, 64).stable_up_to < 64
+    assert build_index(FIB, "0", 2000, 2).stable_up_to == 2
+    assert build_index(Morphism("000001", "1"), "0", 8, 2).stable_up_to == 0
+
+
+def test_bispecials_and_e_closure_match_bruteforce():
+    for m, prefix_len, n_max in EXACT_SET_INDEXES:
+        idx = build_index(m, "0", prefix_len, n_max)
+        top = bf_stable_up_to(idx.prefix, n_max)
+        assert idx.bispecials() == tuple(bf_bispecials(idx.prefix, top)), (str(m), prefix_len)
+        assert idx.e_closure_check() is bf_e_closed(idx.prefix, top), (str(m), prefix_len)
+
+
+def _prolongable_indexes(max_image_len):
+    images = list(words_up_to(max_image_len, include_empty=False))
+    for i0 in images:
+        for i1 in images:
+            m = Morphism(i0, i1)
+            for letter in prolongable_letters(m):
+                yield m, letter
+
+
+@pytest.mark.parametrize("prefix_len, n_max", [(64, 16), (300, 64), (2000, 64)])
+def test_certification_matches_sequential_scan(prefix_len, n_max):
+    checked = 0
+    for m, letter in _prolongable_indexes(3):
+        idx = build_index(m, letter, prefix_len, n_max)
+        assert idx.stable_up_to == bf_stable_up_to(idx.prefix, n_max), (str(m), letter)
+        # the stable lengths are downward closed: none above stable_up_to
+        half = idx.prefix[: prefix_len // 2]
+        for n in range(idx.stable_up_to + 1, n_max + 1):
+            assert bf_factor_set(half, n) != bf_factor_set(idx.prefix, n), (str(m), letter, n)
+        checked += 1
+    assert checked > 100
 
 
 def test_census_matches_bruteforce():
