@@ -329,7 +329,10 @@ def _classify_chunk(chunk: list[str], cfg: EvidenceConfig) -> list[str]:
 
 
 def _complete_records(path: Path, space: list[str], cfg: EvidenceConfig) -> tuple[int, int]:
-    """Count and byte size of the complete, in-order records that open the file, all made under ``cfg``."""
+    """Count and byte size of the complete, in-order records that open the file, all made under ``cfg``.
+
+    A complete record out of order or past the end of ``space`` was made under another ``--max-image-len``.
+    """
     settings = (cfg.prefix_len, cfg.prefix_len * cfg.factor)
     count = size = 0
     with path.open("rb") as fh:
@@ -340,8 +343,10 @@ def _complete_records(path: Path, space: list[str], cfg: EvidenceConfig) -> tupl
                 made = ev and (ev["prefix_len"], ev["big_len"])
             except (ValueError, LookupError, TypeError):
                 break
-            if count >= len(space) or not line.endswith(b"\n") or morphism != space[count]:
+            if not line.endswith(b"\n"):
                 break
+            if count >= len(space) or morphism != space[count]:
+                raise ParseError(f"{path} was made with another --max-image-len (record {count + 1} is {morphism}); see --overwrite")
             if made and made != settings:
                 raise ParseError(f"{path} was made with evidence lengths {made}, not {settings}; see --overwrite")
             count += 1

@@ -203,55 +203,41 @@ class FactorIndex:
         return True
 
     def antipal_center(self, limit: int) -> str:
-        """Longest w (within limit) with E(w)+w a certified factor, grown
-        letter by letter with backtracking."""
-        cap = min(limit, self.stable_up_to // 2)
-        best = ""
+        """The right half w of the least longest certified antipalindrome
+        E(w)+w with |w| <= limit, or "" when there is none.
 
-        def grow(w: str):
-            nonlocal best
-            if len(w) > len(best):
-                best = w
-            if len(w) >= cap:
-                return
-            for letter in "01":
-                cand = w + letter
-                if exchange(cand) + cand in self.factors(2 * len(cand)):
-                    grow(cand)
-
-        grow("")
-        return best
+        The middle of E(wa)+wa is E(w)+w, so the valid w are closed under
+        prefixes: a letter-by-letter search from "" that tries "0" first
+        reaches every valid w, and the first one of greatest length it
+        meets is the lexicographically least.  So the answer is the least
+        right half among the antipalindromic factors of the greatest even
+        certified length that has one.
+        """
+        for k in range(min(limit, self.stable_up_to // 2), 0, -1):
+            halves = [v[k:] for v in self.factors(2 * k) if is_antipalindrome(v)]
+            if halves:
+                return min(halves)
+        return ""
 
     def extend_to_bispecial(self, f: Word) -> str:
         """Extend rightward by forced letters to a right special factor,
         then leftward to a left special one."""
         if not self.certified_factor(f):
             raise PreconditionViolated(f"{f!r} is not a certified factor")
-
-        def step(w, attach):
-            if len(w) + 1 > self.stable_up_to:
-                raise CertificationExceeded(
-                    f"ran into the certification boundary at length {len(w)}"
-                )
-            longer = self.factors(len(w) + 1)
-            exts = [a for a in "01" if attach(w, a) in longer]
-            return exts
-
         w = f
-        while True:
-            exts = step(w, lambda w, a: w + a)
-            if len(exts) == 2:
-                break
-            if not exts:
-                raise CertificationExceeded(f"{w!r} has no certified right extension")
-            w = w + exts[0]
-        while True:
-            exts = step(w, lambda w, a: a + w)
-            if len(exts) == 2:
-                break
-            if not exts:
-                raise CertificationExceeded(f"{w!r} has no certified left extension")
-            w = exts[0] + w
+        for side, attach in (("right", lambda w, a: w + a), ("left", lambda w, a: a + w)):
+            while True:
+                if len(w) + 1 > self.stable_up_to:
+                    raise CertificationExceeded(
+                        f"ran into the certification boundary at length {len(w)}"
+                    )
+                longer = self.factors(len(w) + 1)
+                exts = [x for x in (attach(w, "0"), attach(w, "1")) if x in longer]
+                if len(exts) == 2:
+                    break
+                if not exts:
+                    raise CertificationExceeded(f"{w!r} has no certified {side} extension")
+                w = exts[0]
         return w
 
 

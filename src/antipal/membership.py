@@ -474,18 +474,6 @@ class ClassificationReport:
         }
 
 
-def _palindromic_proof(morphism: Morphism, chain: ConjugacyChain) -> bool:
-    """Palindromicity of the fixed point, settled exactly.
-
-    Cyclic morphisms fix a purely periodic word whose period must split
-    into two palindromes; acyclic ones go through the mirror test on the
-    extreme conjugates.
-    """
-    if chain.cyclic:
-        return bool(decompose_two_palindromes(chain.q_full))
-    return _mirror_test(chain)
-
-
 def _period_split(period: Word, decompose, parts: str, yes: str, no: str) -> tuple[str, str]:
     """Status and basis from whether the period word splits into two ``parts``."""
     if decompose(period):
@@ -577,7 +565,9 @@ def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> Classificat
     elif not primitive:
         palindromic_status, palindromic_basis = "unknown", "morphism is not primitive"
     else:
-        proven = _palindromic_proof(m, chain) or _palindromic_proof(m2, chain2)
+        # m is not cyclic here, so neither is its square: an empty image
+        # stays empty, and noncommuting nonempty images make m injective.
+        proven = _mirror_test(chain) or _mirror_test(chain2)
         palindromic_status = "proven" if proven else "proven-absent"
         palindromic_basis = "mirror test on the extreme conjugates of the morphism or its square"
 

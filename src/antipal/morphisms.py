@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, sqrt
+from os.path import commonprefix
 
 from .errors import (
-    ConsistencyError,
     NotAConjugacyWord,
     NotPrimitive,
     NotProlongable,
@@ -172,66 +172,37 @@ class ConjugacyChain:
         return self.chain[-1]
 
 
-def _shared_first(m: Morphism) -> str | None:
-    if m.image0 and m.image1 and m.image0[0] == m.image1[0]:
-        return m.image0[0]
-    return None
-
-
-def _shared_last(m: Morphism) -> str | None:
-    if m.image0 and m.image1 and m.image0[-1] == m.image1[-1]:
-        return m.image0[-1]
-    return None
-
-
-def _roll_forward(m: Morphism) -> Morphism:
-    c = m.image0[0]
-    return Morphism(m.image0[1:] + c, m.image1[1:] + c)
-
-
-def _roll_backward(m: Morphism) -> Morphism:
-    d = m.image0[-1]
-    return Morphism(d + m.image0[:-1], d + m.image1[:-1])
-
-
 def conjugacy_chain(m: Morphism) -> ConjugacyChain:
-    """Roll the images both ways to the extreme conjugates.
+    """The chain of conjugates of m, built in closed form.
 
-    Moving the shared first letter of both images to their ends yields a
-    left conjugate; iterating reaches the leftmost one, whose images
-    start with distinct letters.  Walking back from there with the shared
-    last letter produces the whole chain and accumulates the conjugacy
-    words.  Returning to the start during the forward walk means the
-    images are powers of one root and the morphism is cyclic.
+    Rolling the shared first letter of both images to their ends gives a
+    left conjugate.  With u, v the images and p the longest common prefix
+    of uv and vu, the images after t forward rolls are ``(u+p)[t:][:|u|]``
+    and ``(v+p)[t:][:|v|]``, whose first letters are ``(uv)[t]`` and
+    ``(vu)[t]``; so exactly |p| forward rolls are possible, and by the
+    mirror argument exactly |s| backward rolls, s the longest common
+    suffix.  Element i of the chain, leftmost first, is the pair of
+    windows of s+u+p and s+v+p that start at |s|+|p|-i, and its
+    conjugacy word is the i letters of s+u+p just before the leftmost
+    window.  Images that commute (uv == vu) are powers of one primitive
+    root r (Lyndon-Schutzenberger), so rolling only rotates them and the
+    chain is the cycle of |r| rotations; an empty image blocks every roll.
     """
-    limit = len(m.image0) * len(m.image1) + 1
-    cur = m
-    cycle = [m]
-    for _ in range(limit + 1):
-        if _shared_first(cur) is None:
-            break
-        cur = _roll_forward(cur)
-        if cur == m:
-            root, _ = primitive_root(m.image0 or m.image1)
-            return ConjugacyChain(tuple(cycle), (), root, True)
-        cycle.append(cur)
-    else:
-        raise ConsistencyError("rotation walk did not terminate")
-
-    leftmost = cur
-    chain = [leftmost]
-    q_letters: list[str] = []
-    qs = [""]
-    for _ in range(limit + 1):
-        d = _shared_last(chain[-1])
-        if d is None:
-            break
-        chain.append(_roll_backward(chain[-1]))
-        q_letters.append(d)
-        qs.append("".join(reversed(q_letters)))
-    else:
-        raise ConsistencyError("rotation walk did not terminate")
-    return ConjugacyChain(tuple(chain), tuple(qs), qs[-1], False)
+    u, v = m.image0, m.image1
+    if not u or not v:
+        return ConjugacyChain((m,), ("",), "", False)
+    uv, vu = u + v, v + u
+    if uv == vu:
+        root, _ = primitive_root(u)
+        rotations = tuple(Morphism(u[t:] + u[:t], v[t:] + v[:t]) for t in range(len(root)))
+        return ConjugacyChain(rotations, (), root, True)
+    p = commonprefix([uv, vu])
+    s = commonprefix([uv[::-1], vu[::-1]])[::-1]
+    su, sv, top = s + u + p, s + v + p, len(s) + len(p)
+    starts = range(top, -1, -1)
+    chain = tuple(Morphism(su[j : j + len(u)], sv[j : j + len(v)]) for j in starts)
+    qs = tuple(su[j:top] for j in starts)
+    return ConjugacyChain(chain, qs, qs[-1], False)
 
 
 def conjugate_by(m: Morphism, q: Word) -> Morphism:

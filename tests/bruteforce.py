@@ -273,3 +273,67 @@ def bf_e_closed(u, top):
         if any(bf_exchange(w) not in fs for w in fs):
             return False
     return True
+
+
+def bf_conjugacy_chain(image0, image1):
+    """The conjugacy chain by rolling the images one letter at a time, as
+    (chain, qs, q_full, cyclic) with chain a tuple of image pairs.
+
+    Roll the shared first letter of both images to their ends until the
+    first letters differ (the leftmost conjugate), or until the walk
+    returns to the start (commuting images: the rotation cycle).  Then
+    roll the shared last letter back to the front, collecting it into the
+    conjugacy words.
+    """
+    limit = len(image0) * len(image1) + 1
+    start = cur = (image0, image1)
+    cycle = [start]
+    for _ in range(limit + 1):
+        u, v = cur
+        if not (u and v and u[0] == v[0]):
+            break
+        cur = (u[1:] + u[0], v[1:] + u[0])
+        if cur == start:
+            return tuple(cycle), (), bf_primitive_root(image0 or image1)[0], True
+        cycle.append(cur)
+    else:
+        raise AssertionError("forward walk did not stop")
+    chain = [cur]
+    q_letters = []
+    qs = [""]
+    for _ in range(limit + 1):
+        u, v = chain[-1]
+        if not (u and v and u[-1] == v[-1]):
+            break
+        chain.append((u[-1] + u[:-1], u[-1] + v[:-1]))
+        q_letters.append(u[-1])
+        qs.append("".join(reversed(q_letters)))
+    else:
+        raise AssertionError("backward walk did not stop")
+    return tuple(chain), tuple(qs), qs[-1], False
+
+
+def bf_antipal_center(idx, limit):
+    """Longest w with |w| <= min(limit, stable_up_to // 2) and E(w) + w a
+    factor of the prefix, grown letter by letter ("0" first) with
+    backtracking; the first one of greatest length found wins."""
+    cap = min(limit, idx.stable_up_to // 2)
+    best = ""
+    sets = {}
+
+    def grow(w):
+        nonlocal best
+        if len(w) > len(best):
+            best = w
+        if len(w) >= cap:
+            return
+        for letter in "01":
+            cand = w + letter
+            n = 2 * len(cand)
+            if n not in sets:
+                sets[n] = bf_factor_set(idx.prefix, n)
+            if bf_exchange(cand) + cand in sets[n]:
+                grow(cand)
+
+    grow("")
+    return best

@@ -250,6 +250,15 @@ def test_scan_resume_refuses_other_settings(tmp_path, capsys):
     code, stdout, _ = _scan(capsys, out, "--prefix-len", "1000")
     assert code == 0 and json.loads(stdout)["resumed"] == 8
     assert out.read_bytes() == full.read_bytes()
+    # complete records made under another --max-image-len, longer or shorter
+    for made, resumed in (("2", "1"), ("1", "2")):
+        other = tmp_path / f"max{made}.jsonl"
+        run(capsys, "scan", "--max-image-len", made, "--out", str(other), "--prefix-len", "100")
+        before = other.read_bytes()
+        code, stdout, err = run(capsys, "scan", "--max-image-len", resumed, "--out", str(other), "--prefix-len", "100")
+        assert code == 1 and stdout == ""
+        assert "made with another --max-image-len (record 2 is" in err
+        assert other.read_bytes() == before
 
 
 def test_scan_crash_keeps_finished_records(tmp_path, capsys):

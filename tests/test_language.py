@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from antipal.language import (
 from antipal.morphisms import Morphism, prolongable_letters
 from antipal.words import exchange, is_antipalindrome, is_palindrome
 from bruteforce import (
+    bf_antipal_center,
     bf_bispecials,
     bf_e_closed,
     bf_factor_set,
@@ -111,6 +115,39 @@ def test_certification_matches_sequential_scan(prefix_len, n_max):
             assert bf_factor_set(half, n) != bf_factor_set(idx.prefix, n), (str(m), letter, n)
         checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("prefix_len, n_max", [(64, 16), (300, 64), (2000, 64)])
+def test_antipal_center_matches_search(prefix_len, n_max):
+    reached = 0
+    for m, letter in _prolongable_indexes(3):
+        idx = build_index(m, letter, prefix_len, n_max)
+        for limit in (0, 1, 3, 16, 40):
+            center = idx.antipal_center(limit)
+            assert center == bf_antipal_center(idx, limit), (str(m), letter, limit)
+            reached += len(center) == limit > 0
+    assert reached > 0
+
+
+def test_index_is_freed_without_the_cycle_collector():
+    """No query leaves a reference cycle through the index, so dropping the
+    last reference frees the prefix, the hash arrays and the factor sets."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        idx = build_index(THETA, "0", 4000, 64)
+        idx.census()
+        idx.bispecials()
+        idx.e_closure_check()
+        idx.antipal_center(16)
+        idx.extend_to_bispecial("0")
+        idx.right_special(3)
+        ref = weakref.ref(idx)
+        del idx
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_census_matches_bruteforce():

@@ -22,7 +22,7 @@ from antipal.morphisms import (
     prolongable_letters,
     square,
 )
-from bruteforce import bf_factor_set, words_up_to
+from bruteforce import bf_conjugacy_chain, bf_factor_set, words_up_to
 
 FIB = Morphism("01", "0")
 THETA = Morphism("01", "10")
@@ -222,3 +222,45 @@ def test_exhaustive_small_chains_terminate():
             chain = conjugacy_chain(Morphism(i0, i1))
             if not chain.cyclic:
                 assert len(chain.chain) == len(chain.q_full) + 1
+
+
+def _as_walk(chain):
+    pairs = tuple((e.image0, e.image1) for e in chain.chain)
+    return pairs, chain.qs, chain.q_full, chain.cyclic
+
+
+def _long_image_sample(rng):
+    def word(lo, hi):
+        return "".join(rng.choice("01") for _ in range(rng.randint(lo, hi)))
+
+    for _ in range(1500):
+        yield word(1, 40), word(1, 40)
+    for _ in range(1500):  # forced shared borders: long common prefixes and suffixes
+        pre, post = word(0, 10), word(0, 10)
+        yield pre + word(0, 20) + post, pre + word(0, 20) + post
+    for _ in range(500):  # commuting images, and the same with one letter flipped
+        root = word(1, 6)
+        u, v = root * rng.randint(1, 7), root * rng.randint(1, 7)
+        yield u, v
+        i = rng.randrange(len(v))
+        yield u, v[:i] + ("1" if v[i] == "0" else "0") + v[i + 1 :]
+    for k in range(1, 31):
+        yield "0" + "110" * k, "1"
+
+
+def test_conjugacy_chain_matches_walk():
+    """The closed-form chain equals the letter-by-letter walk: every image
+    pair of at most 5 letters (one may be empty), the square of each that
+    has a nonempty image, and a seeded sample of long images with the
+    squares of the short ones and of the 0->0(110)^k family."""
+    morphisms = [Morphism(i0, i1) for i0 in words_up_to(5) for i1 in words_up_to(5) if i0 or i1]
+    squares = [square(m) for m in morphisms if apply(m, m.image0) or apply(m, m.image1)]
+    long_images = [Morphism(u, v) for u, v in _long_image_sample(random.Random(2024))]
+    long_images += [square(m) for m in long_images if len(m.image0) + len(m.image1) <= 12 or m.image1 == "1"]
+    assert len(morphisms) == 3968 and len(squares) == 3958 and len(long_images) > 4030
+    cyclic = 0
+    for m in morphisms + squares + long_images:
+        chain = conjugacy_chain(m)
+        assert _as_walk(chain) == bf_conjugacy_chain(m.image0, m.image1), str(m)
+        cyclic += chain.cyclic
+    assert cyclic > 500
