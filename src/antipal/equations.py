@@ -9,6 +9,7 @@ function.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -79,6 +80,21 @@ def solve_transfer(x: Word, y: Word, z: Word) -> TransferSolution:
     return TransferSolution(u, v, i)
 
 
+def alternations(x: Word, y: Word, t: Callable[[Word], Word]) -> Iterator[tuple[Word, int, int]]:
+    """Every (c, i, j) with x == c + (t(c)+c)*i and y == (t(c)+c)*j + t(c),
+    shortest c first; t must preserve length (reverse, exchange)."""
+    for ell in range(1, len(x) + 1):
+        qx, rx = divmod(len(x), ell)
+        qy, ry = divmod(len(y), ell)
+        if rx or ry or qx % 2 == 0 or qy % 2 == 0:
+            continue
+        c = x[:ell]
+        tc = t(c)
+        i, j = (qx - 1) // 2, (qy - 1) // 2
+        if x == c + (tc + c) * i and y == (tc + c) * j + tc:
+            yield c, i, j
+
+
 def solve_pal_antipal(x: Word, y: Word) -> PalAntipalSolution:
     """Two nonempty palindromes whose concatenation is an antipalindrome.
 
@@ -88,17 +104,8 @@ def solve_pal_antipal(x: Word, y: Word) -> PalAntipalSolution:
         raise PreconditionViolated("x and y must be nonempty palindromes")
     if not is_antipalindrome(x + y):
         raise NotAntipalindrome(f"{x + y!r} is not an antipalindrome")
-    for d in range(1, min(len(x), len(y)) + 1):
-        qx, rx = divmod(len(x), d)
-        qy, ry = divmod(len(y), d)
-        if rx or ry or qx % 2 == 0 or qy % 2 == 0:
-            continue
-        u = x[:d]
-        if not is_palindrome(u):
-            continue
-        e = exchange(u)
-        i, j = (qx - 1) // 2, (qy - 1) // 2
-        if (u + e) * i + u == x and (e + u) * j + e == y:
+    for u, i, j in alternations(x, y, exchange):
+        if is_palindrome(u):
             return PalAntipalSolution(u, i, j)
     raise ConsistencyError(
         f"no seed palindrome found for x={x!r}, y={y!r} although xy is an antipalindrome"

@@ -23,10 +23,10 @@ back to two-scale empirical evidence otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, ClassVar, get_args
 
-from .equations import decompose_two_antipalindromes, decompose_two_palindromes
+from .equations import alternations, decompose_two_antipalindromes, decompose_two_palindromes
 from .errors import CyclicMorphism, NotInThetaImage, PreconditionViolated
 from .morphisms import (
     ConjugacyChain,
@@ -53,11 +53,19 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class _SplitWitness:
-    """image_a == prefix + tail_a with all three parts fixed by ``mirror``."""
+class _Witness:
+    """A class witness; its record is its kind followed by its fields."""
 
     kind: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **asdict(self)}
+
+
+@dataclass(frozen=True)
+class _SplitWitness(_Witness):
+    """image_a == prefix + tail_a with all three parts fixed by ``mirror``."""
+
     mirror: ClassVar[Callable[[Word], bool]]
     prefix: Word
     tail0: Word
@@ -68,9 +76,6 @@ class _SplitWitness:
 
     def is_valid(self) -> bool:
         return all(self.mirror(w) for w in (self.prefix, self.tail0, self.tail1))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "prefix": self.prefix, "tail0": self.tail0, "tail1": self.tail1}
 
 
 class PWitness(_SplitWitness):
@@ -88,9 +93,10 @@ class EPWitness(_SplitWitness):
 
 
 @dataclass(frozen=True)
-class A1Witness:
+class A1Witness(_Witness):
     """image0 == head + suffix, image1 == exchange(head) + suffix."""
 
+    kind = "a1"
     head: Word
     suffix: Word
 
@@ -100,14 +106,12 @@ class A1Witness:
     def is_valid(self) -> bool:
         return bool(self.head) and is_antipalindrome(self.suffix)
 
-    def to_dict(self) -> dict:
-        return {"kind": "a1", "head": self.head, "suffix": self.suffix}
-
 
 @dataclass(frozen=True)
-class A2Witness:
+class A2Witness(_Witness):
     """Both images are doubling codes of core/reversed-core alternations."""
 
+    kind = "a2"
     core: Word
     k: int
     h: int
@@ -122,24 +126,15 @@ class A2Witness:
     def is_valid(self) -> bool:
         return bool(self.core) and self.k >= 0 and self.h >= 0
 
-    def to_dict(self) -> dict:
-        return {"kind": "a2", "core": self.core, "k": self.k, "h": self.h}
-
 
 Witness = PWitness | EPWitness | A1Witness | A2Witness
 
 
 def witness_from_dict(d: dict) -> Witness:
-    kind = d.get("kind")
-    if kind == "p":
-        return PWitness(d["prefix"], d["tail0"], d["tail1"])
-    if kind == "ep":
-        return EPWitness(d["prefix"], d["tail0"], d["tail1"])
-    if kind == "a1":
-        return A1Witness(d["head"], d["suffix"])
-    if kind == "a2":
-        return A2Witness(d["core"], d["k"], d["h"])
-    raise ValueError(f"unknown witness kind {kind!r}")
+    cls = {w.kind: w for w in get_args(Witness)}.get(d.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown witness kind {d.get('kind')!r}")
+    return cls(*(d[f.name] for f in fields(cls)))
 
 
 def _splits(x0: Word, x1: Word, mirror):
@@ -233,18 +228,7 @@ def a2_witnesses(m: Morphism) -> tuple[A2Witness, ...]:
         u1 = theta_decode(m.image1)
     except NotInThetaImage:
         return ()
-    out = []
-    for ell in range(1, len(u0) + 1):
-        q0, r0 = divmod(len(u0), ell)
-        q1, r1 = divmod(len(u1), ell)
-        if r0 or r1 or q0 % 2 == 0 or q1 % 2 == 0:
-            continue
-        core = u0[:ell]
-        r = reverse(core)
-        k, h = (q0 - 1) // 2, (q1 - 1) // 2
-        if u0 == core + (r + core) * k and u1 == (r + core) * h + r:
-            out.append(A2Witness(core, k, h))
-    return tuple(out)
+    return tuple(A2Witness(*s) for s in alternations(u0, u1, reverse))
 
 
 def in_class_a2(m: Morphism) -> A2Witness | None:
@@ -407,25 +391,16 @@ class Evidence:
     def growing(self) -> bool:
         return self.a_big > self.a_small
 
-    def to_dict(self) -> dict:
-        return {
-            "prefix_len": self.prefix_len,
-            "a_small": self.a_small,
-            "big_len": self.big_len,
-            "a_big": self.a_big,
-            "source": self.source,
-            "letter": self.letter,
-        }
-
 
 def _evidence_source(m: Morphism, m2: Morphism, preferred: str | None):
-    """Pick the morphism/letter whose fixed point carries the evidence."""
-    for source, morphism in (("self", m), ("square", m2)):
-        letters = prolongable_letters(morphism)
-        order = [preferred] if preferred in letters else sorted(letters)
-        if order:
-            return source, morphism, order[0]
-    return None
+    """Pick the morphism/letter whose fixed point carries the evidence:
+    m, or its square when m has none, on ``preferred`` or the least letter."""
+    for source, host in (("self", m), ("square", m2)):
+        if letters := prolongable_letters(host):
+            break
+    if preferred is not None and preferred not in letters:
+        raise PreconditionViolated(f"seed letter {preferred!r} is not prolongable on {format_morphism(host)}")
+    return (source, host, preferred or min(letters)) if letters else None
 
 
 @dataclass(frozen=True)
@@ -468,7 +443,7 @@ class ClassificationReport:
             "antipalindromic": {
                 "verdict": self.antipal_verdict,
                 "basis": self.antipal_basis,
-                "evidence": self.evidence.to_dict() if self.evidence else None,
+                "evidence": asdict(self.evidence) if self.evidence else None,
             },
             "counterexample_candidate": self.counterexample_candidate,
         }
@@ -481,23 +456,29 @@ def _period_split(period: Word, decompose, parts: str, yes: str, no: str) -> tup
     return no, f"periodic: the period word does not split into two {parts}"
 
 
+def _empirical(evidence: Evidence) -> tuple[str, str]:
+    verdict = "empirical-growing" if evidence.growing else "empirical-bounded"
+    return verdict, "two-scale longest-antipalindrome evidence"
+
+
 def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> ClassificationReport:
     """Full classification with a settled or empirical antipalindromicity verdict.
 
-    Verdict ladder:
+    One cascade sets the palindromic status and the verdict, each with
+    its basis.  Its rungs, in code order:
 
-    1. membership (or conjugate/square membership) in one of the two
-       antipalindrome-generating classes proves unboundedly long
-       antipalindromes, for a primitive morphism;
-    2. a cyclic morphism fixes a periodic word, settled exactly by
-       whether the period splits into two antipalindromes;
-    3. a uniform primitive morphism with an (empirically) aperiodic
-       fixed point and no uniform-class hit anywhere has only finitely
-       many antipalindromic factors;
-    4. the same conclusion holds for a non-uniform primitive aperiodic
-       morphism whose fixed point is palindromic;
-    5. otherwise the verdict stays empirical: the longest antipalindromic
-       factor is measured at two prefix scales and compared.
+    1. a proven period: both by whether it splits into two palindromes
+       and into two antipalindromes;
+    2. no prolongable letter on the morphism or its square: status
+       unknown, verdict not applicable;
+    3. not primitive: status unknown, verdict empirical (the longest
+       antipalindromic factor at two prefix scales, compared);
+    4. primitive: status by the mirror test; only finitely many
+       antipalindromic factors when uniform or palindromic with an
+       (empirically) aperiodic fixed point, else empirical.
+    Then a class A1 (primitive only) or A2 hit on the morphism, its
+    square or a conjugate of either overrides the verdict: it proves
+    unboundedly long antipalindromes.
 
     A record is a counterexample candidate when the evidence keeps
     growing but no class membership explains it.
@@ -557,19 +538,30 @@ def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> Classificat
         palindromic_status, palindromic_basis = _period_split(
             proven_period, decompose_two_palindromes, "palindromes", "proven", "proven-absent"
         )
-    elif source is None:
-        palindromic_status, palindromic_basis = (
-            "unknown",
-            "no prolongable letter on the morphism or its square",
+        verdict, basis = _period_split(
+            proven_period, decompose_two_antipalindromes, "antipalindromes", "proven-infinite", "proven-finite"
         )
+    elif source is None:
+        verdict, basis = "not-applicable", "no prolongable letter on the morphism or its square"
+        palindromic_status, palindromic_basis = "unknown", basis
     elif not primitive:
         palindromic_status, palindromic_basis = "unknown", "morphism is not primitive"
+        verdict, basis = _empirical(evidence)
     else:
         # m is not cyclic here, so neither is its square: an empty image
         # stays empty, and noncommuting nonempty images make m injective.
-        proven = _mirror_test(chain) or _mirror_test(chain2)
-        palindromic_status = "proven" if proven else "proven-absent"
+        palindromic = _mirror_test(chain) or _mirror_test(chain2)
+        palindromic_status = "proven" if palindromic else "proven-absent"
         palindromic_basis = "mirror test on the extreme conjugates of the morphism or its square"
+        if periodicity == "aperiodic-likely" and (uniform or palindromic):
+            verdict = "proven-finite"
+            basis = (
+                "uniform case: no uniform-class hit"
+                if uniform
+                else "non-uniform palindromic case: no doubling-class membership"
+            ) + " on the morphism or its square (aperiodicity per prefix-period heuristic)"
+        else:
+            verdict, basis = _empirical(evidence)
 
     a1_hit = class_a1.first_hit() if primitive else None
     class_hit = a1_hit or class_a2.first_hit()
@@ -577,22 +569,6 @@ def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> Classificat
     if class_hit is not None:
         verdict = "proven-infinite"
         basis = f"class {'A1' if a1_hit else 'A2'} membership ({class_hit.where})"
-    elif proven_period is not None:
-        verdict, basis = _period_split(
-            proven_period, decompose_two_antipalindromes, "antipalindromes", "proven-infinite", "proven-finite"
-        )
-    elif source is None:
-        verdict, basis = "not-applicable", "no prolongable letter on the morphism or its square"
-    elif primitive and periodicity == "aperiodic-likely" and (uniform or palindromic_status == "proven"):
-        verdict = "proven-finite"
-        basis = (
-            "uniform case: no uniform-class hit"
-            if uniform
-            else "non-uniform palindromic case: no doubling-class membership"
-        ) + " on the morphism or its square (aperiodicity per prefix-period heuristic)"
-    else:
-        verdict = "empirical-growing" if evidence.growing else "empirical-bounded"
-        basis = "two-scale longest-antipalindrome evidence"
 
     # A counterexample must sit inside the conjecture's hypothesis, which
     # speaks about primitive morphisms; non-primitive growing cases (for

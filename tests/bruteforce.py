@@ -130,6 +130,23 @@ def bf_pal_antipal_solutions(x, y):
     return out
 
 
+def bf_a2_witnesses(max_image_len):
+    """Every class-A2 witness (core, k, h) built forwards from its
+    definition, 0 -> theta(core (R(core) core)^k) and
+    1 -> theta((R(core) core)^h R(core)), with both images at most
+    max_image_len letters; indexed by the image pair, shortest core first."""
+    out = {}
+    for ell in range(1, max_image_len // 2 + 1):
+        for core in words_of_length(ell):
+            r = core[::-1]
+            for k in range(max_image_len):
+                for h in range(max_image_len):
+                    images = (bf_theta(core + (r + core) * k), bf_theta((r + core) * h + r))
+                    if max(map(len, images)) <= max_image_len:
+                        out.setdefault(images, []).append((core, k, h))
+    return out
+
+
 def bf_two_palindromes(w):
     return [
         (w[:k], w[k:])

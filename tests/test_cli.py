@@ -178,6 +178,28 @@ def test_bad_numeric_arguments_rejected(capsys):
     assert code == 1 and err.startswith("error: BadBounds")
 
 
+@pytest.mark.parametrize("command", ["classify", "analyze"])
+def test_unusable_seed_letter_rejected(capsys, command):
+    # 1 is prolongable neither on the Fibonacci morphism nor on its square
+    code, out, err = run(capsys, command, "0->01,1->0", "--seed-letter", "1", "--prefix-len", "400")
+    assert code == 1 and out == ""
+    assert err.startswith("error: PreconditionViolated")
+
+
+def test_seed_letter_picks_the_evidence_seed(capsys):
+    code, out, _ = run(capsys, "classify", "0->01,1->10", "--seed-letter", "1",
+                       "--prefix-len", "400", "--format", "json")
+    assert code == 0
+    evidence = json.loads(out)["antipalindromic"]["evidence"]
+    assert (evidence["source"], evidence["letter"]) == ("self", "1")
+    # no letter is prolongable on 0->10,1->01, both are on its square
+    code, out, _ = run(capsys, "analyze", "0->10,1->01", "--seed-letter", "1",
+                       "--prefix-len", "400", "--format", "json")
+    assert code == 0
+    evidence = json.loads(out)["antipalindromic"]["evidence"]
+    assert (evidence["source"], evidence["letter"]) == ("square", "1")
+
+
 def test_analyze_short_prefix_has_no_census(capsys):
     # below 4 letters no census length fits, so the census is null
     code, out, _ = run(capsys, "analyze", "0->01,1->10", "--prefix-len", "3", "--format", "json")

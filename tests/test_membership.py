@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -38,7 +39,7 @@ from antipal.morphisms import (
     square,
 )
 from antipal.words import exchange, is_antipalindrome, reverse, theta_apply
-from bruteforce import bf_fixed_point_prefix, bf_proven_period, words_up_to
+from bruteforce import bf_a2_witnesses, bf_fixed_point_prefix, bf_proven_period, bf_theta, words_up_to
 
 FIB = Morphism("01", "0")
 THETA = Morphism("01", "10")
@@ -127,6 +128,17 @@ def test_class_a2_examples():
     assert in_class_a2(Morphism("010101", "01")) == ws[0]
     assert a2_witnesses(FIB) == ()
     assert in_class_a2(FIB) is None
+
+
+def test_a2_witnesses_match_forward_oracle():
+    # every witness built forwards is found, shortest core first, and no other
+    n = 12
+    oracle = bf_a2_witnesses(n)
+    images = [bf_theta(u) for u in words_up_to(n // 2, include_empty=False)]
+    for i0 in images:
+        for i1 in images:
+            expected = tuple(A2Witness(*t) for t in oracle.get((i0, i1), ()))
+            assert a2_witnesses(Morphism(i0, i1)) == expected, (i0, i1)
 
 
 def test_witness_build_round_trip():
@@ -343,6 +355,21 @@ def test_report_serialization_round_trip():
     for key in ("class_p", "class_ep", "class_a1", "class_a2"):
         if d[key]["witness"] is not None:
             assert witness_from_dict(d[key]["witness"]).is_valid()
+    # every witness of every kind survives its record, keyed kind first
+    kinds = set()
+    for i0 in words_up_to(5, include_empty=False):
+        for i1 in words_up_to(5, include_empty=False):
+            m = Morphism(i0, i1)
+            for w in p_witnesses(m) + ep_witnesses(m) + a1_witnesses(m) + a2_witnesses(m):
+                d = w.to_dict()
+                assert list(d) == ["kind", *(f.name for f in fields(w))]
+                assert witness_from_dict(d) == w
+                kinds.add(d["kind"])
+    assert kinds == {"p", "ep", "a1", "a2"}
+    with pytest.raises(ValueError):
+        witness_from_dict({"kind": "b", "core": "0", "k": 0, "h": 0})
+    with pytest.raises(KeyError):
+        witness_from_dict({"kind": "a2", "core": "0", "k": 0})
 
 
 def test_relabeled_mirror_gets_identical_flags():
