@@ -27,39 +27,31 @@ from itertools import product, repeat
 from pathlib import Path
 
 from . import equations
-from .errors import AntipalError, ConsistencyError, NoSolution, ParseError
+from .errors import AntipalError, ConsistencyError, NoSolution, NotProlongable, ParseError
 from .language import build_index
 from .membership import EvidenceConfig, classify
 from .morphisms import (
     Morphism,
+    fixed_point_source,
     format_morphism,
     is_primitive,
     letter_frequencies,
     parse_morphism,
-    prolongable_letters,
 )
 from .words import complement, parse_word
 
 _SCAN_CHUNK = 8
 
 
-def _auto_letter(m: Morphism, requested: str | None) -> str:
-    letters = prolongable_letters(m)
-    if requested is not None:
-        if requested not in letters:
-            raise ParseError(f"morphism is not prolongable on letter {requested!r}")
-        return requested
-    if not letters:
-        raise ParseError("morphism has no prolongable letter; pick another morphism")
-    return sorted(letters)[0]
-
-
 def _index(args, m: Morphism, n_max: int | None):
-    """Factor index on the seed letter; ``n_max`` defaults to ``min(64, prefix_len // 4)``."""
-    letter = _auto_letter(m, args.seed_letter)
+    """Factor index on the fixed point read for m; ``n_max`` defaults to ``min(64, prefix_len // 4)``."""
+    source = fixed_point_source(m, args.seed_letter)
+    if source is None:
+        raise NotProlongable(f"neither {format_morphism(m)} nor its square has a prolongable letter")
+    _, host, letter = source
     if n_max is None:
         n_max = min(64, args.prefix_len // 4)
-    return build_index(m, letter, args.prefix_len, n_max)
+    return build_index(host, letter, args.prefix_len, n_max)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -149,11 +141,8 @@ def cmd_analyze(args) -> int:
     payload["frequencies"] = _frequencies_payload(m)
 
     census_payload = None
-    try:  # no census without a prolongable letter, nor below 4 letters
-        idx = _index(args, m, None) if args.prefix_len >= 4 else None
-    except ParseError:
-        idx = None
-    if idx is not None:
+    if full.evidence is not None and args.prefix_len >= 4:  # no census without a fixed point, nor below 4 letters
+        idx = _index(args, m, None)
         rows = idx.census()
         census_payload = {
             "prefix_len": idx.prefix_len,
@@ -186,7 +175,10 @@ def cmd_fixedpoint(args) -> int:
     from .morphisms import fixed_point_prefix
 
     m = parse_morphism(args.morphism)
-    letter = _auto_letter(m, args.letter)
+    source = fixed_point_source(m, args.letter)
+    if source is None or source[0] == "square":  # the prefix printed is of a fixed point of m itself
+        raise NotProlongable(f"{format_morphism(m)} has no prolongable letter")
+    letter = source[2]
     word = fixed_point_prefix(m, letter, args.length)
     if args.format == "json":
         print(json.dumps({"morphism": format_morphism(m), "letter": letter, "prefix": word}))
@@ -333,7 +325,7 @@ def _complete_records(path: Path, space: list[str], cfg: EvidenceConfig) -> tupl
 
     A complete record out of order or past the end of ``space`` was made under another ``--max-image-len``.
     """
-    settings = (cfg.prefix_len, cfg.prefix_len * cfg.factor)
+    settings = (cfg.prefix_len, cfg.big_len)
     count = size = 0
     with path.open("rb") as fh:
         for line in fh:

@@ -34,13 +34,14 @@ from .morphisms import (
     apply,
     conjugacy_chain,
     fixed_point_prefix,
+    fixed_point_source,
     format_morphism,
     is_primitive,
     is_uniform,
-    prolongable_letters,
     square,
 )
 from .words import (
+    _MAX_LEN,
     Word,
     exchange,
     is_antipalindrome,
@@ -374,6 +375,15 @@ class EvidenceConfig:
             raise PreconditionViolated(f"prefix length must be at least 1, got {self.prefix_len}")
         if self.factor < 2:
             raise PreconditionViolated(f"evidence factor must be at least 2, got {self.factor}")
+        if self.big_len >= _MAX_LEN:
+            raise PreconditionViolated(
+                f"the evidence prefix must be shorter than {_MAX_LEN} letters, got {self.prefix_len} * {self.factor}"
+            )
+
+    @property
+    def big_len(self) -> int:
+        """Length of the second, longer evidence prefix."""
+        return self.prefix_len * self.factor
 
 
 @dataclass(frozen=True)
@@ -390,17 +400,6 @@ class Evidence:
     @property
     def growing(self) -> bool:
         return self.a_big > self.a_small
-
-
-def _evidence_source(m: Morphism, m2: Morphism, preferred: str | None):
-    """Pick the morphism/letter whose fixed point carries the evidence:
-    m, or its square when m has none, on ``preferred`` or the least letter."""
-    for source, host in (("self", m), ("square", m2)):
-        if letters := prolongable_letters(host):
-            break
-    if preferred is not None and preferred not in letters:
-        raise PreconditionViolated(f"seed letter {preferred!r} is not prolongable on {format_morphism(host)}")
-    return (source, host, preferred or min(letters)) if letters else None
 
 
 @dataclass(frozen=True)
@@ -494,18 +493,17 @@ def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> Classificat
 
     primitive = is_primitive(m)
     uniform = is_uniform(m)
-    source = _evidence_source(m, m2, cfg.seed_letter)
+    source = fixed_point_source(m, cfg.seed_letter, m2)
 
     evidence = prefix = None
     if source is not None:
         tag, host, letter = source
-        big_len = cfg.prefix_len * cfg.factor
-        big = fixed_point_prefix(host, letter, big_len)
+        big = fixed_point_prefix(host, letter, cfg.big_len)
         prefix = big[: cfg.prefix_len]
         evidence = Evidence(
             prefix_len=cfg.prefix_len,
             a_small=longest_antipalindrome(prefix),
-            big_len=big_len,
+            big_len=cfg.big_len,
             a_big=longest_antipalindrome(big),
             source=tag,
             letter=letter,

@@ -19,6 +19,7 @@ from .errors import (
     NotPrimitive,
     NotProlongable,
     ParseError,
+    PreconditionViolated,
 )
 from .words import Word, check_word, parse_word, primitive_root
 
@@ -143,6 +144,20 @@ def fixed_point_prefix(m: Morphism, letter: str, n: int) -> Word:
             break
         block = apply(m, block)
     return "".join(pieces)[:n]
+
+
+def fixed_point_source(
+    m: Morphism, letter: str | None = None, m2: Morphism | None = None
+) -> tuple[str, Morphism, str] | None:
+    """The fixed point read for m, as (source, host, letter): the host is m ("self"), or its
+    square m2 ("square") when m has no prolongable letter; the letter is ``letter``, or else
+    the least prolongable letter of the host.  None when neither host has one."""
+    for source, host in (("self", m), ("square", m2 or square(m))):
+        if letters := prolongable_letters(host):
+            break
+    if letter is not None and letter not in letters:
+        raise PreconditionViolated(f"seed letter {letter!r} is not prolongable on {format_morphism(host)}")
+    return (source, host, letter or min(letters)) if letters else None
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 Run with:  pytest tests/test_acceptance.py -v -s
 """
 
+import hashlib
 import json
 import random
 import time
@@ -390,6 +391,9 @@ def test_balance_check_rejects_unbalanced_morphism():
     _passed("letter-balance check rejects 0->0001,1->0011 (letter-0 frequency 2/3)")
 
 
+SCAN_4_SHA256 = "7744fd3b69b4a74dfa86edd4267dcc110cbc85509db139a1c1cd25157a766d90"
+
+
 def test_conjecture_scan_small_images(tmp_path):
     start = time.monotonic()
     out1 = tmp_path / "scan_p1.jsonl"
@@ -401,6 +405,8 @@ def test_conjecture_scan_small_images(tmp_path):
     elapsed = time.monotonic() - start
     assert code1 == 0 and code8 == 0  # exit 2 would mean candidates
     assert out1.read_bytes() == out8.read_bytes()
+    # a change that alters the records on purpose updates this digest and says why
+    assert hashlib.sha256(out1.read_bytes()).hexdigest() == SCAN_4_SHA256
     records = [json.loads(line) for line in out1.read_text().splitlines()]
     assert len(records) == 465
     assert sum(r["counterexample_candidate"] for r in records) == 0

@@ -178,12 +178,39 @@ def test_bad_numeric_arguments_rejected(capsys):
     assert code == 1 and err.startswith("error: BadBounds")
 
 
-@pytest.mark.parametrize("command", ["classify", "analyze"])
+@pytest.mark.parametrize("command", ["classify", "analyze", "factors", "bispecials", "fixedpoint"])
 def test_unusable_seed_letter_rejected(capsys, command):
     # 1 is prolongable neither on the Fibonacci morphism nor on its square
-    code, out, err = run(capsys, command, "0->01,1->0", "--seed-letter", "1", "--prefix-len", "400")
+    letter = ("--letter", "1") if command == "fixedpoint" else ("--seed-letter", "1", "--prefix-len", "400")
+    code, out, err = run(capsys, command, "0->01,1->0", *letter)
     assert code == 1 and out == ""
     assert err.startswith("error: PreconditionViolated")
+
+
+@pytest.mark.parametrize("text", scan_space(2))
+def test_commands_agree_on_the_fixed_point(capsys, text):
+    for seed in (None, "0", "1"):
+        common = ("--prefix-len", "400", "--format", "json") + (("--seed-letter", seed) if seed else ())
+        results = {
+            command: run(capsys, command, text, *common)
+            for command in ("classify", "analyze", "factors", "bispecials")
+        }
+        codes = {command: code for command, (code, _, _) in results.items()}
+        if seed is not None and 1 in codes.values():
+            assert set(codes.values()) == {1}, (text, seed, codes)
+            continue
+        assert codes["classify"] == codes["analyze"] == 0, (text, seed, codes)
+        census = json.loads(results["analyze"][1])["census"]
+        if census is None:
+            assert codes["factors"] == codes["bispecials"] == 1, (text, seed, codes)
+            continue
+        assert codes["factors"] == codes["bispecials"] == 0, (text, seed, codes)
+        factors = json.loads(results["factors"][1])
+        rows = [r for r in factors["census"] if r["certified"]]
+        assert factors["stable_up_to"] == census["stable_up_to"], (text, seed)
+        for key, column in (("factors", "factor_count"), ("palindromes", "palindrome_count"),
+                            ("antipalindromes", "antipalindrome_count")):
+            assert census[key] == sum(r[column] for r in rows), (text, seed, key)
 
 
 def test_seed_letter_picks_the_evidence_seed(capsys):

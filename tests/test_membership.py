@@ -263,6 +263,13 @@ def test_a2_rebalance():
         a2_rebalance(A2Witness("01", 0, 0))
 
 
+def test_evidence_config_rejects_lengths_the_kernel_cannot_take():
+    # the longer evidence prefix is prefix_len * factor letters; the kernel takes fewer than 2**30
+    with pytest.raises(PreconditionViolated):
+        EvidenceConfig(2**28, 4)
+    assert EvidenceConfig(2**28 - 1, 4).big_len == 2**30 - 4
+
+
 def test_a2_rebalance_preserves_fixed_point():
     w = A2Witness("01", 1, 1)
     m, m_re = w.build(), a2_rebalance(w).build()
