@@ -226,6 +226,7 @@ def cmd_bispecials(args) -> int:
 
     m = parse_morphism(args.morphism)
     if args.orbit is not None:
+        fixed_point_source(m, args.seed_letter)  # rejects an unusable --seed-letter like every command
         orbit = bispecial_orbit(m, parse_word(args.orbit), args.steps)
         payload = {"seed": orbit.seed, "steps": list(orbit.steps)}
         _emit(args, payload, "\n".join([orbit.seed or "(empty)"] + list(orbit.steps)))

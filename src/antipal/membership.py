@@ -521,7 +521,7 @@ def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> Classificat
         proven_period = chain.q_full
     elif source is None:
         periodicity = "no-fixed-point"
-    elif (p := smallest_period(prefix)) > len(prefix) // 4:
+    elif (p := smallest_period(prefix, len(prefix) // 4)) is None:
         periodicity = "aperiodic-likely"
     else:
         r = prefix[:p]

@@ -124,25 +124,53 @@ def prolongable_letters(m: Morphism) -> frozenset[str]:
     return frozenset(out)
 
 
+# fixed_point_prefix translates by the least power of the morphism whose
+# image of the seed letter has _POWER_SEED_LEN letters, unless an image of
+# that power would pass _POWER_MAX_LEN letters (the other letter, which the
+# fixed point may not even use, can grow much faster than the seed).
+_POWER_SEED_LEN = 64
+_POWER_MAX_LEN = 4096
+
+
+def _block_power(m: Morphism, letter: str) -> tuple[int, Morphism]:
+    """(j, m^j) for the power that fixed_point_prefix translates blocks by, j >= 1."""
+    (a, b), (c, d) = incidence(m)
+    lengths, j = (len(m.image0), len(m.image1)), 1  # the image lengths of m^j
+    while lengths[letter == "1"] < _POWER_SEED_LEN:
+        longer = (a * lengths[0] + c * lengths[1], b * lengths[0] + d * lengths[1])
+        if max(longer) > _POWER_MAX_LEN:
+            break
+        lengths, j = longer, j + 1
+    power = m
+    for _ in range(j - 1):
+        power = compose(m, power)
+    return j, power
+
+
 def fixed_point_prefix(m: Morphism, letter: str, n: int) -> Word:
     """Length-n prefix of the fixed point starting with a prolongable letter.
 
-    Built as letter + w + m(w) + m(m(w)) + ... with w the image tail, so
-    total work stays linear in n even when the images grow slowly.
+    The fixed point is letter + t + m(t) + m(m(t)) + ... with t the image
+    tail.  A tail that m fixes just repeats.  Otherwise block i is m^j
+    applied to block i - j, so translating by the table of a power m^j
+    reads about n / lambda^j input letters instead of about n (lambda the
+    growth rate of the blocks), and total work stays linear in n.
     """
     if letter not in prolongable_letters(m):
         raise NotProlongable(f"{format_morphism(m)} is not prolongable on {letter}")
     if n <= 0:
         return ""
-    pieces = [letter]
-    total = 1
     block = m.image(letter)[1:]
+    if apply(m, block) == block:
+        return (letter + block * (n // len(block) + 1))[:n]
+    j, power = _block_power(m, letter)
+    pieces = [letter, block]  # block i is pieces[i + 1]
+    total = 1 + len(block)
     while total < n:
+        source = len(pieces) - j  # the piece holding block i - j, i the next block
+        block = apply(power, pieces[source]) if source >= 1 else apply(m, pieces[-1])
         pieces.append(block)
         total += len(block)
-        if total >= n:
-            break
-        block = apply(m, block)
     return "".join(pieces)[:n]
 
 

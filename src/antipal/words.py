@@ -117,11 +117,28 @@ def theta_factorize(v: Word) -> tuple[ThetaFactorization, ...]:
     return tuple(found)
 
 
-def smallest_period(w: Word) -> int:
-    """Smallest p >= 1 with w[i] == w[i+p] for all valid i (border construction, linear time)."""
+def smallest_period(w: Word, bound: int | None = None) -> int | None:
+    """Smallest p >= 1 with w[i] == w[i+p] for all valid i.
+
+    Without ``bound`` this is the border construction, linear time.  With
+    ``0 <= bound <= len(w) // 2`` it answers only whether that period is at
+    most ``bound``: the period if so, else None, from one ``str.find``.  If
+    the smallest period p is at most ``bound``, the prefix of length
+    ``n - bound`` occurs at p, and its first occurrence j >= 1 is p itself:
+    were j < p, the prefix of length ``n - bound + j`` would have periods j
+    and p and be at least ``j + p`` letters long (``n - bound >= bound >=
+    p``), so by Fine and Wilf it would have period gcd(j, p) < p, which
+    divides p and so is a period of w too.  Hence the first occurrence is
+    the only candidate to check.
+    """
     if not w:
         raise EmptyWordError("the empty word has no period")
     n = len(w)
+    if bound is not None:
+        if not 0 <= bound <= n // 2:
+            raise PreconditionViolated(f"the period bound must be in 0 .. {n // 2}, got {bound}")
+        j = w.find(w[: n - bound], 1)
+        return j if 0 < j <= bound and w[j:] == w[: n - j] else None
     border = [0] * n
     k = 0
     for i in range(1, n):
@@ -208,7 +225,13 @@ def longest_antipalindrome(w: Word) -> int:
     hashes of ``d + reverse(d)`` under the prime ``2**31 - 1``: the radius
     doubles while some centre still passes, keeping only the passing
     centres, then a binary search runs between the last pass and the first
-    fail.  The result is exact whatever the hashes do:
+    fail.  After each pass of the doubling, the survivors with the most
+    room are probed at that room q (the room of c is ``min(c, m - 1 - c)``;
+    q is capped below the upper bound): on a periodic prefix every survivor
+    past one period reaches its full room, so ``(01)^k`` takes two hash
+    tests instead of about ``2 log2 k``.  If one passes, no survivor can
+    reach q + 1, so the search ends between q and q + 1 and goes straight
+    to the confirmation below.  The result is exact whatever the hashes do:
 
     * Hashing has no false negatives.  A centre that truly reaches radius
       r passes every test at radius <= r, so when the search ends at
@@ -218,7 +241,9 @@ def longest_antipalindrome(w: Word) -> int:
     * The answer is confirmed by a direct string test ``f == exchange(f)``
       on the survivors.  If none confirms, no centre reaches ``lo``, so
       ``lo`` becomes the upper bound and the search runs again below it.
-      The bound falls each time and radius 0 always confirms, so this
+      This covers a probe that passed on a collision too: a centre that
+      truly reaches q survived every pass and so passes the probe.  The
+      bound falls each time and radius 0 always confirms, so this
       terminates.  A collision costs time, never a wrong value, so one
       modulus is enough (and never mod ``2**64``: Thue-Morse words defeat
       it).
@@ -257,6 +282,11 @@ def longest_antipalindrome(w: Word) -> int:
                 hi = r
                 break
             lo, alive, r = r, found, 2 * r
+            room = min(int(np.minimum(alive, m - 1 - alive).max()), hi - 1)
+            top = _passing(alive, room, h, pw, m)
+            if len(top):
+                lo, alive, hi = room, top, room + 1
+                break
         while hi - lo > 1:
             mid = (lo + hi) // 2
             found = _passing(alive, mid, h, pw, m)

@@ -65,9 +65,12 @@ def bf_theta_factorizations(v):
 
 
 def bf_smallest_period(w):
+    """Try every p in turn: w has period p when w[p:] == w[:n-p] (compared
+    as memoryviews, so a long word is not copied once per p)."""
     n = len(w)
+    letters = memoryview(w.encode())
     for p in range(1, n + 1):
-        if all(w[i] == w[i + p] for i in range(n - p)):
+        if letters[p:] == letters[: n - p]:
             return p
     raise AssertionError
 
@@ -237,6 +240,20 @@ def bf_fixed_point_prefix(image0, image1, letter, n):
     while len(w) < n:
         w = bf_apply(image0, image1, w)
     return w[:n]
+
+
+def bf_fixed_point_letters(image0, image1, letter, n):
+    """Read the fixed point x = m(x) from the left: x starts as m(letter),
+    and the images of the letters of x not read yet are appended until n
+    letters are known.  Linear in n, also where iterating m from one
+    letter gains one letter a round (0 -> 0, 1 -> 10)."""
+    images = {"0": image0, "1": image1}
+    x, read = images[letter], 1
+    while len(x) < n:
+        known = len(x)
+        x += "".join(map(images.get, x[read:known]))
+        read = known
+    return x[:n]
 
 
 def bf_proven_period(image0, image1, prefix):

@@ -178,11 +178,12 @@ def test_bad_numeric_arguments_rejected(capsys):
     assert code == 1 and err.startswith("error: BadBounds")
 
 
-@pytest.mark.parametrize("command", ["classify", "analyze", "factors", "bispecials", "fixedpoint"])
+@pytest.mark.parametrize("command", ["classify", "analyze", "factors", "bispecials", "bispecials-orbit", "fixedpoint"])
 def test_unusable_seed_letter_rejected(capsys, command):
     # 1 is prolongable neither on the Fibonacci morphism nor on its square
     letter = ("--letter", "1") if command == "fixedpoint" else ("--seed-letter", "1", "--prefix-len", "400")
-    code, out, err = run(capsys, command, "0->01,1->0", *letter)
+    orbit = ("--orbit", "0", "--steps", "2") if command == "bispecials-orbit" else ()
+    code, out, err = run(capsys, command.removesuffix("-orbit"), "0->01,1->0", *letter, *orbit)
     assert code == 1 and out == ""
     assert err.startswith("error: PreconditionViolated")
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from antipal import ParseError
-from antipal.errors import NotAConjugacyWord, NotPrimitive, NotProlongable
+from antipal.cli import scan_space
+from antipal.errors import NotAConjugacyWord, NotPrimitive, NotProlongable, PreconditionViolated
 from antipal.morphisms import (
     Morphism,
     apply,
@@ -13,6 +14,7 @@ from antipal.morphisms import (
     conjugacy_chain,
     conjugate_by,
     fixed_point_prefix,
+    fixed_point_source,
     format_morphism,
     incidence,
     is_primitive,
@@ -22,7 +24,13 @@ from antipal.morphisms import (
     prolongable_letters,
     square,
 )
-from bruteforce import bf_conjugacy_chain, bf_factor_set, words_up_to
+from bruteforce import (
+    bf_conjugacy_chain,
+    bf_factor_set,
+    bf_fixed_point_letters,
+    bf_fixed_point_prefix,
+    words_up_to,
+)
 
 FIB = Morphism("01", "0")
 THETA = Morphism("01", "10")
@@ -115,6 +123,34 @@ def test_fixed_point_prefix_extension_consistent():
             for n in (1, 7, 100, 499):
                 assert fixed_point_prefix(m, letter, n) == long[:n]
             assert apply(m, long)[:500] == long  # genuinely fixed
+
+
+def _scan_fixed_points(max_image_len):
+    """Every (host, letter) that fixed_point_source reads on the scan space, for any seed letter."""
+    pairs = set()
+    for text in scan_space(max_image_len):
+        m = parse_morphism(text)
+        for letter in (None, "0", "1"):
+            try:
+                source = fixed_point_source(m, letter)
+            except PreconditionViolated:
+                continue
+            if source is not None:
+                pairs.add(source[1:])
+    return sorted(pairs, key=str)
+
+
+def test_fixed_point_prefix_matches_bruteforce_on_the_scan_space():
+    pairs = _scan_fixed_points(4)
+    assert any(host != square(host) and len(host.image0) > 4 for host, _ in pairs)  # square hosts
+    # a tail the morphism fixes, and an erasing morphism the space lacks
+    assert (Morphism("0", "10"), "1") in pairs
+    pairs += [(Morphism("01", "1"), "0"), (Morphism("0101", ""), "0")]
+    for host, letter in pairs:
+        long = bf_fixed_point_letters(host.image0, host.image1, letter, 100_000)
+        assert long[:1000] == bf_fixed_point_prefix(host.image0, host.image1, letter, 1000), (host, letter)
+        for n in (0, 1, 2, 7, 1000, 100_000):
+            assert fixed_point_prefix(host, letter, n) == long[:n], (host, letter, n)
 
 
 def test_conjugacy_chain_worked_example():

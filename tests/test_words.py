@@ -24,10 +24,14 @@ from antipal import (
     theta_decode,
     theta_factorize,
 )
+from antipal.cli import scan_space
+from antipal.membership import EvidenceConfig
+from antipal.morphisms import fixed_point_prefix, fixed_point_source, parse_morphism
 from bruteforce import (
     bf_fixed_point_prefix,
     bf_longest_antipalindrome,
     bf_manacher_longest_antipalindrome,
+    bf_smallest_period,
     bf_theta_factorizations,
     words_up_to,
 )
@@ -135,6 +139,41 @@ def test_smallest_period():
         smallest_period("")
 
 
+def test_bounded_period_on_all_short_words():
+    for w in words_up_to(12, include_empty=False):
+        p = bf_smallest_period(w)
+        for bound in range(len(w) // 2 + 1):
+            assert smallest_period(w, bound) == (p if p <= bound else None), (w, bound)
+
+
+def test_bounded_period_on_the_evidence_prefixes():
+    cfg = EvidenceConfig()
+    sources = {fixed_point_source(parse_morphism(text)) for text in scan_space(4)} - {None}
+    prefixes = {fixed_point_prefix(host, letter, cfg.prefix_len) for _, host, letter in sources}
+    for prefix in prefixes:
+        p = bf_smallest_period(prefix)
+        for bound in {len(prefix) // 4, p - 1, p} & set(range(len(prefix) // 2 + 1)):
+            assert smallest_period(prefix, bound) == (p if p <= bound else None), (prefix[:40], bound)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 1001, 100_000])
+def test_bounded_period_worst_case(n):
+    """0^(n-1) 1 has period n: every shift of the searched prefix nearly matches."""
+    w = "0" * (n - 1) + "1"
+    assert bf_smallest_period(w) == n
+    for bound in range(n // 2 + 1) if n <= 1001 else (0, n // 4, n // 2):
+        assert smallest_period(w, bound) is None
+
+
+def test_bounded_period_rejects_bad_bounds():
+    for w in ("0", "01", "01101", "0" * 100):
+        for bound in (-1, len(w) // 2 + 1, len(w)):
+            with pytest.raises(PreconditionViolated):
+                smallest_period(w, bound)
+    with pytest.raises(EmptyWordError):
+        smallest_period("", 0)
+
+
 def test_s_map():
     assert s_map("00") == "0"
     assert s_map("01") == "1"
@@ -158,10 +197,10 @@ def test_longest_antipalindrome_matches_bruteforce():
 
 
 @st.composite
-def periodic_words(draw):
+def periodic_words(draw, max_len=2000):
     """A prefix of root**inf, sometimes with one letter flipped."""
     root = draw(st.text(alphabet="01", min_size=1, max_size=12))
-    n = draw(st.integers(0, 2000))
+    n = draw(st.integers(0, max_len))
     w = (root * (n // len(root) + 1))[:n]
     if w and draw(st.booleans()):
         i = draw(st.integers(0, n - 1))
@@ -170,11 +209,11 @@ def periodic_words(draw):
 
 
 @st.composite
-def morphic_prefixes(draw):
+def morphic_prefixes(draw, max_len=2000):
     """A prefix of the fixed point from 0 of 0 -> 0u, 1 -> v with u, v nonempty."""
     image0 = "0" + draw(st.text(alphabet="01", min_size=1, max_size=4))
     image1 = draw(st.text(alphabet="01", min_size=1, max_size=5))
-    return bf_fixed_point_prefix(image0, image1, "0", draw(st.integers(0, 2000)))
+    return bf_fixed_point_prefix(image0, image1, "0", draw(st.integers(0, max_len)))
 
 
 kernel_inputs = st.one_of(
@@ -192,6 +231,40 @@ def test_longest_antipalindrome_matches_manacher(w):
     assert longest_antipalindrome(w) == bf_manacher_longest_antipalindrome(w)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(periodic_words(400), morphic_prefixes(400)).filter(bool), st.data())
+def test_bounded_period_matches_bruteforce(w, data):
+    p = bf_smallest_period(w)
+    drawn = data.draw(st.integers(0, len(w) // 2))
+    for bound in {0, p - 1, p, len(w) // 4, len(w) // 2, drawn} & set(range(len(w) // 2 + 1)):
+        assert smallest_period(w, bound) == (p if p <= bound else None), bound
+
+
+PERIODIC_PREFIXES = {
+    "(01)^50000": "01" * 50_000,
+    "(0011)^25000": "0011" * 25_000,
+    "(0011)^25000 shifted": ("0011" * 25_001)[1:100_001],
+    "(001011)^inf": ("001011" * 16_667)[:100_000],
+}
+
+
+@pytest.mark.parametrize("name", PERIODIC_PREFIXES)
+def test_longest_antipalindrome_probe_settles_periodic_prefixes(monkeypatch, name):
+    """Past one period every survivor reaches its full room, so the probe
+    after an early pass ends the search (32 hash tests without it)."""
+    passing = antipal.words._passing
+    calls = []
+
+    def counting_passing(*args):
+        calls.append(args[1])
+        return passing(*args)
+
+    monkeypatch.setattr(antipal.words, "_passing", counting_passing)
+    w = PERIODIC_PREFIXES[name]
+    assert longest_antipalindrome(w) == bf_manacher_longest_antipalindrome(w)
+    assert len(calls) <= 4, calls
+
+
 @pytest.mark.parametrize("mod", [3, 7])
 def test_longest_antipalindrome_exact_under_forced_collisions(monkeypatch, mod):
     """With a tiny modulus almost every hash comparison collides, so the
@@ -199,10 +272,14 @@ def test_longest_antipalindrome_exact_under_forced_collisions(monkeypatch, mod):
     monkeypatch.setattr(antipal.words, "_MOD", mod)
     confirm = antipal.words.is_antipalindrome
     tried = []  # lengths of the factors confirmed during one call
+    rejected = []  # the factors that failed confirmation
 
     def recording_confirm(f):
         tried.append(len(f))
-        return confirm(f)
+        if confirm(f):
+            return True
+        rejected.append(f)
+        return False
 
     monkeypatch.setattr(antipal.words, "is_antipalindrome", recording_confirm)
     rng = random.Random(mod)
@@ -214,6 +291,18 @@ def test_longest_antipalindrome_exact_under_forced_collisions(monkeypatch, mod):
         assert longest_antipalindrome(w) == bf_longest_antipalindrome(w), w
         retried += len(set(tried)) > 1  # no survivor confirmed, a search below ran
     assert retried > 0
+    # On periodic words the probe ends most searches.  A probe that passed
+    # on a collision tested a centre at its full room, a factor that is a
+    # prefix or suffix of w; its failed confirmation sends the search below.
+    periodic = list(PERIODIC_PREFIXES.values())
+    periodic += [(root * 101)[shift : shift + n] for root in ("001", "0010", "00101", "0001011", "011")
+                 for shift in (0, 1) for n in (60, 301)]
+    probe_retried = 0
+    for w in periodic:
+        rejected.clear()
+        assert longest_antipalindrome(w) == bf_manacher_longest_antipalindrome(w), w
+        probe_retried += any(w.startswith(f) or w.endswith(f) for f in rejected)
+    assert probe_retried > 0
 
 
 SCALE_WORDS = {
