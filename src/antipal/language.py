@@ -7,11 +7,15 @@ property is downward closed, so ``stable_up_to`` is an exact threshold
 found by one binary search.  Queries beyond the certified range raise
 instead of silently lying.
 
-Per-length counting works on rolling hashes (two 31-bit prime moduli,
-numpy-vectorized), which keeps full censuses over thousands of lengths
-affordable; collisions across both moduli are negligible at these sizes.
-The special-factor operations work on exact string sets: every certified
-length is cut from the one set of windows of length ``stable_up_to``.
+Every window gets an exact integer id: equal ids mean equal words.  The
+ids are taken over U = prefix + reverse(prefix) + exchange(prefix), so a
+window's mirror image and its exchange are windows of U too, and one
+comparison of ids tells a palindrome or an antipalindrome.  A window of
+n <= 64 letters is read as an n-bit number from the packed 64-letter key
+at its start.  A longer window is covered by two overlapping windows of
+length a, the power of two times 64 with a <= n < 2a, whose dense ranks
+come from the packed keys by prefix doubling.  Counting, certification
+and the factor sets all rest on these ids, so they are exact.
 """
 
 from __future__ import annotations
@@ -28,40 +32,44 @@ from .errors import (
     UnstableLength,
 )
 from .morphisms import Morphism, apply, conjugacy_chain, fixed_point_prefix
-from .words import Word, exchange, is_antipalindrome, longest_antipalindrome, power_table
+from .words import Word, exchange, is_antipalindrome, longest_antipalindrome
 
-_MODS = ((2_147_483_647, 1_000_003), (2_147_483_629, 998_244_353))
-
-
-class _HashedText:
-    """Prefix hashes of one string under both moduli."""
-
-    def __init__(self, s: str, powers, inverse_powers):
-        digits = np.frombuffer(s.encode("ascii"), dtype=np.uint8).astype(np.int64) - ord("0")
-        self.length = len(s)
-        self.prefix = []
-        self.inverse_powers = inverse_powers
-        for (mod, _), pw in zip(_MODS, powers):
-            q = np.zeros(self.length + 1, dtype=np.int64)
-            np.cumsum(digits * pw[: self.length], out=q[1:])
-            q[1:] %= mod
-            self.prefix.append(q)
-
-    def window_keys(self, n: int) -> np.ndarray:
-        """Combined hash of every length-n window, indexed by start."""
-        count = self.length - n + 1
-        keys = None
-        for (mod, _), q, inv in zip(_MODS, self.prefix, self.inverse_powers):
-            h = (q[n : n + count] - q[:count]) % mod
-            h = h * inv[:count] % mod
-            keys = h if keys is None else keys * mod + h
-        return keys
+_KEY_LETTERS = 64
 
 
-def _power_tables(n: int):
-    powers = [power_table(base, mod, n + 1) for mod, base in _MODS]
-    inverse_powers = [power_table(pow(base, mod - 2, mod), mod, n + 1) for mod, base in _MODS]
-    return powers, inverse_powers
+def _packed_keys(text: str) -> np.ndarray:
+    """The 64 letters from each start of a 0/1 text as a uint64, first letter in the top bit.
+
+    Six doubling steps: the key of 2b letters at i is the b-letter key at
+    i shifted up by b, or-ed with the b-letter key at i + b.  Letters past
+    the end read as 0, so only keys of windows inside the text are ids.
+    """
+    keys = (np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")).astype(np.uint64)
+    b = 1
+    while b < _KEY_LETTERS:
+        wider = keys << np.uint64(b)
+        wider[:-b] |= keys[b:]
+        keys, b = wider, 2 * b
+    return keys
+
+
+def _dense_rank(keys: np.ndarray) -> np.ndarray:
+    """Rank of each key among the distinct keys, as int32 (equal keys, equal ranks)."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    step = np.zeros(keys.size, dtype=np.int32)
+    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+    del ordered  # the ranks are built in place, so the peak stays at one sorted copy
+    np.cumsum(step, out=step)
+    rank = np.empty(keys.size, dtype=np.int32)
+    rank[order] = step
+    return rank
+
+
+def _distinct(ids: np.ndarray) -> int:
+    """Number of distinct values (a sort is much faster here than ``np.unique``'s hashing)."""
+    ordered = np.sort(ids)
+    return int(ordered.size > 0) + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 @dataclass(frozen=True)
@@ -84,20 +92,61 @@ class FactorIndex:
         self.prefix_len = prefix_len
         self.n_max = n_max
         self.prefix = fixed_point_prefix(morphism, letter, prefix_len)
-        powers, inverse_powers = _power_tables(prefix_len)
-        self._fwd = _HashedText(self.prefix, powers, inverse_powers)
-        self._rev = _HashedText(self.prefix[::-1], powers, inverse_powers)
-        self._exch = _HashedText(exchange(self.prefix), powers, inverse_powers)
+        self._keys = _packed_keys(self.prefix + self.prefix[::-1] + exchange(self.prefix))
+        self._level: tuple[int, np.ndarray] | None = None  # (a, dense ranks of the a-windows of U)
+        self._top_starts: list[int] | None = None
         self._sets: dict[int, frozenset[str]] = {0: frozenset({""})}
         self.stable_up_to = self._certify()
 
+    def _ranks(self, a: int) -> np.ndarray:
+        """Dense ranks of the length-a windows of U, a = 64 * 2**k, by prefix doubling.
+
+        The 2b-window at i is the b-window at i followed by the one at
+        i + b, so the pair of their ranks ranks it; ranks stay below |U|, so
+        the pair fits an int64 and the rank an int32 (|U| < 2**31).  Only the
+        last level built is kept; a lower one is rebuilt from the keys.
+        """
+        total = self._keys.size
+        if self._level is None or self._level[0] > a:
+            self._level = (_KEY_LETTERS, _dense_rank(self._keys[: total - _KEY_LETTERS + 1]))
+        b, rank = self._level
+        while b < a:
+            rank = _dense_rank(rank[: total - 2 * b + 1].astype(np.int64) * total + rank[b:])
+            b *= 2
+            self._level = (b, rank)
+        return rank
+
+    def _ids(self, n: int) -> np.ndarray:
+        """Exact id of every length-n window of U, by start: equal ids, equal words.
+
+        Up to 64 letters the id is the window read as an n-bit number.  A
+        longer window is the a-window at its start followed by the one
+        ending where it ends (a <= n < 2a, so the two cover it), and the id
+        pairs their ranks.
+        """
+        total = self._keys.size
+        count = total - n + 1
+        if n <= _KEY_LETTERS:
+            return self._keys[:count] >> np.uint64(_KEY_LETTERS - n)
+        a = _KEY_LETTERS
+        while 2 * a <= n:
+            a *= 2
+        rank = self._ranks(a)
+        return rank[:count].astype(np.int64) * total + rank[n - a : n - a + count]
+
+    def _factor_ids(self, n: int) -> np.ndarray:
+        """Ids of the length-n windows of the prefix, by start."""
+        return self._ids(n)[: self.prefix_len - n + 1]
+
     def _stable_at(self, n: int) -> bool:
-        """Factor set of length n agrees between the half and full prefix."""
-        keys = self._fwd.window_keys(n)
+        """Factor set of length n agrees between the half and full prefix.
+
+        The half prefix's windows are among the full prefix's, so the sets
+        agree exactly when they have as many distinct ids.
+        """
+        ids = self._factor_ids(n)
         half_count = self.prefix_len // 2 - n + 1
-        return half_count >= 1 and bool(
-            np.array_equal(np.unique(keys[:half_count]), np.unique(keys))
-        )
+        return half_count >= 1 and _distinct(ids[:half_count]) == _distinct(ids)
 
     def _certify(self) -> int:
         """Largest n <= n_max with the length-n factor sets stable.
@@ -117,23 +166,30 @@ class FactorIndex:
                 hi = mid
         return lo
 
+    def _starts(self, n: int) -> list[int]:
+        """One start for each distinct length-n window of the prefix."""
+        return np.unique(self._factor_ids(n), return_index=True)[1].tolist()
+
     def factors(self, n: int) -> frozenset[str]:
         """Exact set of length-n factors of the prefix (not certification-gated).
 
-        A certified length is cut from the length-``stable_up_to`` windows:
-        every length-n factor lies inside one of them, which also occurs in
-        the half prefix, and a window starting inside the half prefix fits
-        in the prefix, so the factor heads a window.  Longer lengths are
-        sliced from the prefix directly.
+        A certified length takes the heads of one window per distinct id
+        at length ``stable_up_to``: every length-n factor lies inside such
+        a window, which also occurs in the half prefix, and a window
+        starting inside the half prefix fits in the prefix, so the factor
+        heads a window.  Longer lengths slice one window per distinct id.
         """
         if n < 0 or n > self.prefix_len:
             return frozenset()
         if n not in self._sets:
             top, u = self.stable_up_to, self.prefix
-            if n < top:
-                self._sets[n] = frozenset(w[:n] for w in self.factors(top))
+            if n <= top:
+                if self._top_starts is None:
+                    self._top_starts = self._starts(top)
+                starts = self._top_starts
             else:
-                self._sets[n] = frozenset(u[i : i + n] for i in range(len(u) - n + 1))
+                starts = self._starts(n)
+            self._sets[n] = frozenset(u[i : i + n] for i in starts)
         return self._sets[n]
 
     def certified_factor(self, w: Word) -> bool:
@@ -174,25 +230,27 @@ class FactorIndex:
         for n in lengths if lengths is not None else range(1, self.n_max + 1):
             if not 1 <= n <= self.n_max:
                 raise BadBounds(f"census length {n} outside 1..{self.n_max}")
-            keys = self._fwd.window_keys(n)
-            count = keys.size
-            mirror = self._rev.window_keys(n)[::-1]
-            pal = int(np.unique(keys[keys == mirror]).size)
-            if n % 2:
-                anti = 0
-            else:
-                image = self._exch.window_keys(n)[::-1]
-                anti = int(np.unique(keys[keys == image]).size)
-            rows.append(
-                CensusRow(
-                    length=n,
-                    factor_count=int(np.unique(keys).size),
-                    palindrome_count=pal,
-                    antipalindrome_count=anti,
-                    certified=n <= self.stable_up_to,
-                )
-            )
+            rows.append(self._census_row(n))
         return tuple(rows)
+
+    def _census_row(self, n: int) -> CensusRow:
+        # the window at i mirrors to the one at size - n - i of the reverse
+        # and of the exchange segment
+        ids, size, count = self._ids(n), self.prefix_len, self.prefix_len - n + 1
+        forward = ids[:count]
+        mirror = ids[size : size + count][::-1]
+        if n % 2:
+            anti = 0
+        else:
+            image = ids[2 * size : 2 * size + count][::-1]
+            anti = _distinct(forward[forward == image])
+        return CensusRow(
+            length=n,
+            factor_count=_distinct(forward),
+            palindrome_count=_distinct(forward[forward == mirror]),
+            antipalindrome_count=anti,
+            certified=n <= self.stable_up_to,
+        )
 
     def e_closure_check(self) -> bool:
         """True iff the certified factor sets are closed under the exchange map."""

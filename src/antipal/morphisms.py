@@ -147,6 +147,25 @@ def _block_power(m: Morphism, letter: str) -> tuple[int, Morphism]:
     return j, power
 
 
+def _head_for(m: Morphism, w: Word, need: int) -> Word:
+    """The shortest head of w whose image has at least ``need`` > 0 letters, or w."""
+    l0, l1 = len(m.image0), len(m.image1)
+
+    def image_len(k: int) -> int:
+        return l0 * k + (l1 - l0) * w.count("1", 0, k)
+
+    if image_len(len(w)) <= need:
+        return w
+    lo, hi = 0, len(w)  # image_len(lo) < need <= image_len(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if image_len(mid) >= need:
+            hi = mid
+        else:
+            lo = mid
+    return w[:hi]
+
+
 def fixed_point_prefix(m: Morphism, letter: str, n: int) -> Word:
     """Length-n prefix of the fixed point starting with a prolongable letter.
 
@@ -154,7 +173,9 @@ def fixed_point_prefix(m: Morphism, letter: str, n: int) -> Word:
     tail.  A tail that m fixes just repeats.  Otherwise block i is m^j
     applied to block i - j, so translating by the table of a power m^j
     reads about n / lambda^j input letters instead of about n (lambda the
-    growth rate of the blocks), and total work stays linear in n.
+    growth rate of the blocks), and total work stays linear in n.  Of the
+    last block only the head that reaches n letters is translated, so at
+    most n plus the longest image of the power used is built.
     """
     if letter not in prolongable_letters(m):
         raise NotProlongable(f"{format_morphism(m)} is not prolongable on {letter}")
@@ -168,7 +189,8 @@ def fixed_point_prefix(m: Morphism, letter: str, n: int) -> Word:
     total = 1 + len(block)
     while total < n:
         source = len(pieces) - j  # the piece holding block i - j, i the next block
-        block = apply(power, pieces[source]) if source >= 1 else apply(m, pieces[-1])
+        host, piece = (power, pieces[source]) if source >= 1 else (m, pieces[-1])
+        block = apply(host, _head_for(host, piece, n - total))
         pieces.append(block)
         total += len(block)
     return "".join(pieces)[:n]

@@ -14,15 +14,13 @@ from antipal.errors import (
 )
 from antipal.language import (
     BispecialOrbit,
-    _MODS,
-    _power_tables,
     bispecial_orbit,
     bispecial_successor,
     build_index,
     q_antipalindrome_check,
 )
 from antipal.morphisms import Morphism, prolongable_letters
-from antipal.words import exchange, is_antipalindrome, is_palindrome
+from antipal.words import _BASE, _MOD, exchange, is_antipalindrome, is_palindrome, power_table
 from bruteforce import (
     bf_antipal_center,
     bf_bispecials,
@@ -39,11 +37,10 @@ THETA = Morphism("01", "10")
 
 def test_power_tables_match_loop():
     n = 100_000
-    powers, inverse_powers = _power_tables(n)
-    for (mod, base), pw, inv in zip(_MODS, powers, inverse_powers):
-        assert pw.dtype == inv.dtype == np.int64
-        assert np.array_equal(pw, bf_power_table(base, mod, n + 1))
-        assert np.array_equal(inv, bf_power_table(pow(base, mod - 2, mod), mod, n + 1))
+    for base in (_BASE, pow(_BASE, _MOD - 2, _MOD)):
+        table = power_table(base, _MOD, n + 1)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, bf_power_table(base, _MOD, n + 1))
 
 
 def test_build_index_basics():
@@ -158,6 +155,42 @@ def test_census_matches_bruteforce():
             assert row.factor_count == len(fs)
             assert row.palindrome_count == sum(1 for w in fs if is_palindrome(w))
             assert row.antipalindrome_count == sum(1 for w in fs if is_antipalindrome(w))
+
+
+# Lengths on both sides of each change of key width: the packed keys end at
+# 64 letters, and from there the two covering windows double at 128, 256, 512.
+ID_LENGTHS = (*range(1, 71), 96, 127, 128, 129, 255, 256, 257, 511, 512)
+ID_INDEXES = (
+    (THETA, 4096),
+    (FIB, 4096),
+    (Morphism("01", "00"), 2048),  # period doubling
+    (Morphism("01", "01"), 2048),
+    # the 0 -> 0(110)^k, 1 -> 1(001)^k family, k = 1, 2, 3
+    (Morphism("0110", "1001"), 4096),
+    (Morphism("0110110", "1001001"), 2048),
+    (Morphism("0110110110", "1001001001"), 4096),
+)
+
+
+@pytest.mark.parametrize("m, prefix_len", ID_INDEXES, ids=[f"{m}@{n}" for m, n in ID_INDEXES])
+def test_exact_ids_match_bruteforce_across_key_widths(m, prefix_len):
+    idx = build_index(m, "0", prefix_len, 512)
+    for row in idx.census(ID_LENGTHS):
+        n = row.length
+        fs = bf_factor_set(idx.prefix, n)
+        assert row.factor_count == len(fs), n
+        assert row.palindrome_count == sum(1 for w in fs if is_palindrome(w)), n
+        assert row.antipalindrome_count == sum(1 for w in fs if is_antipalindrome(w)), n
+        assert idx.factors(n) == fs, n
+
+
+def test_certification_matches_sequential_scan_past_the_packed_keys():
+    tops = set()
+    for m, letter in _prolongable_indexes(2):
+        idx = build_index(m, letter, 1200, 300)
+        assert idx.stable_up_to == bf_stable_up_to(idx.prefix, 300), (str(m), letter)
+        tops.add(idx.stable_up_to)
+    assert {129, 217, 232, 300} <= tops
 
 
 def test_census_monotone_under_longer_prefix():

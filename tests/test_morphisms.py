@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from antipal import ParseError
+from antipal import ParseError, morphisms
 from antipal.cli import scan_space
 from antipal.errors import NotAConjugacyWord, NotPrimitive, NotProlongable, PreconditionViolated
 from antipal.morphisms import (
@@ -151,6 +151,30 @@ def test_fixed_point_prefix_matches_bruteforce_on_the_scan_space():
         assert long[:1000] == bf_fixed_point_prefix(host.image0, host.image1, letter, 1000), (host, letter)
         for n in (0, 1, 2, 7, 1000, 100_000):
             assert fixed_point_prefix(host, letter, n) == long[:n], (host, letter, n)
+
+
+def test_fixed_point_prefix_builds_at_most_one_image_past_n(monkeypatch):
+    """Only the head of the last block that reaches n letters is translated,
+    so the blocks built hold fewer than n plus the longest image used."""
+    built = []
+
+    def counting_apply(m, w):
+        image = apply(m, w)
+        built.append(len(image))
+        return image
+
+    pairs = _scan_fixed_points(4) + [(Morphism("01", "1"), "0"), (Morphism("0101", ""), "0")]
+    for host, letter in pairs:
+        j, power = morphisms._block_power(host, letter)
+        longest = max(map(len, (host.image0, host.image1, power.image0, power.image1)))
+        tail_test = len(apply(host, host.image(letter)[1:]))  # the check that the tail is fixed
+        monkeypatch.setattr(morphisms, "_block_power", lambda m, a: (j, power))
+        monkeypatch.setattr(morphisms, "apply", counting_apply)
+        for n in (1, 2, 7, 1000, 100_000):
+            built.clear()
+            fixed_point_prefix(host, letter, n)
+            assert sum(built) - tail_test < n + longest, (host, letter, n, sum(built))
+        monkeypatch.undo()
 
 
 def test_conjugacy_chain_worked_example():
