@@ -14,13 +14,16 @@ comparison of ids tells a palindrome or an antipalindrome.  A window of
 n <= 64 letters is read as an n-bit number from the packed 64-letter key
 at its start.  A longer window is covered by two overlapping windows of
 length a, the power of two times 64 with a <= n < 2a, whose dense ranks
-come from the packed keys by prefix doubling.  Counting, certification
-and the factor sets all rest on these ids, so they are exact.
+come from the packed keys by prefix doubling.  Counting, certification,
+the factor sets and exchange closure (tested at the top certified length
+only) rest on these ids, so they are exact; no per-length sets are kept.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .morphisms import Morphism, apply, conjugacy_chain, fixed_point_prefix
 from .words import Word, exchange, is_antipalindrome, longest_antipalindrome
 
 _KEY_LETTERS = 64
+_HEAD, _TAIL = slice(None, -1), slice(1, None)
 
 
 def _packed_keys(text: str) -> np.ndarray:
@@ -72,6 +76,12 @@ def _distinct(ids: np.ndarray) -> int:
     return int(ordered.size > 0) + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
+def _shared(words: frozenset[str], part: slice) -> frozenset[str]:
+    """The heads (or tails) that two of the words share: the right (left) specials."""
+    counts = Counter(w[part] for w in words)
+    return frozenset(w for w, count in counts.items() if count > 1)
+
+
 @dataclass(frozen=True)
 class CensusRow:
     length: int
@@ -93,28 +103,24 @@ class FactorIndex:
         self.n_max = n_max
         self.prefix = fixed_point_prefix(morphism, letter, prefix_len)
         self._keys = _packed_keys(self.prefix + self.prefix[::-1] + exchange(self.prefix))
-        self._level: tuple[int, np.ndarray] | None = None  # (a, dense ranks of the a-windows of U)
-        self._top_starts: list[int] | None = None
-        self._sets: dict[int, frozenset[str]] = {0: frozenset({""})}
+        self._levels: list[np.ndarray] = []  # level k: dense ranks of the (64 * 2**k)-windows of U
         self.stable_up_to = self._certify()
 
-    def _ranks(self, a: int) -> np.ndarray:
-        """Dense ranks of the length-a windows of U, a = 64 * 2**k, by prefix doubling.
+    def _ranks(self, level: int) -> np.ndarray:
+        """Dense ranks of the length-(64 * 2**level) windows of U, by prefix doubling.
 
         The 2b-window at i is the b-window at i followed by the one at
         i + b, so the pair of their ranks ranks it; ranks stay below |U|, so
-        the pair fits an int64 and the rank an int32 (|U| < 2**31).  Only the
-        last level built is kept; a lower one is rebuilt from the keys.
+        the pair fits an int64 and the rank an int32 (|U| < 2**31).  Every
+        level is built once and kept.
         """
-        total = self._keys.size
-        if self._level is None or self._level[0] > a:
-            self._level = (_KEY_LETTERS, _dense_rank(self._keys[: total - _KEY_LETTERS + 1]))
-        b, rank = self._level
-        while b < a:
-            rank = _dense_rank(rank[: total - 2 * b + 1].astype(np.int64) * total + rank[b:])
-            b *= 2
-            self._level = (b, rank)
-        return rank
+        levels, total = self._levels, self._keys.size
+        if not levels:
+            levels.append(_dense_rank(self._keys[: total - _KEY_LETTERS + 1]))
+        while len(levels) <= level:
+            b, rank = _KEY_LETTERS << (len(levels) - 1), levels[-1]
+            levels.append(_dense_rank(rank[: total - 2 * b + 1].astype(np.int64) * total + rank[b:]))
+        return levels[level]
 
     def _ids(self, n: int) -> np.ndarray:
         """Exact id of every length-n window of U, by start: equal ids, equal words.
@@ -128,15 +134,16 @@ class FactorIndex:
         count = total - n + 1
         if n <= _KEY_LETTERS:
             return self._keys[:count] >> np.uint64(_KEY_LETTERS - n)
-        a = _KEY_LETTERS
-        while 2 * a <= n:
-            a *= 2
-        rank = self._ranks(a)
+        level = (n // _KEY_LETTERS).bit_length() - 1
+        a, rank = _KEY_LETTERS << level, self._ranks(level)
         return rank[:count].astype(np.int64) * total + rank[n - a : n - a + count]
 
-    def _factor_ids(self, n: int) -> np.ndarray:
-        """Ids of the length-n windows of the prefix, by start."""
-        return self._ids(n)[: self.prefix_len - n + 1]
+    def _aligned(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ids of the length-n windows of the prefix, of their mirror images
+        and of their exchanges, by start: the window at i mirrors to the one
+        at size - n - i of the reverse and of the exchange segment of U."""
+        ids, size, count = self._ids(n), self.prefix_len, self.prefix_len - n + 1
+        return ids[:count], ids[size : size + count][::-1], ids[2 * size : 2 * size + count][::-1]
 
     def _stable_at(self, n: int) -> bool:
         """Factor set of length n agrees between the half and full prefix.
@@ -144,7 +151,7 @@ class FactorIndex:
         The half prefix's windows are among the full prefix's, so the sets
         agree exactly when they have as many distinct ids.
         """
-        ids = self._factor_ids(n)
+        ids = self._aligned(n)[0]
         half_count = self.prefix_len // 2 - n + 1
         return half_count >= 1 and _distinct(ids[:half_count]) == _distinct(ids)
 
@@ -168,7 +175,12 @@ class FactorIndex:
 
     def _starts(self, n: int) -> list[int]:
         """One start for each distinct length-n window of the prefix."""
-        return np.unique(self._factor_ids(n), return_index=True)[1].tolist()
+        return np.unique(self._aligned(n)[0], return_index=True)[1].tolist()
+
+    @cached_property
+    def _top_starts(self) -> list[int]:
+        """One start for each distinct window of length ``stable_up_to``."""
+        return self._starts(self.stable_up_to)
 
     def factors(self, n: int) -> frozenset[str]:
         """Exact set of length-n factors of the prefix (not certification-gated).
@@ -181,19 +193,13 @@ class FactorIndex:
         """
         if n < 0 or n > self.prefix_len:
             return frozenset()
-        if n not in self._sets:
-            top, u = self.stable_up_to, self.prefix
-            if n <= top:
-                if self._top_starts is None:
-                    self._top_starts = self._starts(top)
-                starts = self._top_starts
-            else:
-                starts = self._starts(n)
-            self._sets[n] = frozenset(u[i : i + n] for i in starts)
-        return self._sets[n]
+        if n == 0:
+            return frozenset({""})
+        starts = self._top_starts if n <= self.stable_up_to else self._starts(n)
+        return frozenset(self.prefix[i : i + n] for i in starts)
 
     def certified_factor(self, w: Word) -> bool:
-        return len(w) <= self.stable_up_to and (w == "" or w in self.factors(len(w)))
+        return len(w) <= self.stable_up_to and w in self.prefix
 
     def _require_certified(self, n: int):
         if n > self.stable_up_to:
@@ -204,21 +210,19 @@ class FactorIndex:
     def right_special(self, n: int) -> frozenset[str]:
         """Certified length-n factors extendable by both letters on the right."""
         self._require_certified(n + 1)
-        longer = self.factors(n + 1)
-        return frozenset(w for w in self.factors(n) if w + "0" in longer and w + "1" in longer)
+        return _shared(self.factors(n + 1), _HEAD)
 
     def left_special(self, n: int) -> frozenset[str]:
         self._require_certified(n + 1)
-        longer = self.factors(n + 1)
-        return frozenset(w for w in self.factors(n) if "0" + w in longer and "1" + w in longer)
+        return _shared(self.factors(n + 1), _TAIL)
 
     def bispecials(self) -> tuple[str, ...]:
         """All bispecial factors within the certified range, shortest first."""
-        return tuple(
-            w
-            for n in range(self.stable_up_to)
-            for w in sorted(self.right_special(n) & self.left_special(n))
-        )
+        found = []
+        for n in range(self.stable_up_to):
+            longer = self.factors(n + 1)
+            found.extend(sorted(_shared(longer, _HEAD) & _shared(longer, _TAIL)))
+        return tuple(found)
 
     def census(self, lengths=None) -> tuple[CensusRow, ...]:
         """Distinct factor / palindrome / antipalindrome counts per length.
@@ -234,31 +238,28 @@ class FactorIndex:
         return tuple(rows)
 
     def _census_row(self, n: int) -> CensusRow:
-        # the window at i mirrors to the one at size - n - i of the reverse
-        # and of the exchange segment
-        ids, size, count = self._ids(n), self.prefix_len, self.prefix_len - n + 1
-        forward = ids[:count]
-        mirror = ids[size : size + count][::-1]
-        if n % 2:
-            anti = 0
-        else:
-            image = ids[2 * size : 2 * size + count][::-1]
-            anti = _distinct(forward[forward == image])
+        forward, mirror, image = self._aligned(n)
         return CensusRow(
             length=n,
             factor_count=_distinct(forward),
             palindrome_count=_distinct(forward[forward == mirror]),
-            antipalindrome_count=anti,
+            antipalindrome_count=0 if n % 2 else _distinct(forward[forward == image]),
             certified=n <= self.stable_up_to,
         )
 
     def e_closure_check(self) -> bool:
-        """True iff the certified factor sets are closed under the exchange map."""
-        for n in range(1, self.stable_up_to + 1):
-            fs = self.factors(n)
-            if any(exchange(w) not in fs for w in fs):
-                return False
-        return True
+        """True iff the certified factor sets are closed under the exchange map.
+
+        Closure at the top certified length T implies it below: a certified
+        w heads a T-factor wx (w occurs in the half prefix, and T <= N/4), so
+        E(w) is the tail of the factor E(wx) = E(x)E(w).  The exchanges of
+        the distinct T-windows are windows of the exchange segment.
+        """
+        if self.stable_up_to == 0:
+            return True
+        forward, _, image = self._aligned(self.stable_up_to)
+        starts = self._top_starts
+        return set(image[starts].tolist()) <= set(forward[starts].tolist())
 
     def antipal_center(self, limit: int) -> str:
         """The right half w of the least longest certified antipalindrome
@@ -289,8 +290,7 @@ class FactorIndex:
                     raise CertificationExceeded(
                         f"ran into the certification boundary at length {len(w)}"
                     )
-                longer = self.factors(len(w) + 1)
-                exts = [x for x in (attach(w, "0"), attach(w, "1")) if x in longer]
+                exts = [x for x in (attach(w, "0"), attach(w, "1")) if x in self.prefix]
                 if len(exts) == 2:
                     break
                 if not exts:

@@ -1,9 +1,11 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from antipal import language
 from antipal.errors import (
     BadBounds,
     CertificationExceeded,
@@ -123,12 +125,16 @@ def test_antipal_center_matches_search(prefix_len, n_max):
             center = idx.antipal_center(limit)
             assert center == bf_antipal_center(idx, limit), (str(m), letter, limit)
             reached += len(center) == limit > 0
+        if prefix_len <= 300:  # the quadratic oracles would add ~10 s at 2000 letters
+            top = idx.stable_up_to
+            assert idx.e_closure_check() is bf_e_closed(idx.prefix, top), (str(m), letter)
+            assert idx.bispecials() == tuple(bf_bispecials(idx.prefix, top)), (str(m), letter)
     assert reached > 0
 
 
 def test_index_is_freed_without_the_cycle_collector():
     """No query leaves a reference cycle through the index, so dropping the
-    last reference frees the prefix, the hash arrays and the factor sets."""
+    last reference frees the prefix, the ids and rank levels."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -145,6 +151,31 @@ def test_index_is_freed_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_closure_and_bispecials_keep_no_per_length_sets():
+    """Each factor set is cut when it is asked for and dropped after, so
+    checking every certified length holds one set at a time."""
+    idx = build_index(THETA, "0", 8000, 400)
+    tracemalloc.start()
+    try:
+        idx.e_closure_check()
+        idx.bispecials()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+
+
+def test_each_rank_level_is_built_once(monkeypatch):
+    """Certification climbs to the 1024-letter level; the census then reads
+    the levels from 64 up again and must find them kept."""
+    built = []
+    dense_rank = language._dense_rank
+    monkeypatch.setattr(language, "_dense_rank", lambda keys: built.append(1) or dense_rank(keys))
+    idx = build_index(Morphism("0110", "1001"), "0", 20000, 1250)
+    idx.census([*range(1, 65), 96, 128, 192, 256, 384, 512, 768, 1024])
+    assert len(built) == 5  # the levels of 64, 128, 256, 512 and 1024 letters
 
 
 def test_census_matches_bruteforce():
@@ -256,7 +287,7 @@ def test_extend_to_bispecial():
     assert idx.extend_to_bispecial(already) == already
     near_edge = idx.prefix[: idx.stable_up_to]
     with pytest.raises((CertificationExceeded, PreconditionViolated)):
-        idx.extend_to_bispecial(near_edge + "x" if False else near_edge)
+        idx.extend_to_bispecial(near_edge)
     with pytest.raises(PreconditionViolated):
         idx.extend_to_bispecial("0" * (idx.stable_up_to + 5))
 
