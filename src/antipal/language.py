@@ -15,13 +15,13 @@ n <= 64 letters is read as an n-bit number from the packed 64-letter key
 at its start.  A longer window is covered by two overlapping windows of
 length a, the power of two times 64 with a <= n < 2a, whose dense ranks
 come from the packed keys by prefix doubling.  Counting, certification,
-the factor sets and exchange closure (tested at the top certified length
-only) rest on these ids, so they are exact; no per-length sets are kept.
+the factor sets, the special factors and exchange closure (tested at the
+top certified length only) rest on these ids, so they are exact; no
+per-length sets are kept, and strings are cut only for answers.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,26 +35,9 @@ from .errors import (
     UnstableLength,
 )
 from .morphisms import Morphism, apply, conjugacy_chain, fixed_point_prefix
-from .words import Word, exchange, is_antipalindrome, longest_antipalindrome
+from .words import Word, _packed_keys, exchange, is_antipalindrome, longest_antipalindrome
 
 _KEY_LETTERS = 64
-_HEAD, _TAIL = slice(None, -1), slice(1, None)
-
-
-def _packed_keys(text: str) -> np.ndarray:
-    """The 64 letters from each start of a 0/1 text as a uint64, first letter in the top bit.
-
-    Six doubling steps: the key of 2b letters at i is the b-letter key at
-    i shifted up by b, or-ed with the b-letter key at i + b.  Letters past
-    the end read as 0, so only keys of windows inside the text are ids.
-    """
-    keys = (np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")).astype(np.uint64)
-    b = 1
-    while b < _KEY_LETTERS:
-        wider = keys << np.uint64(b)
-        wider[:-b] |= keys[b:]
-        keys, b = wider, 2 * b
-    return keys
 
 
 def _dense_rank(keys: np.ndarray) -> np.ndarray:
@@ -76,10 +59,11 @@ def _distinct(ids: np.ndarray) -> int:
     return int(ordered.size > 0) + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
-def _shared(words: frozenset[str], part: slice) -> frozenset[str]:
-    """The heads (or tails) that two of the words share: the right (left) specials."""
-    counts = Counter(w[part] for w in words)
-    return frozenset(w for w, count in counts.items() if count > 1)
+def _repeated(ids: np.ndarray) -> np.ndarray:
+    """The values that occur twice, where none occurs more often (as for
+    the heads or the tails of distinct binary words one letter longer)."""
+    ordered = np.sort(ids)
+    return ordered[1:][ordered[1:] == ordered[:-1]]
 
 
 @dataclass(frozen=True)
@@ -102,7 +86,9 @@ class FactorIndex:
         self.prefix_len = prefix_len
         self.n_max = n_max
         self.prefix = fixed_point_prefix(morphism, letter, prefix_len)
-        self._keys = _packed_keys(self.prefix + self.prefix[::-1] + exchange(self.prefix))
+        text = self.prefix + self.prefix[::-1] + exchange(self.prefix)
+        bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+        self._keys = _packed_keys(bits, np.uint64)
         self._levels: list[np.ndarray] = []  # level k: dense ranks of the (64 * 2**k)-windows of U
         self.stable_up_to = self._certify()
 
@@ -137,6 +123,15 @@ class FactorIndex:
         level = (n // _KEY_LETTERS).bit_length() - 1
         a, rank = _KEY_LETTERS << level, self._ranks(level)
         return rank[:count].astype(np.int64) * total + rank[n - a : n - a + count]
+
+    def _ids_at(self, n: int, starts: np.ndarray) -> np.ndarray:
+        """The ids of ``_ids(n)`` at the given starts only (n = 0 gives the
+        empty word's one id: a shift by the full key width yields 0)."""
+        if n <= _KEY_LETTERS:
+            return self._keys[starts] >> np.uint64(_KEY_LETTERS - n)
+        level = (n // _KEY_LETTERS).bit_length() - 1
+        a, rank = _KEY_LETTERS << level, self._ranks(level)
+        return rank[starts].astype(np.int64) * self._keys.size + rank[starts + (n - a)]
 
     def _aligned(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ids of the length-n windows of the prefix, of their mirror images
@@ -173,12 +168,12 @@ class FactorIndex:
                 hi = mid
         return lo
 
-    def _starts(self, n: int) -> list[int]:
+    def _starts(self, n: int) -> np.ndarray:
         """One start for each distinct length-n window of the prefix."""
-        return np.unique(self._aligned(n)[0], return_index=True)[1].tolist()
+        return np.unique(self._aligned(n)[0], return_index=True)[1]
 
     @cached_property
-    def _top_starts(self) -> list[int]:
+    def _top_starts(self) -> np.ndarray:
         """One start for each distinct window of length ``stable_up_to``."""
         return self._starts(self.stable_up_to)
 
@@ -196,7 +191,11 @@ class FactorIndex:
         if n == 0:
             return frozenset({""})
         starts = self._top_starts if n <= self.stable_up_to else self._starts(n)
-        return frozenset(self.prefix[i : i + n] for i in starts)
+        return self._cut(starts, n)
+
+    def _cut(self, starts: np.ndarray, n: int) -> frozenset[str]:
+        """The length-n words of the prefix at the given starts."""
+        return frozenset(self.prefix[i : i + n] for i in starts.tolist())
 
     def certified_factor(self, w: Word) -> bool:
         return len(w) <= self.stable_up_to and w in self.prefix
@@ -207,21 +206,40 @@ class FactorIndex:
                 f"length {n} exceeds the certified range (stable up to {self.stable_up_to})"
             )
 
+    def _extensions(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One start for each distinct certified (n+1)-factor, and the
+        n-ids of its head and of its tail.
+
+        The (n+1)-factors are the heads of the distinct top windows (see
+        ``factors``), so their ids are gathered at ``_top_starts`` only.  A
+        head id that occurs twice is a right special n-factor, a tail id
+        that occurs twice a left special one.
+        """
+        self._require_certified(n + 1)
+        starts = self._top_starts
+        longer = starts[np.unique(self._ids_at(n + 1, starts), return_index=True)[1]]
+        return longer, self._ids_at(n, longer), self._ids_at(n, longer + 1)
+
     def right_special(self, n: int) -> frozenset[str]:
         """Certified length-n factors extendable by both letters on the right."""
-        self._require_certified(n + 1)
-        return _shared(self.factors(n + 1), _HEAD)
+        longer, heads, _ = self._extensions(n)
+        return self._cut(longer[np.isin(heads, _repeated(heads))], n)
 
     def left_special(self, n: int) -> frozenset[str]:
-        self._require_certified(n + 1)
-        return _shared(self.factors(n + 1), _TAIL)
+        longer, _, tails = self._extensions(n)
+        return self._cut(longer[np.isin(tails, _repeated(tails))] + 1, n)
 
     def bispecials(self) -> tuple[str, ...]:
-        """All bispecial factors within the certified range, shortest first."""
+        """All bispecial factors within the certified range, shortest first.
+
+        The special factors are found by their ids; only the bispecial
+        ones are cut from the prefix.
+        """
         found = []
         for n in range(self.stable_up_to):
-            longer = self.factors(n + 1)
-            found.extend(sorted(_shared(longer, _HEAD) & _shared(longer, _TAIL)))
+            longer, heads, tails = self._extensions(n)
+            both = _repeated(np.concatenate((_repeated(heads), _repeated(tails))))  # in both sets
+            found.extend(sorted(self._cut(longer[np.isin(heads, both)], n)))
         return tuple(found)
 
     def census(self, lengths=None) -> tuple[CensusRow, ...]:

@@ -14,6 +14,7 @@ the empty word is the only word that is both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -185,23 +186,86 @@ def power_table(base: int, mod: int, n: int) -> np.ndarray:
     return table
 
 
-# The antipalindrome kernel hashes under one Mersenne prime; exactness
-# comes from confirming every answer, not from the modulus (see below).
+def _packed_keys(bits: np.ndarray, dtype: type[np.unsignedinteger]) -> np.ndarray:
+    """From each start of a 0/1 array, as many letters as ``dtype`` has bits,
+    packed into one unsigned integer with the first letter in the top bit.
+
+    Doubling steps: the key of 2b letters at i is the b-letter key at i
+    shifted up by b, or-ed with the b-letter key at i + b.  Letters past
+    the end read as 0, so the top k bits of a key are the k-letter window
+    at its start whenever that window lies inside the array.
+    """
+    keys = bits.astype(dtype)
+    width, b = 8 * keys.itemsize, 1
+    while b < width:
+        wider = keys << keys.dtype.type(b)
+        wider[:-b] |= keys[b:]
+        keys, b = wider, 2 * b
+    return keys
+
+
+# The antipalindrome kernel tests the first _EXACT letters of a radius
+# exactly, from packed uint16 keys (so _EXACT <= 16), and the rest under one
+# Mersenne-prime hash; exactness comes from confirming every answer, not
+# from the modulus (see below).
+_EXACT = 16
 _MOD = 2_147_483_647
 _BASE = 1_000_003
 _CHUNK = 8192
 _MAX_LEN = 2**30
 
 
-def _passing(centres: np.ndarray, r: int, h: np.ndarray, pw: np.ndarray, m: int) -> np.ndarray:
-    """The centres whose hashes say the difference word is a palindrome to radius ``r``.
+class _Mirrored:
+    """``S = d + reverse(d)`` for a difference word d of length m, with the
+    exact short test of every centre and a prefix hash built on first use.
+
+    The radius-r window right of centre c is ``S[c+1 .. c+r]`` and its
+    mirror image left of c is ``S[2m-c .. 2m-c+r-1]``.  ``mismatch[c]`` is the
+    xor of the packed 16-letter keys at those two starts: its top k bits are
+    zero exactly when the first k letters of the two windows agree (for
+    ``k <= r``, and r within the centre's room).
+    """
+
+    def __init__(self, d: np.ndarray):
+        m = self.m = d.size
+        self.s = np.concatenate((d, d[::-1]))
+        keys = _packed_keys(self.s, np.uint16)
+        self.mismatch = np.zeros(m, dtype=np.uint16)  # centre 0 has room for radius 0 only
+        self.mismatch[1:] = keys[2 : m + 1] ^ keys[2 * m - 1 : m : -1]
+
+    @cached_property
+    def hashes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The prefix hash h of S and the power table pw.
+
+        The terms are each below ``2**31`` and reduced only after the
+        ``cumsum``, so the int64 sum is safe while ``2m * 2**31 < 2**63``.
+        """
+        pw = power_table(_BASE, _MOD, self.s.size)
+        h = np.zeros(self.s.size + 1, dtype=np.int64)
+        np.multiply(self.s, pw, out=h[1:])
+        np.cumsum(h[1:], out=h[1:])
+        h %= _MOD
+        return h, pw
+
+
+def _passing(centres: np.ndarray, r: int, text: _Mirrored) -> np.ndarray:
+    """The centres where the difference word may be a palindrome to radius ``r``.
 
     ``centres`` is sorted, so the centres with room for radius r (``r <= c``
-    and ``c + r < m``) are one slice.  Mirrored windows compare as
-    ``S[c+1 .. c+r]`` against ``S[2m-c .. 2m-c+r-1]`` in ``S = d + reverse(d)``,
+    and ``c + r < m``) are one slice.  The first ``k = min(r, _EXACT)``
+    letters of the mirrored windows are compared exactly, by the top k bits
+    of ``text.mismatch``; only when r is longer do the centres that pass
+    go on to the hashes of ``S[c+1 .. c+r]`` and ``S[2m-c .. 2m-c+r-1]``,
     shifted to the same power by ``pw[b - a]``.
     """
+    m = text.m
     centres = centres[np.searchsorted(centres, r) : np.searchsorted(centres, m - r)]
+    k = min(r, _EXACT)
+    if k:
+        centres = centres[text.mismatch[centres] < 1 << (16 - k)]
+    if r <= k or not len(centres):
+        return centres
+    h, pw = text.hashes
     kept = []
     for i in range(0, len(centres), _CHUNK):
         c = centres[i : i + _CHUNK]
@@ -210,7 +274,7 @@ def _passing(centres: np.ndarray, r: int, h: np.ndarray, pw: np.ndarray, m: int)
         left = (h[a + r] - h[a]) % _MOD * pw[b - a] % _MOD
         right = (h[b + r] - h[b]) % _MOD
         kept.append(c[left == right])
-    return np.concatenate(kept) if kept else centres
+    return np.concatenate(kept)
 
 
 def longest_antipalindrome(w: Word) -> int:
@@ -221,23 +285,33 @@ def longest_antipalindrome(w: Word) -> int:
     of radius r centred on a letter ``d[c] == 1``; the answer is
     ``2 * (R + 1)`` for the largest such radius R.
 
-    R is found by a threshold search over the 1-centres with rolling
-    hashes of ``d + reverse(d)`` under the prime ``2**31 - 1``: the radius
-    doubles while some centre still passes, keeping only the passing
+    R is found by a threshold search over the 1-centres of ``d``: the
+    radius doubles while some centre still passes, keeping only the passing
     centres, then a binary search runs between the last pass and the first
     fail.  After each pass of the doubling, the survivors with the most
     room are probed at that room q (the room of c is ``min(c, m - 1 - c)``;
     q is capped below the upper bound): on a periodic prefix every survivor
-    past one period reaches its full room, so ``(01)^k`` takes two hash
-    tests instead of about ``2 log2 k``.  If one passes, no survivor can
-    reach q + 1, so the search ends between q and q + 1 and goes straight
-    to the confirmation below.  The result is exact whatever the hashes do:
+    past one period reaches its full room, so ``(01)^k`` takes two tests
+    instead of about ``2 log2 k``.  If one passes, no survivor can reach
+    q + 1, so the search ends between q and q + 1 and goes straight to the
+    confirmation below.
 
-    * Hashing has no false negatives.  A centre that truly reaches radius
-      r passes every test at radius <= r, so when the search ends at
-      radius ``lo`` every centre that truly reaches ``lo`` is still a
-      survivor, and a failed test at radius ``hi`` proves that no centre
-      reaches ``hi``.
+    A test at radius r compares the first ``min(r, W)`` letters (W =
+    ``_EXACT`` = 16) of the two mirrored windows exactly, by packed keys,
+    and only the centres that pass it and need more than W letters go on
+    to rolling hashes of ``d + reverse(d)`` under the prime ``2**31 - 1``.
+    The hash is built on the first such centre, so a word whose longest
+    antipalindrome has at most 2W letters never builds one: every centre
+    then fails the exact W-letter test at each radius of W or more.  The
+    result is exact whatever the hashes do:
+
+    * The test is exact up to W: at a radius r <= W a centre passes exactly
+      when it reaches r.
+    * Beyond W the test has no false negatives: a centre that truly
+      reaches r passes the exact test on the first W letters and the hash
+      test.  So when the search ends at radius ``lo`` every centre that
+      truly reaches ``lo`` is still a survivor, and a failed test at
+      radius ``hi`` proves that no centre reaches ``hi``.
     * The answer is confirmed by a direct string test ``f == exchange(f)``
       on the survivors.  If none confirms, no centre reaches ``lo``, so
       ``lo`` becomes the upper bound and the search runs again below it.
@@ -248,11 +322,9 @@ def longest_antipalindrome(w: Word) -> int:
       modulus is enough (and never mod ``2**64``: Thue-Morse words defeat
       it).
 
-    The prefix sums of the hash are reduced only after the ``cumsum``:
-    the ``2|w|`` terms are each below ``2**31``, so the int64 sum is safe
-    while ``2 * |w| * 2**31 < 2**63``.  The centre indices are int32 and
-    reach ``2|w|``; both bounds hold below ``2**30`` letters, which is
-    checked.
+    The centre indices are int32 and reach ``2|w|``, and the hash sums
+    need ``2 * |w| * 2**31 < 2**63``; both hold below ``2**30`` letters,
+    which is checked.
     """
     n = len(w)
     if n < 2:
@@ -265,36 +337,30 @@ def longest_antipalindrome(w: Word) -> int:
     centres = np.flatnonzero(d).astype(np.int32)
     if not len(centres):
         return 0
-    pw = power_table(_BASE, _MOD, 2 * m)
-    h = np.zeros(2 * m + 1, dtype=np.int64)
-    h[1 : m + 1] = d
-    h[m + 1 :] = d[::-1]
-    h[1:] *= pw[: 2 * m]
-    np.cumsum(h[1:], out=h[1:])
-    h %= _MOD
+    text = _Mirrored(d)
 
     hi = m  # no centre has room for radius m
     while True:
         lo, alive, r = 0, centres, 1
         while r < hi:
-            found = _passing(alive, r, h, pw, m)
+            found = _passing(alive, r, text)
             if not len(found):
                 hi = r
                 break
             lo, alive, r = r, found, 2 * r
             room = min(int(np.minimum(alive, m - 1 - alive).max()), hi - 1)
-            top = _passing(alive, room, h, pw, m)
+            top = _passing(alive, room, text)
             if len(top):
                 lo, alive, hi = room, top, room + 1
                 break
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            found = _passing(alive, mid, h, pw, m)
+            found = _passing(alive, mid, text)
             if len(found):
                 lo, alive = mid, found
             else:
                 hi = mid
-        for c in alive.tolist():
+        for c in map(int, alive):
             if is_antipalindrome(w[c - lo : c + lo + 2]):
                 return 2 * (lo + 1)
         hi = lo

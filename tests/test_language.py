@@ -217,9 +217,15 @@ def test_exact_ids_match_bruteforce_across_key_widths(m, prefix_len):
 
 def test_certification_matches_sequential_scan_past_the_packed_keys():
     tops = set()
+    bispecials = {}  # by (prefix, stable_up_to): many hosts share a prefix such as 0^1200
     for m, letter in _prolongable_indexes(2):
         idx = build_index(m, letter, 1200, 300)
         assert idx.stable_up_to == bf_stable_up_to(idx.prefix, 300), (str(m), letter)
+        if idx.stable_up_to > 64:  # the special factors past 64 letters compare rank pairs
+            key = (idx.prefix, idx.stable_up_to)
+            if key not in bispecials:
+                bispecials[key] = tuple(bf_bispecials(*key))
+            assert idx.bispecials() == bispecials[key], (str(m), letter)
         tops.add(idx.stable_up_to)
     assert {129, 217, 232, 300} <= tops
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from antipal import (
 from antipal.cli import scan_space
 from antipal.membership import EvidenceConfig
 from antipal.morphisms import fixed_point_prefix, fixed_point_source, parse_morphism
+from antipal.words import _packed_keys
 from bruteforce import (
     bf_fixed_point_prefix,
     bf_longest_antipalindrome,
@@ -191,6 +193,18 @@ def test_s_map_on_thue_morse_prefix():
     assert s_map(t16) == "101110101011101"
 
 
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint64])
+def test_packed_keys_read_every_window(dtype):
+    rng = random.Random(4096)
+    text = "".join(rng.choice("01") for _ in range(4096))
+    width = 8 * np.dtype(dtype).itemsize
+    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+    keys = _packed_keys(bits, dtype)
+    expected = [int(text[i : i + width].ljust(width, "0"), 2) for i in range(len(text))]
+    assert keys.dtype == dtype
+    assert np.array_equal(keys, np.array(expected, dtype=dtype))
+
+
 def test_longest_antipalindrome_matches_bruteforce():
     rng = random.Random(13)
     for w in words_up_to(9):
@@ -272,8 +286,10 @@ def test_longest_antipalindrome_probe_settles_periodic_prefixes(monkeypatch, nam
 @pytest.mark.parametrize("mod", [3, 7])
 def test_longest_antipalindrome_exact_under_forced_collisions(monkeypatch, mod):
     """With a tiny modulus almost every hash comparison collides, so the
-    answer rests on the confirm-and-retry step alone."""
+    answer rests on the confirm-and-retry step alone.  The exact short test
+    is switched off so that every radius is hashed."""
     monkeypatch.setattr(antipal.words, "_MOD", mod)
+    monkeypatch.setattr(antipal.words, "_EXACT", 0)
     confirm = antipal.words.is_antipalindrome
     tried = []  # lengths of the factors confirmed during one call
     rejected = []  # the factors that failed confirmation
@@ -307,6 +323,48 @@ def test_longest_antipalindrome_exact_under_forced_collisions(monkeypatch, mod):
         assert longest_antipalindrome(w) == bf_manacher_longest_antipalindrome(w), w
         probe_retried += any(w.startswith(f) or w.endswith(f) for f in rejected)
     assert probe_retried > 0
+
+
+@pytest.mark.parametrize("mod", [3, 7])
+def test_longest_antipalindrome_exact_around_the_exact_width(monkeypatch, mod):
+    """E(u) + u inside random context, at radius W - 1, W, W + 1 and 2W for
+    the exact width W: the short radii are settled by the exact test, the
+    long ones under hashes that almost always collide."""
+    monkeypatch.setattr(antipal.words, "_MOD", mod)
+    width = antipal.words._EXACT
+    rng = random.Random(mod)
+
+    def random_word(n):
+        return "".join(rng.choice("01") for _ in range(n))
+
+    for radius in (width - 1, width, width + 1, 2 * width):
+        for _ in range(10):
+            u = random_word(radius + 1)
+            border = rng.choice("01")  # the same letter on both sides stops E(u) + u from growing
+            core = border + exchange(u) + u + border
+            w = random_word(rng.randrange(20)) + core + random_word(rng.randrange(20))
+            assert bf_longest_antipalindrome(w) == 2 * (radius + 1), w
+            assert longest_antipalindrome(w) == 2 * (radius + 1), w
+
+
+def test_bounded_evidence_builds_no_hash(monkeypatch):
+    """A word whose longest antipalindrome has at most 2W letters (radius
+    below the exact width W) fails the exact test at every radius of W or
+    more, so the kernel never builds its hash; a longer one needs it."""
+    table = antipal.words.power_table
+    calls = []
+    monkeypatch.setattr(antipal.words, "power_table", lambda *args: calls.append(args) or table(*args))
+    cfg = EvidenceConfig()
+    sources = {fixed_point_source(parse_morphism(text)) for text in scan_space(3)} - {None}
+    bounded = 0
+    for _, host, letter in sources:
+        big = fixed_point_prefix(host, letter, cfg.big_len)
+        for w in (big[: cfg.prefix_len], big):
+            calls.clear()
+            longest = longest_antipalindrome(w)
+            assert bool(calls) == (longest > 2 * antipal.words._EXACT), (host, letter, len(w), longest)
+            bounded += not calls
+    assert bounded > 0
 
 
 SCALE_WORDS = {
