@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -204,10 +205,10 @@ def _packed_keys(bits: np.ndarray, dtype: type[np.unsignedinteger]) -> np.ndarra
     return keys
 
 
-# The antipalindrome kernel tests the first _EXACT letters of a radius
-# exactly, from packed uint16 keys (so _EXACT <= 16), and the rest under one
-# Mersenne-prime hash; exactness comes from confirming every answer, not
-# from the modulus (see below).
+# The antipalindrome kernel settles every radius up to _EXACT letters
+# exactly, from packed uint16 keys (so _EXACT <= 16), and searches beyond it
+# under one Mersenne-prime hash; exactness comes from confirming every
+# answer, not from the modulus (see below).
 _EXACT = 16
 _MOD = 2_147_483_647
 _BASE = 1_000_003
@@ -252,18 +253,16 @@ def _passing(centres: np.ndarray, r: int, text: _Mirrored) -> np.ndarray:
     """The centres where the difference word may be a palindrome to radius ``r``.
 
     ``centres`` is sorted, so the centres with room for radius r (``r <= c``
-    and ``c + r < m``) are one slice.  The first ``k = min(r, _EXACT)``
-    letters of the mirrored windows are compared exactly, by the top k bits
-    of ``text.mismatch``; only when r is longer do the centres that pass
-    go on to the hashes of ``S[c+1 .. c+r]`` and ``S[2m-c .. 2m-c+r-1]``,
-    shifted to the same power by ``pw[b - a]``.
+    and ``c + r < m``) are one slice.  Their windows ``S[c+1 .. c+r]`` and
+    ``S[2m-c .. 2m-c+r-1]`` are compared by hash, shifted to the same power
+    by ``pw[b - a]``.  This is the hash test alone: the search calls it only
+    on centres that the exact pass found to reach ``_EXACT`` letters, at
+    longer radii.  A centre that truly reaches r always passes; one that
+    does not passes only on a collision.
     """
     m = text.m
     centres = centres[np.searchsorted(centres, r) : np.searchsorted(centres, m - r)]
-    k = min(r, _EXACT)
-    if k:
-        centres = centres[text.mismatch[centres] < 1 << (16 - k)]
-    if r <= k or not len(centres):
+    if not len(centres):
         return centres
     h, pw = text.hashes
     kept = []
@@ -283,44 +282,55 @@ def longest_antipalindrome(w: Word) -> int:
     An even factor ``w[c-r .. c+r+1]`` is an antipalindrome exactly when the
     difference word ``d`` (``d[i] = w[i] xor w[i+1]``) has an odd palindrome
     of radius r centred on a letter ``d[c] == 1``; the answer is
-    ``2 * (R + 1)`` for the largest such radius R.
+    ``2 * (R + 1)`` for the largest such radius R.  The room of centre c,
+    ``min(c, m - 1 - c)``, is the largest radius that fits in d.
 
-    R is found by a threshold search over the 1-centres of ``d``: the
-    radius doubles while some centre still passes, keeping only the passing
-    centres, then a binary search runs between the last pass and the first
-    fail.  After each pass of the doubling, the survivors with the most
-    room are probed at that room q (the room of c is ``min(c, m - 1 - c)``;
-    q is capped below the upper bound): on a periodic prefix every survivor
-    past one period reaches its full room, so ``(01)^k`` takes two tests
-    instead of about ``2 log2 k``.  If one passes, no survivor can reach
-    q + 1, so the search ends between q and q + 1 and goes straight to the
-    confirmation below.
+    Two stages find R, with W = ``_EXACT`` = 16:
 
-    A test at radius r compares the first ``min(r, W)`` letters (W =
-    ``_EXACT`` = 16) of the two mirrored windows exactly, by packed keys,
-    and only the centres that pass it and need more than W letters go on
-    to rolling hashes of ``d + reverse(d)`` under the prime ``2**31 - 1``.
-    The hash is built on the first such centre, so a word whose longest
-    antipalindrome has at most 2W letters never builds one: every centre
-    then fails the exact W-letter test at each radius of W or more.  The
-    result is exact whatever the hashes do:
+    * **One exact pass over all centres.**  The leading zero bits of
+      ``mismatch[c]`` count the letters on which the two sides of c agree
+      (see ``_Mirrored``), so the radius of a 1-centre capped at W is
+      ``min(16 - mismatch[c].bit_length(), room(c), W)``.  The centres in
+      ``[W, m - W)`` all have room for W, so one minimum of ``mismatch``
+      masked to the 1-centres gives the largest capped radius among them;
+      the at most 2W edge centres are read one by one with their room.  If
+      the largest capped radius is below W it is R, with no search and no
+      hash: every word whose longest antipalindrome has at most 2W letters
+      is settled here.
+    * **A hashed search beyond W.**  Only the centres that reach W (the
+      1-centres in ``[W, m - W)`` with ``mismatch[c] < 1 << (16 - W)``) go
+      on, from lo = W.  The radius doubles from 2W while some centre still
+      passes ``_passing``, keeping only the passing centres, then a binary
+      search runs between the last pass and the first fail.  Before each
+      doubling pass the survivors with the most room are probed at that
+      room q (capped below the upper bound): on a periodic prefix every
+      survivor past one period reaches its full room, so ``(01)^k`` takes
+      one hash test.  If one passes, no survivor can reach q + 1, so the
+      search ends between q and q + 1 and goes straight to the confirmation
+      below; if none passes, no centre reaches q.
 
-    * The test is exact up to W: at a radius r <= W a centre passes exactly
-      when it reaches r.
-    * Beyond W the test has no false negatives: a centre that truly
-      reaches r passes the exact test on the first W letters and the hash
-      test.  So when the search ends at radius ``lo`` every centre that
-      truly reaches ``lo`` is still a survivor, and a failed test at
+    The hash is built on the first ``_passing`` call, so a word settled by
+    the exact pass never builds one.  The result is exact whatever the
+    hashes do:
+
+    * The first stage is exact: up to W a radius is read letter by letter
+      from the packed keys, and every survivor truly reaches W.
+    * The hash test has no false negatives: a centre that truly reaches r
+      passes it.  So when the search ends at radius ``lo`` every centre
+      that truly reaches ``lo`` is still a survivor, and a failed test at
       radius ``hi`` proves that no centre reaches ``hi``.
     * The answer is confirmed by a direct string test ``f == exchange(f)``
       on the survivors.  If none confirms, no centre reaches ``lo``, so
       ``lo`` becomes the upper bound and the search runs again below it.
       This covers a probe that passed on a collision too: a centre that
       truly reaches q survived every pass and so passes the probe.  The
-      bound falls each time and radius 0 always confirms, so this
-      terminates.  A collision costs time, never a wrong value, so one
-      modulus is enough (and never mod ``2**64``: Thue-Morse words defeat
-      it).
+      bound falls each time and a search that ends at W always confirms,
+      so this terminates.  A collision costs time, never a wrong value, so
+      one modulus is enough (and never mod ``2**64``: Thue-Morse words
+      defeat it).
+
+    With ``_EXACT = 0`` the first stage settles nothing and every 1-centre
+    goes to the hashed search.
 
     The centre indices are int32 and reach ``2|w|``, and the hash sums
     need ``2 * |w| * 2**31 < 2**63``; both hold below ``2**30`` letters,
@@ -334,25 +344,38 @@ def longest_antipalindrome(w: Word) -> int:
     m = n - 1
     letters = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
     d = letters[1:] ^ letters[:-1]
-    centres = np.flatnonzero(d).astype(np.int32)
-    if not len(centres):
+    if not d.any():
         return 0
     text = _Mirrored(d)
+    width = _EXACT
+    inner = slice(width, max(width, m - width))
+    nearest = np.where(d[inner], text.mismatch[inner], 0xFFFF).min(initial=0xFFFF)
+    best = 16 - int(nearest).bit_length()
+    if best < width:
+        for c in chain(range(min(width, m)), range(max(width, m - width), m)):
+            if d[c]:
+                best = max(best, min(16 - int(text.mismatch[c]).bit_length(), c, m - 1 - c))
+        return 2 * (best + 1)
+    survivors = np.flatnonzero(d[inner] & (text.mismatch[inner] < 1 << (16 - width)))
+    survivors = (survivors + width).astype(np.int32)
 
     hi = m  # no centre has room for radius m
     while True:
-        lo, alive, r = 0, centres, 1
-        while r < hi:
+        lo, alive, r = width, survivors, max(2 * width, 1)
+        while True:
+            room = min(int(np.minimum(alive, m - 1 - alive).max()), hi - 1)
+            top = _passing(alive, room, text) if room > lo else alive
+            if len(top):
+                lo, alive, hi = room, top, room + 1
+                break
+            hi = room
+            if r >= hi:
+                break
             found = _passing(alive, r, text)
             if not len(found):
                 hi = r
                 break
             lo, alive, r = r, found, 2 * r
-            room = min(int(np.minimum(alive, m - 1 - alive).max()), hi - 1)
-            top = _passing(alive, room, text)
-            if len(top):
-                lo, alive, hi = room, top, room + 1
-                break
         while hi - lo > 1:
             mid = (lo + hi) // 2
             found = _passing(alive, mid, text)

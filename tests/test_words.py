@@ -249,6 +249,45 @@ def test_longest_antipalindrome_matches_manacher(w):
     assert longest_antipalindrome(w) == bf_manacher_longest_antipalindrome(w)
 
 
+EXACT_WIDTHS = [0, 1, 5, 16]
+
+
+@pytest.mark.parametrize("width", EXACT_WIDTHS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(w=kernel_inputs)
+def test_longest_antipalindrome_exact_pass_at_every_width(width, w):
+    """The first stage settles radii below the exact width W and hands the
+    centres that reach W to the hashed search, at every W up to 16; W = 0
+    sends every 1-centre to the search."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(antipal.words, "_EXACT", width)
+        assert longest_antipalindrome(w) == bf_manacher_longest_antipalindrome(w)
+
+
+@pytest.mark.parametrize("width", EXACT_WIDTHS)
+def test_longest_antipalindrome_exact_pass_on_short_words(monkeypatch, width):
+    """All words of up to 10 letters, E(u) + u of radius up to W + 1 flush
+    against either end of a few random letters, and random words of up to
+    2W + 5 letters: this reaches words shorter than 2W + 2, where every
+    centre is an edge centre and the minimum over the inner centres is
+    empty."""
+    monkeypatch.setattr(antipal.words, "_EXACT", width)
+    rng = random.Random(width)
+
+    def random_word(n):
+        return "".join(rng.choice("01") for _ in range(n))
+
+    words = list(words_up_to(10))
+    for radius in range(width + 2):
+        for _ in range(5):
+            u = random_word(radius + 1)
+            context = random_word(rng.randrange(4))
+            words += [exchange(u) + u + context, context + exchange(u) + u]
+    words += [random_word(n) for n in range(2 * width + 6) for _ in range(5)]
+    for w in words:
+        assert longest_antipalindrome(w) == bf_manacher_longest_antipalindrome(w), w
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(periodic_words(400), morphic_prefixes(400)).filter(bool), st.data())
 def test_bounded_period_matches_bruteforce(w, data):
@@ -349,11 +388,14 @@ def test_longest_antipalindrome_exact_around_the_exact_width(monkeypatch, mod):
 
 def test_bounded_evidence_builds_no_hash(monkeypatch):
     """A word whose longest antipalindrome has at most 2W letters (radius
-    below the exact width W) fails the exact test at every radius of W or
-    more, so the kernel never builds its hash; a longer one needs it."""
+    below the exact width W) is settled by the exact pass: the kernel makes
+    no search pass and never builds its hash; a longer one needs it."""
     table = antipal.words.power_table
     calls = []
     monkeypatch.setattr(antipal.words, "power_table", lambda *args: calls.append(args) or table(*args))
+    passing = antipal.words._passing
+    passes = []
+    monkeypatch.setattr(antipal.words, "_passing", lambda *args: passes.append(args[1]) or passing(*args))
     cfg = EvidenceConfig()
     sources = {fixed_point_source(parse_morphism(text)) for text in scan_space(3)} - {None}
     bounded = 0
@@ -361,8 +403,10 @@ def test_bounded_evidence_builds_no_hash(monkeypatch):
         big = fixed_point_prefix(host, letter, cfg.big_len)
         for w in (big[: cfg.prefix_len], big):
             calls.clear()
+            passes.clear()
             longest = longest_antipalindrome(w)
             assert bool(calls) == (longest > 2 * antipal.words._EXACT), (host, letter, len(w), longest)
+            assert longest > 2 * antipal.words._EXACT or not passes, (host, letter, len(w), longest, passes)
             bounded += not calls
     assert bounded > 0
 
