@@ -14,7 +14,6 @@ the empty word is the only word that is both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -169,24 +168,6 @@ def s_map(w: Word) -> Word:
     return "".join("1" if a != b else "0" for a, b in zip(w, w[1:]))
 
 
-def power_table(base: int, mod: int, n: int) -> np.ndarray:
-    """``base**j % mod`` for ``j = 0 .. n-1`` as int64, for ``mod < 2**31``.
-
-    Built by doubling: the known head of length k times ``base**k`` gives
-    the next k entries, so the table takes log2(n) vectorised steps.  Each
-    product stays below ``mod**2 < 2**62``.
-    """
-    table = np.empty(n, dtype=np.int64)
-    table[:1] = 1
-    known = 1
-    while known < n:
-        step = min(known, n - known)
-        np.multiply(table[:step], pow(base, known, mod), out=table[known : known + step])
-        table[known : known + step] %= mod
-        known += step
-    return table
-
-
 def _packed_keys(bits: np.ndarray, dtype: type[np.unsignedinteger]) -> np.ndarray:
     """From each start of a 0/1 array, as many letters as ``dtype`` has bits,
     packed into one unsigned integer with the first letter in the top bit.
@@ -205,75 +186,95 @@ def _packed_keys(bits: np.ndarray, dtype: type[np.unsignedinteger]) -> np.ndarra
     return keys
 
 
-# The antipalindrome kernel settles every radius up to _EXACT letters
-# exactly, from packed uint16 keys (so _EXACT <= 16), and searches beyond it
-# under one Mersenne-prime hash; exactness comes from confirming every
-# answer, not from the modulus (see below).
+# The antipalindrome kernel reads every radius from packed uint16 keys (so
+# _EXACT <= 16): one exact pass settles the radii below _EXACT letters and a
+# doubling search goes beyond.  Before a search pass that would compare more
+# than _DENSITY * m letters the periodic runs among its centres are settled
+# in closed form; tests set _DENSITY to 0 to run that step before every pass.
 _EXACT = 16
-_MOD = 2_147_483_647
-_BASE = 1_000_003
-_CHUNK = 8192
+_DENSITY = 1
 _MAX_LEN = 2**30
 
 
 class _Mirrored:
-    """``S = d + reverse(d)`` for a difference word d of length m, with the
-    exact short test of every centre and a prefix hash built on first use.
+    """``S = d + reverse(d)`` for a difference word d of length m, as the
+    packed 16-letter keys of S, with the exact short test of every centre.
 
     The radius-r window right of centre c is ``S[c+1 .. c+r]`` and its
     mirror image left of c is ``S[2m-c .. 2m-c+r-1]``.  ``mismatch[c]`` is the
     xor of the packed 16-letter keys at those two starts: its top k bits are
     zero exactly when the first k letters of the two windows agree (for
-    ``k <= r``, and r within the centre's room).
+    ``k <= r``, and r within the centre's room).  The second half of S reads
+    d leftwards, so a run of d is extended to the left like to the right.
     """
 
     def __init__(self, d: np.ndarray):
         m = self.m = d.size
-        self.s = np.concatenate((d, d[::-1]))
-        keys = _packed_keys(self.s, np.uint16)
+        self.keys = _packed_keys(np.concatenate((d, d[::-1])), np.uint16)
         self.mismatch = np.zeros(m, dtype=np.uint16)  # centre 0 has room for radius 0 only
-        self.mismatch[1:] = keys[2 : m + 1] ^ keys[2 * m - 1 : m : -1]
-
-    @cached_property
-    def hashes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The prefix hash h of S and the power table pw.
-
-        The terms are each below ``2**31`` and reduced only after the
-        ``cumsum``, so the int64 sum is safe while ``2m * 2**31 < 2**63``.
-        """
-        pw = power_table(_BASE, _MOD, self.s.size)
-        h = np.zeros(self.s.size + 1, dtype=np.int64)
-        np.multiply(self.s, pw, out=h[1:])
-        np.cumsum(h[1:], out=h[1:])
-        h %= _MOD
-        return h, pw
+        self.mismatch[1:] = self.keys[2 : m + 1] ^ self.keys[2 * m - 1 : m : -1]
 
 
-def _passing(centres: np.ndarray, r: int, text: _Mirrored) -> np.ndarray:
-    """The centres where the difference word may be a palindrome to radius ``r``.
+def _agree(keys: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """For each pair of starts, the first t in ``[lo, hi)`` with
+    ``S[a+t] != S[b+t]``, or hi if the windows agree up to hi, given the
+    packed keys of S and ``lo < hi``.
 
-    ``centres`` is sorted, so the centres with room for radius r (``r <= c``
-    and ``c + r < m``) are one slice.  Their windows ``S[c+1 .. c+r]`` and
-    ``S[2m-c .. 2m-c+r-1]`` are compared by hash, shifted to the same power
-    by ``pw[b - a]``.  This is the hash test alone: the search calls it only
-    on centres that the exact pass found to reach ``_EXACT`` letters, at
-    longer radii.  A centre that truly reaches r always passes; one that
-    does not passes only on a collision.
+    Reads one key every 16 letters from lo on; the leading zero bits of the
+    first nonzero xor give t.  A key start past the end of S is clamped to
+    the last key: every letter it stands for lies past the end, where the
+    caller's cap (a centre's room, a run's edge) already holds.
     """
-    m = text.m
-    centres = centres[np.searchsorted(centres, r) : np.searchsorted(centres, m - r)]
-    if not len(centres):
-        return centres
-    h, pw = text.hashes
-    kept = []
-    for i in range(0, len(centres), _CHUNK):
-        c = centres[i : i + _CHUNK]
-        a = c + 1
-        b = 2 * m - c
-        left = (h[a + r] - h[a]) % _MOD * pw[b - a] % _MOD
-        right = (h[b + r] - h[b]) % _MOD
-        kept.append(c[left == right])
-    return np.concatenate(kept)
+    steps = np.arange(lo, hi, 16)
+    last = keys.size - 1
+    x = keys[np.minimum(a[:, None] + steps, last)] ^ keys[np.minimum(b[:, None] + steps, last)]
+    j = (x != 0).argmax(axis=1)
+    first = x[np.arange(x.shape[0]), j]
+    t = steps[j] + 16 - np.frexp(first)[1]  # the exponent of a positive key is its bit length
+    return np.where(first != 0, np.minimum(t, hi), hi)
+
+
+def _extension(keys: np.ndarray, a: np.ndarray, b: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """For each pair of starts, the number of letters on which ``S[a..]`` and
+    ``S[b..]`` agree, at most cap: ``_agree`` over windows that double from
+    16 letters, so the keys read are proportional to the answer."""
+    out = np.zeros(len(a), dtype=np.int64)
+    todo = np.flatnonzero(cap > 0)
+    lo, hi = 0, 16
+    while len(todo):
+        t = np.minimum(_agree(keys, a[todo], b[todo], lo, hi), cap[todo])
+        out[todo] = t
+        todo = todo[t == hi]
+        lo, hi = hi, 2 * hi
+    return out
+
+
+def _settle_runs(text: _Mirrored, alive: np.ndarray, lo: int) -> tuple[int, np.ndarray]:
+    """The largest radius among the centres of ``alive`` that lie in chains,
+    and the centres that lie in none (see ``longest_antipalindrome``)."""
+    m, keys = text.m, text.keys
+    gaps = np.diff(alive)
+    small = gaps <= lo
+    if not small.any():
+        return 0, alive
+    same = np.zeros_like(small)  # gap i continues the chain of gap i - 1
+    same[1:] = small[:-1] & (gaps[1:] == gaps[:-1])
+    first = np.flatnonzero(small & ~same)
+    last = np.flatnonzero(small & ~np.append(same[1:], False))
+    g2 = 2 * gaps[first]
+    left, right = alive[first] - lo, alive[last + 1] + lo
+    s = left - _extension(keys, 2 * m - left, 2 * m - left - g2, left)
+    e = right + 1 + _extension(keys, right + 1, right + 1 - g2, m - 1 - right)
+    members = np.flatnonzero(small)  # the left end of every short gap, then the last member of each chain
+    chain = (np.cumsum(small & ~same) - 1)[members]
+    x = np.concatenate((alive[members], alive[last + 1]))
+    chain = np.concatenate((chain, np.arange(len(first))))
+    radius = np.minimum(x - s[chain], e[chain] - 1 - x)
+    tie = np.flatnonzero(x - s[chain] == e[chain] - 1 - x)
+    c, r = x[tie], radius[tie]
+    radius[tie] += _extension(keys, c + r + 1, 2 * m - c + r, np.minimum(c, m - 1 - c) - r)
+    in_chain = np.append(small, False) | np.insert(small, 0, False)
+    return int(radius.max()), alive[~in_chain]
 
 
 def longest_antipalindrome(w: Word) -> int:
@@ -283,58 +284,65 @@ def longest_antipalindrome(w: Word) -> int:
     difference word ``d`` (``d[i] = w[i] xor w[i+1]``) has an odd palindrome
     of radius r centred on a letter ``d[c] == 1``; the answer is
     ``2 * (R + 1)`` for the largest such radius R.  The room of centre c,
-    ``min(c, m - 1 - c)``, is the largest radius that fits in d.
-
-    Two stages find R, with W = ``_EXACT`` = 16:
+    ``min(c, m - 1 - c)``, is the largest radius that fits in d.  Every
+    radius is read exactly from the packed keys of ``_Mirrored``: there is
+    no hash and nothing to confirm.  Two stages find R, with W = ``_EXACT``
+    = 16:
 
     * **One exact pass over all centres.**  The leading zero bits of
-      ``mismatch[c]`` count the letters on which the two sides of c agree
-      (see ``_Mirrored``), so the radius of a 1-centre capped at W is
+      ``mismatch[c]`` count the letters on which the two sides of c agree,
+      so the radius of a 1-centre capped at W is
       ``min(16 - mismatch[c].bit_length(), room(c), W)``.  The centres in
       ``[W, m - W)`` all have room for W, so one minimum of ``mismatch``
       masked to the 1-centres gives the largest capped radius among them;
       the at most 2W edge centres are read one by one with their room.  If
-      the largest capped radius is below W it is R, with no search and no
-      hash: every word whose longest antipalindrome has at most 2W letters
-      is settled here.
-    * **A hashed search beyond W.**  Only the centres that reach W (the
-      1-centres in ``[W, m - W)`` with ``mismatch[c] < 1 << (16 - W)``) go
-      on, from lo = W.  The radius doubles from 2W while some centre still
-      passes ``_passing``, keeping only the passing centres, then a binary
-      search runs between the last pass and the first fail.  Before each
-      doubling pass the survivors with the most room are probed at that
-      room q (capped below the upper bound): on a periodic prefix every
-      survivor past one period reaches its full room, so ``(01)^k`` takes
-      one hash test.  If one passes, no survivor can reach q + 1, so the
-      search ends between q and q + 1 and goes straight to the confirmation
-      below; if none passes, no centre reaches q.
+      the largest capped radius is below W it is R, with no search: every
+      word whose longest antipalindrome has at most 2W letters is settled
+      here.
+    * **A doubling search beyond W.**  Only the centres that reach W (the
+      1-centres in ``[W, m - W)`` with ``mismatch[c] < 1 << (16 - W)``)
+      survive, and ``best = W``.  The survivor with the most room gets its
+      exact radius once, from the keys up to its room (on a periodic prefix
+      that radius is the whole room, which ends the search).  Then, from
+      ``lo = W``, each pass drops the survivors whose room is at most
+      ``best``, gives every other one its radius capped at
+      ``r = max(2 lo, 16)`` from the keys of the new letters ``[lo, r)``
+      alone (``_agree``),
+      records the largest in ``best``, keeps the survivors that reach r and
+      sets ``lo = r``, until no survivor is left.
 
-    The hash is built on the first ``_passing`` call, so a word settled by
-    the exact pass never builds one.  The result is exact whatever the
-    hashes do:
+    A pass over k survivors compares ``k * lo`` letters, which is quadratic
+    on near-periodic words where most centres reach far.  So before a pass
+    with ``k * lo > _DENSITY * m`` (``_DENSITY = 1``) the periodic runs are
+    settled first (``_settle_runs``).
+    A chain is a maximal sequence of consecutive survivors with the same gap
+    ``g <= lo``; every survivor has radius at least lo.
 
-    * The first stage is exact: up to W a radius is read letter by letter
-      from the packed keys, and every survivor truly reaches W.
-    * The hash test has no false negatives: a centre that truly reaches r
-      passes it.  So when the search ends at radius ``lo`` every centre
-      that truly reaches ``lo`` is still a survivor, and a failed test at
-      radius ``hi`` proves that no centre reaches ``hi``.
-    * The answer is confirmed by a direct string test ``f == exchange(f)``
-      on the survivors.  If none confirms, no centre reaches ``lo``, so
-      ``lo`` becomes the upper bound and the search runs again below it.
-      This covers a probe that passed on a collision too: a centre that
-      truly reaches q survived every pass and so passes the probe.  The
-      bound falls each time and a search that ends at W always confirms,
-      so this terminates.  A collision costs time, never a wrong value, so
-      one modulus is enough (and never mod ``2**64``: Thue-Morse words
-      defeat it).
+    * **Lemma 1.**  If the 1-centres c and c + g both have radius at least
+      ``lo >= g``, then d has period 2g on ``[c - lo, c + g + lo]``: the
+      reflection about c followed by that about c + g is the shift by 2g.
+      Consecutive pairs of a chain overlap by ``2 lo + 1 >= 2g`` letters,
+      so the whole chain lies in one maximal 2g-periodic run ``[s, e)`` of
+      d, and two exact extensions of the period, one leftwards from
+      ``x_0 - lo`` and one rightwards from ``x_k + lo``, find s and e.
+    * **Lemma 2.**  A member x has radius exactly ``min(x - s, e - 1 - x)``
+      unless ``x - s == e - 1 - x``.  Its palindrome of radius ``lo >= g``
+      covers a full period, so the run is symmetric about x.  If, say,
+      ``x - s < e - 1 - x``, the left arm ends at the room (``s = 0``) or
+      at ``d[s-1] != d[s-1+2g]``, and ``d[s-1+2g]`` equals, by symmetry and
+      period, the letter after the right arm.  The one member with equal
+      arms gets one exact extension.
+
+    The largest member radius goes to ``best`` and every chain is dropped.
+    The survivors left are then more than lo apart, so every pass reads at
+    most ``m + lo`` letters, over at most ``log2 m`` passes; the extensions
+    read keys in proportion to the runs and arms they measure.
 
     With ``_EXACT = 0`` the first stage settles nothing and every 1-centre
-    goes to the hashed search.
+    goes to the search.
 
-    The centre indices are int32 and reach ``2|w|``, and the hash sums
-    need ``2 * |w| * 2**31 < 2**63``; both hold below ``2**30`` letters,
-    which is checked.
+    The centre indices are int32 and the window starts in S reach ``2|w|``,
+    which fits below ``2**30`` letters; that is checked.
     """
     n = len(w)
     if n < 2:
@@ -356,34 +364,23 @@ def longest_antipalindrome(w: Word) -> int:
             if d[c]:
                 best = max(best, min(16 - int(text.mismatch[c]).bit_length(), c, m - 1 - c))
         return 2 * (best + 1)
-    survivors = np.flatnonzero(d[inner] & (text.mismatch[inner] < 1 << (16 - width)))
-    survivors = (survivors + width).astype(np.int32)
+    alive = np.flatnonzero(d[inner] & (text.mismatch[inner] < 1 << (16 - width)))
+    alive = (alive + width).astype(np.int32)
 
-    hi = m  # no centre has room for radius m
+    lo = best = width
+    room = np.minimum(alive, m - 1 - alive)
+    top = int(room.argmax())
+    if room[top] > lo:
+        c = alive[top : top + 1]
+        best = int(_agree(text.keys, c + 1, 2 * m - c, lo, int(room[top]))[0])
     while True:
-        lo, alive, r = width, survivors, max(2 * width, 1)
-        while True:
-            room = min(int(np.minimum(alive, m - 1 - alive).max()), hi - 1)
-            top = _passing(alive, room, text) if room > lo else alive
-            if len(top):
-                lo, alive, hi = room, top, room + 1
-                break
-            hi = room
-            if r >= hi:
-                break
-            found = _passing(alive, r, text)
-            if not len(found):
-                hi = r
-                break
-            lo, alive, r = r, found, 2 * r
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            found = _passing(alive, mid, text)
-            if len(found):
-                lo, alive = mid, found
-            else:
-                hi = mid
-        for c in map(int, alive):
-            if is_antipalindrome(w[c - lo : c + lo + 2]):
-                return 2 * (lo + 1)
-        hi = lo
+        alive = alive[np.minimum(alive, m - 1 - alive) > best]
+        if len(alive) * lo > _DENSITY * m:
+            settled, alive = _settle_runs(text, alive, lo)
+            best = max(best, settled)
+        if not len(alive):
+            return 2 * (best + 1)
+        r = max(2 * lo, 16)
+        radius = np.minimum(_agree(text.keys, alive + 1, 2 * m - alive, lo, r), np.minimum(alive, m - 1 - alive))
+        best = max(best, int(radius.max()))
+        alive, lo = alive[radius == r], r

@@ -217,15 +217,6 @@ def bf_manacher_longest_antipalindrome(w):
     return 2 * best
 
 
-def bf_power_table(base, mod, n):
-    """base**j % mod for j = 0 .. n-1, one multiplication at a time."""
-    out, x = [], 1
-    for _ in range(n):
-        out.append(x)
-        x = x * base % mod
-    return out
-
-
 def bf_factor_set(u, n):
     return {u[i : i + n] for i in range(len(u) - n + 1)}
 

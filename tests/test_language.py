@@ -2,7 +2,6 @@ import gc
 import tracemalloc
 import weakref
 
-import numpy as np
 import pytest
 
 from antipal import language
@@ -22,27 +21,18 @@ from antipal.language import (
     q_antipalindrome_check,
 )
 from antipal.morphisms import Morphism, prolongable_letters
-from antipal.words import _BASE, _MOD, exchange, is_antipalindrome, is_palindrome, power_table
+from antipal.words import exchange, is_antipalindrome, is_palindrome
 from bruteforce import (
     bf_antipal_center,
     bf_bispecials,
     bf_e_closed,
     bf_factor_set,
-    bf_power_table,
     bf_stable_up_to,
     words_up_to,
 )
 
 FIB = Morphism("01", "0")
 THETA = Morphism("01", "10")
-
-
-def test_power_tables_match_loop():
-    n = 100_000
-    for base in (_BASE, pow(_BASE, _MOD - 2, _MOD)):
-        table = power_table(base, _MOD, n + 1)
-        assert table.dtype == np.int64
-        assert np.array_equal(table, bf_power_table(base, _MOD, n + 1))
 
 
 def test_build_index_basics():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -257,7 +258,7 @@ EXACT_WIDTHS = [0, 1, 5, 16]
 @given(w=kernel_inputs)
 def test_longest_antipalindrome_exact_pass_at_every_width(width, w):
     """The first stage settles radii below the exact width W and hands the
-    centres that reach W to the hashed search, at every W up to 16; W = 0
+    centres that reach W to the search, at every W up to 16; W = 0
     sends every 1-centre to the search."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(antipal.words, "_EXACT", width)
@@ -305,73 +306,119 @@ PERIODIC_PREFIXES = {
 }
 
 
+def count_agree(monkeypatch):
+    """Wrap the kernel's key comparison; the returned list gets, per call,
+    the number of letters its keys cover."""
+    agree = antipal.words._agree
+    letters = []
+
+    def counting_agree(keys, a, b, lo, hi):
+        letters.append(len(a) * 16 * -(-(hi - lo) // 16))
+        return agree(keys, a, b, lo, hi)
+
+    monkeypatch.setattr(antipal.words, "_agree", counting_agree)
+    return letters
+
+
 @pytest.mark.parametrize("name", PERIODIC_PREFIXES)
 def test_longest_antipalindrome_probe_settles_periodic_prefixes(monkeypatch, name):
-    """Past one period every survivor reaches its full room, so the probe
-    after an early pass ends the search (32 hash tests without it)."""
-    passing = antipal.words._passing
-    calls = []
-
-    def counting_passing(*args):
-        calls.append(args[1])
-        return passing(*args)
-
-    monkeypatch.setattr(antipal.words, "_passing", counting_passing)
+    """Past one period every survivor reaches its full room, so the exact
+    radius of the survivor with the most room ends the search before any
+    doubling pass."""
+    letters = count_agree(monkeypatch)
     w = PERIODIC_PREFIXES[name]
     assert longest_antipalindrome(w) == bf_manacher_longest_antipalindrome(w)
-    assert len(calls) <= 4, calls
+    assert len(letters) == 1, letters
 
 
-@pytest.mark.parametrize("mod", [3, 7])
-def test_longest_antipalindrome_exact_under_forced_collisions(monkeypatch, mod):
-    """With a tiny modulus almost every hash comparison collides, so the
-    answer rests on the confirm-and-retry step alone.  The exact short test
-    is switched off so that every radius is hashed."""
-    monkeypatch.setattr(antipal.words, "_MOD", mod)
-    monkeypatch.setattr(antipal.words, "_EXACT", 0)
-    confirm = antipal.words.is_antipalindrome
-    tried = []  # lengths of the factors confirmed during one call
-    rejected = []  # the factors that failed confirmation
+def _flipped(w, positions):
+    w = list(w)
+    for i in positions:
+        w[i] = "10"[int(w[i])]
+    return "".join(w)
 
-    def recording_confirm(f):
-        tried.append(len(f))
-        if confirm(f):
-            return True
-        rejected.append(f)
-        return False
 
-    monkeypatch.setattr(antipal.words, "is_antipalindrome", recording_confirm)
-    rng = random.Random(mod)
+def _near_periodic_words():
+    rng = random.Random(17)
+    k = 25_000
+    words = {
+        "(01)^k 0 (01)^k": "01" * k + "0" + "01" * k,
+        "(0011)^k 0 (0011)^k": "0011" * (k // 2) + "0" + "0011" * (k // 2),
+        "(01)^50000 with two defects": _flipped("01" * 50_000, [30_000, 70_001]),
+    }
+    for i in range(6):
+        # (E(u) u E(v) v)^inf is E-symmetric about the middle of every copy
+        # of E(u) u and E(v) v, so its prefix has antipalindromes almost as
+        # long as itself until the flips cut them.
+        u, v = ("".join(rng.choice("01") for _ in range(rng.randrange(1, 6))) for _ in "uv")
+        root = exchange(u) + u + exchange(v) + v
+        w = (root * (100_000 // len(root) + 1))[:100_000]
+        words[f"{root} with flips {i}"] = _flipped(w, rng.sample(range(len(w)), 1 + i % 3))
+    return words
+
+
+NEAR_PERIODIC = _near_periodic_words()
+
+
+@pytest.mark.parametrize("name", NEAR_PERIODIC)
+def test_longest_antipalindrome_settles_near_periodic_words(monkeypatch, name):
+    """On 100k-letter words with a few defects in a periodic word most
+    centres reach far; the run step settles them in closed form, so the
+    keys compared cover at most 4 m log2(m) letters.  Without it they
+    cover 4 to 280 times that bound on these words."""
+    letters = count_agree(monkeypatch)
+    w = NEAR_PERIODIC[name]
+    assert longest_antipalindrome(w) == bf_manacher_longest_antipalindrome(w)
+    m = len(w) - 1
+    assert sum(letters) <= 4 * m * math.log2(m), (len(letters), sum(letters))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(w=kernel_inputs, width=st.sampled_from(EXACT_WIDTHS))
+def test_longest_antipalindrome_with_the_run_step_before_every_pass(w, width):
+    """Lemmas 1 and 2 of the kernel hold on every pass, not only on the
+    dense ones that take the run step by default, and from every exact
+    width (a small one starts the search at short radii)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(antipal.words, "_DENSITY", 0)
+        patch.setattr(antipal.words, "_EXACT", width)
+        assert longest_antipalindrome(w) == bf_manacher_longest_antipalindrome(w)
+
+
+@pytest.mark.parametrize("width", [0, 3])
+@pytest.mark.parametrize("density", [0, 1])
+def test_longest_antipalindrome_matches_manacher_on_short_and_periodic_words(monkeypatch, width, density):
+    """Every word of up to 12 letters, random words of 13-200 letters, and
+    periodic words, clean or with 1-3 flipped letters, from exact widths
+    that leave every radius (W = 0) or all but the shortest (W = 3) to the
+    search, with and without the run step before every pass.  At W = 3 the
+    search passes start at lo = 3 and chains with a gap between lo and 2lo
+    occur; Lemma 2 needs gap <= lo."""
+    monkeypatch.setattr(antipal.words, "_EXACT", width)
+    monkeypatch.setattr(antipal.words, "_DENSITY", density)
     words = list(words_up_to(12))
-    words += ["".join(rng.choice("01") for _ in range(rng.randrange(13, 200))) for _ in range(200)]
-    retried = 0
+    for seed in (3, 7):
+        rng = random.Random(seed)
+        words += ["".join(rng.choice("01") for _ in range(rng.randrange(13, 200))) for _ in range(200)]
+    words += PERIODIC_PREFIXES.values()
+    words += [(root * 101)[shift : shift + n] for root in ("001", "0010", "00101", "0001011", "011")
+              for shift in (0, 1) for n in (60, 301)]
+    rng = random.Random(11)
+    for _ in range(400):
+        root = "".join(rng.choice("01") for _ in range(rng.randrange(1, 11)))
+        n = rng.randrange(10, 400)
+        words.append(_flipped((root * n)[:n], rng.sample(range(n), rng.randrange(1, 4))))
     for w in words:
-        tried.clear()
-        assert longest_antipalindrome(w) == bf_longest_antipalindrome(w), w
-        retried += len(set(tried)) > 1  # no survivor confirmed, a search below ran
-    assert retried > 0
-    # On periodic words the probe ends most searches.  A probe that passed
-    # on a collision tested a centre at its full room, a factor that is a
-    # prefix or suffix of w; its failed confirmation sends the search below.
-    periodic = list(PERIODIC_PREFIXES.values())
-    periodic += [(root * 101)[shift : shift + n] for root in ("001", "0010", "00101", "0001011", "011")
-                 for shift in (0, 1) for n in (60, 301)]
-    probe_retried = 0
-    for w in periodic:
-        rejected.clear()
         assert longest_antipalindrome(w) == bf_manacher_longest_antipalindrome(w), w
-        probe_retried += any(w.startswith(f) or w.endswith(f) for f in rejected)
-    assert probe_retried > 0
 
 
-@pytest.mark.parametrize("mod", [3, 7])
-def test_longest_antipalindrome_exact_around_the_exact_width(monkeypatch, mod):
+@pytest.mark.parametrize("seed", [3, 7])
+def test_longest_antipalindrome_exact_around_the_exact_width(seed):
     """E(u) + u inside random context, at radius W - 1, W, W + 1 and 2W for
-    the exact width W: the short radii are settled by the exact test, the
-    long ones under hashes that almost always collide."""
-    monkeypatch.setattr(antipal.words, "_MOD", mod)
+    the exact width W: the short radii are settled by the exact pass, the
+    long ones by the search."""
     width = antipal.words._EXACT
-    rng = random.Random(mod)
+    rng = random.Random(seed)
 
     def random_word(n):
         return "".join(rng.choice("01") for _ in range(n))
@@ -389,25 +436,18 @@ def test_longest_antipalindrome_exact_around_the_exact_width(monkeypatch, mod):
 def test_bounded_evidence_builds_no_hash(monkeypatch):
     """A word whose longest antipalindrome has at most 2W letters (radius
     below the exact width W) is settled by the exact pass: the kernel makes
-    no search pass and never builds its hash; a longer one needs it."""
-    table = antipal.words.power_table
-    calls = []
-    monkeypatch.setattr(antipal.words, "power_table", lambda *args: calls.append(args) or table(*args))
-    passing = antipal.words._passing
-    passes = []
-    monkeypatch.setattr(antipal.words, "_passing", lambda *args: passes.append(args[1]) or passing(*args))
+    no search pass and compares no keys beyond it; a longer one does."""
+    letters = count_agree(monkeypatch)
     cfg = EvidenceConfig()
     sources = {fixed_point_source(parse_morphism(text)) for text in scan_space(3)} - {None}
     bounded = 0
     for _, host, letter in sources:
         big = fixed_point_prefix(host, letter, cfg.big_len)
         for w in (big[: cfg.prefix_len], big):
-            calls.clear()
-            passes.clear()
+            letters.clear()
             longest = longest_antipalindrome(w)
-            assert bool(calls) == (longest > 2 * antipal.words._EXACT), (host, letter, len(w), longest)
-            assert longest > 2 * antipal.words._EXACT or not passes, (host, letter, len(w), longest, passes)
-            bounded += not calls
+            assert bool(letters) == (longest > 2 * antipal.words._EXACT), (host, letter, len(w), longest)
+            bounded += not letters
     assert bounded > 0
 
 
