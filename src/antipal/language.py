@@ -3,9 +3,14 @@
 The index is built over the length-N prefix of a fixed point.  Because a
 prefix only approximates the infinite language, a length n is trusted only
 when the n-factors of the half prefix and of the full prefix agree.  That
-property is downward closed, so ``stable_up_to`` is an exact threshold
-found by one binary search.  Queries beyond the certified range raise
-instead of silently lying.
+property is downward closed, so ``stable_up_to`` is an exact threshold.
+Queries beyond the certified range raise instead of silently lying.
+
+Up to 64 letters, certification and the census rows come from one sorted
+array of each prefix's windows, built once: the packed 64-letter keys in
+lexicographic order, with the common-head length of neighbours.  The
+number of distinct n-factors, for every n <= 64 at once, is one count
+over those lengths, and a row reads only one entry per distinct factor.
 
 Every window gets an exact integer id: equal ids mean equal words.  The
 ids are taken over U = prefix + reverse(prefix) + exchange(prefix), so a
@@ -14,10 +19,11 @@ comparison of ids tells a palindrome or an antipalindrome.  A window of
 n <= 64 letters is read as an n-bit number from the packed 64-letter key
 at its start.  A longer window is covered by two overlapping windows of
 length a, the power of two times 64 with a <= n < 2a, whose dense ranks
-come from the packed keys by prefix doubling.  Counting, certification,
-the factor sets, the special factors and exchange closure (tested at the
-top certified length only) rest on these ids, so they are exact; no
-per-length sets are kept, and strings are cut only for answers.
+come from the packed keys by prefix doubling.  Census rows and
+certification past 64 letters, the factor sets, the special factors and
+exchange closure (tested at the top certified length only) rest on these
+ids, so they are exact; no per-length sets are kept, and strings are cut
+only for answers.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from .morphisms import Morphism, apply, conjugacy_chain, fixed_point_prefix
 from .words import Word, _packed_keys, exchange, is_antipalindrome, longest_antipalindrome
 
 _KEY_LETTERS = 64
+_ALL = np.uint64(2**64 - 1)
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 def _dense_rank(keys: np.ndarray) -> np.ndarray:
@@ -57,6 +65,58 @@ def _distinct(ids: np.ndarray) -> int:
     """Number of distinct values (a sort is much faster here than ``np.unique``'s hashing)."""
     ordered = np.sort(ids)
     return int(ordered.size > 0) + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """Bit length of each uint64 (the frexp exponent of each 32-bit half,
+    which a float64 holds exactly)."""
+    high = np.frexp((x >> np.uint64(32)).astype(np.float64))[1]
+    low = np.frexp((x & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(high > 0, high + 32, low)
+
+
+def _bit_reversed(keys: np.ndarray) -> np.ndarray:
+    """Each uint64 with its 64 bits in reverse order."""
+    return _REVERSED_BYTES[keys.byteswap().view(np.uint8)].view(np.uint64)
+
+
+def _sorted_windows(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The windows of up to 64 letters at every start of ``text[:size]``,
+    given the packed 64-letter keys of text, in lexicographic order with
+    each distinct 64-letter window once: (keys, lengths, lcp).
+
+    A start at most size - 64 gives a 64-letter window; a later start
+    gives the shorter window that ends at ``size``, its key with the bits
+    past that end zeroed.  The zeros put such a window before every window
+    it heads, and among equal keys the shorter window goes first, so the
+    order is the true lexicographic one with a proper prefix before its
+    extensions.  ``lcp[j]`` is the length of the common head of the
+    entries j - 1 and j, at most either length (0 for the first entry).
+    """
+    full = max(size - _KEY_LETTERS + 1, 0)
+    ordered = np.sort(keys[:full])
+    first = np.ones(full, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    lengths = np.arange(size - full, 0, -1)
+    tail = keys[full:size] & ~(_ALL >> lengths.astype(np.uint64))
+    order = np.lexsort((lengths, tail))
+    tail, lengths = tail[order], lengths[order]
+    at = np.searchsorted(distinct, tail, "left")
+    words = np.insert(distinct, at, tail)
+    lengths = np.insert(np.full(distinct.size, _KEY_LETTERS), at, lengths)
+    lcp = np.zeros(words.size, dtype=np.int64)
+    common = _KEY_LETTERS - _bit_length(words[1:] ^ words[:-1])
+    lcp[1:] = np.minimum(common, np.minimum(lengths[1:], lengths[:-1]))
+    return words, lengths, lcp
+
+
+def _factor_counts(lengths: np.ndarray, lcp: np.ndarray) -> np.ndarray:
+    """Number of distinct n-letter windows for n = 1..64 (index n), from
+    ``_sorted_windows``: the entries with ``lcp < n <= length``, that is
+    ``#{length >= n} - #{lcp >= n}`` (an lcp is at most its length)."""
+    spread = np.bincount(lengths, minlength=_KEY_LETTERS + 1) - np.bincount(lcp, minlength=_KEY_LETTERS + 1)
+    return spread[::-1].cumsum()[::-1]
 
 
 def _repeated(ids: np.ndarray) -> np.ndarray:
@@ -90,6 +150,7 @@ class FactorIndex:
         bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
         self._keys = _packed_keys(bits, np.uint64)
         self._levels: list[np.ndarray] = []  # level k: dense ranks of the (64 * 2**k)-windows of U
+        self._windows = _sorted_windows(self._keys, prefix_len)
         self.stable_up_to = self._certify()
 
     def _ranks(self, level: int) -> np.ndarray:
@@ -156,10 +217,21 @@ class FactorIndex:
         Stability is downward closed: when the n-factors of the half and
         the full prefix agree, every (n-1)-factor of the full prefix is the
         head or the tail of one of its n-factors, hence a factor of the half
-        prefix.  So one binary search finds the threshold, and every length
-        up to it is stable.
+        prefix.  So the threshold is the last length of the first run of
+        agreements, and every length up to it is stable.  Up to 64 letters
+        the two sets agree exactly when they are as large (the half
+        prefix's windows are among the full prefix's), and both sizes come
+        for every n at once from the sorted windows of the half and the
+        full prefix, as the number of entries with ``lcp < n <= length``
+        (see ``census``).  Past 64 letters, when 64 is stable,
+        one binary search on ``_stable_at`` finds the threshold.
         """
-        lo, hi = 0, self.n_max + 1  # length lo is stable; hi is not, or is past n_max
+        top = min(self.n_max, _KEY_LETTERS)
+        half = _sorted_windows(self._keys, self.prefix_len // 2)
+        agree = (_factor_counts(*self._windows[1:]) == _factor_counts(*half[1:]))[1 : top + 1]
+        if not agree.all():
+            return int(agree.argmin())
+        lo, hi = top, self.n_max + 1  # length lo is stable; hi is not, or is past n_max
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if self._stable_at(mid):
@@ -247,15 +319,48 @@ class FactorIndex:
 
         ``lengths`` defaults to every length up to n_max; pass a sparser
         grid when n_max is large.
+
+        A row of up to 64 letters is read from the sorted windows of the
+        prefix (``_sorted_windows``), which are in the true lexicographic
+        order.  In that order the windows that share an n-letter head h are
+        contiguous: a word that lies between two words with head h starts
+        with h, so it is no shorter than n.  The common head of two
+        neighbours is at most the shorter one's length, so the distinct
+        n-factors are the entries with ``lcp < n <= length``: the first
+        entry of each group.  Their number is ``#{length >= n} -
+        #{lcp >= n}``, and a factor, the top n bits of its key, is a
+        palindrome when it equals the low n bits of the bit-reversed key,
+        an antipalindrome when it equals their complement.  A longer row
+        compares the exact ids of the prefix's windows with those of their
+        mirror images and exchanges.
         """
         rows = []
         for n in lengths if lengths is not None else range(1, self.n_max + 1):
             if not 1 <= n <= self.n_max:
                 raise BadBounds(f"census length {n} outside 1..{self.n_max}")
-            rows.append(self._census_row(n))
+            rows.append(self._short_row(n) if n <= _KEY_LETTERS else self._long_row(n))
         return tuple(rows)
 
-    def _census_row(self, n: int) -> CensusRow:
+    @cached_property
+    def _mirrors(self) -> np.ndarray:
+        """The bit-reversed keys of the sorted windows."""
+        return _bit_reversed(self._windows[0])
+
+    def _short_row(self, n: int) -> CensusRow:
+        keys, lengths, lcp = self._windows
+        first = (lcp < n) & (n <= lengths)
+        factors = keys[first] >> np.uint64(_KEY_LETTERS - n)
+        low = _ALL >> np.uint64(_KEY_LETTERS - n)
+        mirrors = self._mirrors[first] & low
+        return CensusRow(
+            length=n,
+            factor_count=factors.size,
+            palindrome_count=int(np.count_nonzero(factors == mirrors)),
+            antipalindrome_count=0 if n % 2 else int(np.count_nonzero(factors == mirrors ^ low)),
+            certified=n <= self.stable_up_to,
+        )
+
+    def _long_row(self, n: int) -> CensusRow:
         forward, mirror, image = self._aligned(n)
         return CensusRow(
             length=n,

@@ -1,0 +1,40 @@
+"""Census rows of every small prolongable fixed point, one JSON line per index.
+
+    PYTHONPATH=src python tests/census_oracle.py > census.jsonl
+
+For each (bound, prefix length, n_max) below, every morphism whose two
+images have 1..bound letters (in ``itertools.product`` order) is indexed at
+each of its prolongable letters in order, and one line is printed:
+``[morphism, letter, prefix length, n_max, stable_up_to, rows]`` with a row
+``[length, factor_count, palindrome_count, antipalindrome_count, certified]``
+for every length 1..n_max.  The sha256 of the output is a regression oracle
+for the census and its certification (pytest does not collect this file).
+"""
+
+import itertools
+import json
+import sys
+
+from antipal.language import build_index
+from antipal.morphisms import Morphism, prolongable_letters
+
+CASES = ((4, 2000, 64), (3, 1200, 300))
+
+
+def lines():
+    for bound, prefix_len, n_max in CASES:
+        images = ["".join(w) for k in range(1, bound + 1) for w in itertools.product("01", repeat=k)]
+        for a in images:
+            for b in images:
+                m = Morphism(a, b)
+                for letter in sorted(prolongable_letters(m)):
+                    idx = build_index(m, letter, prefix_len, n_max)
+                    rows = [
+                        [r.length, r.factor_count, r.palindrome_count, r.antipalindrome_count, r.certified]
+                        for r in idx.census()
+                    ]
+                    yield json.dumps([str(m), letter, prefix_len, n_max, idx.stable_up_to, rows]) + "\n"
+
+
+if __name__ == "__main__":
+    sys.stdout.writelines(lines())

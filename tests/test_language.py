@@ -168,14 +168,31 @@ def test_each_rank_level_is_built_once(monkeypatch):
     assert len(built) == 5  # the levels of 64, 128, 256, 512 and 1024 letters
 
 
+def _bf_row(prefix, n):
+    fs = bf_factor_set(prefix, n)
+    return len(fs), sum(map(is_palindrome, fs)), sum(map(is_antipalindrome, fs))
+
+
 def test_census_matches_bruteforce():
-    for m in (THETA, FIB, Morphism("01", "01")):
-        idx = build_index(m, "0", 512, 16)
-        for row in idx.census():
-            fs = bf_factor_set(idx.prefix, row.length)
-            assert row.factor_count == len(fs)
-            assert row.palindrome_count == sum(1 for w in fs if is_palindrome(w))
-            assert row.antipalindrome_count == sum(1 for w in fs if is_antipalindrome(w))
+    """Every row, certified or not, of every prolongable index with images
+    of up to 3 letters: rows up to 64 letters come from the sorted windows,
+    whose short tail windows must be masked at the prefix end, placed
+    before the windows they head, and cut short in the common heads."""
+    cases = [(m, "0", 512, 16) for m in (THETA, FIB, Morphism("01", "01"))]
+    for prefix_len, n_max in ((64, 16), (257, 64), (300, 64)):
+        cases += [(m, letter, prefix_len, n_max) for m, letter in _prolongable_indexes(3)]
+    expected = {}  # by (prefix, n): many hosts share a prefix such as 0^300
+    unique_ends = 0
+    for m, letter, prefix_len, n_max in cases:
+        idx = build_index(m, letter, prefix_len, n_max)
+        p = idx.prefix
+        rows = [(r.factor_count, r.palindrome_count, r.antipalindrome_count) for r in idx.census()]
+        for n in range(1, n_max + 1):
+            if (p, n) not in expected:
+                expected[p, n] = _bf_row(p, n)
+        assert rows == [expected[p, n] for n in range(1, n_max + 1)], (str(m), letter, prefix_len)
+        unique_ends += p[-8:] not in p[:-1]  # the last letters hold a word found nowhere else
+    assert unique_ends > 0
 
 
 # Lengths on both sides of each change of key width: the packed keys end at
@@ -326,6 +343,24 @@ def test_q_antipalindrome_check():
     assert q_antipalindrome_check(FIB, idx_f) is None  # no growing evidence
     with pytest.raises(CyclicMorphism):
         q_antipalindrome_check(Morphism("01", "01"), idx)
+
+
+def test_short_census_reads_no_ids_and_no_search(monkeypatch):
+    """Certification and every row up to 64 letters come from the sorted
+    windows: no window ids and no binary search on ``_stable_at``."""
+    calls = {"_ids": 0, "_stable_at": 0}
+    for name in calls:
+        method = getattr(language.FactorIndex, name)
+
+        def counted(self, n, name=name, method=method):
+            calls[name] += 1
+            return method(self, n)
+
+        monkeypatch.setattr(language.FactorIndex, name, counted)
+    idx = build_index(THETA, "0", 100000, 64)
+    idx.census()
+    assert idx.stable_up_to == 64
+    assert calls == {"_ids": 0, "_stable_at": 0}
 
 
 def test_census_sparse_grid():
