@@ -6,24 +6,26 @@ when the n-factors of the half prefix and of the full prefix agree.  That
 property is downward closed, so ``stable_up_to`` is an exact threshold.
 Queries beyond the certified range raise instead of silently lying.
 
-Up to 64 letters, certification and the census rows come from one sorted
-array of each prefix's windows, built once: the packed 64-letter keys in
-lexicographic order, with the common-head length of neighbours.  The
-number of distinct n-factors, for every n <= 64 at once, is one count
-over those lengths, and a row reads only one entry per distinct factor.
+Up to 64 letters, certification and the distinct factors come from one
+sorted array of each prefix's windows, built once: the packed 64-letter
+keys in lexicographic order, with the common-head length of neighbours
+and one start of each.  The number of distinct n-factors, for every
+n <= 64 at once, is one count over those lengths, and the first entry of
+each group of windows that share an n-letter head gives one start per
+distinct n-factor.
 
 Every window gets an exact integer id: equal ids mean equal words.  The
 ids are taken over U = prefix + reverse(prefix) + exchange(prefix), so a
 window's mirror image and its exchange are windows of U too, and one
-comparison of ids tells a palindrome or an antipalindrome.  A window of
-n <= 64 letters is read as an n-bit number from the packed 64-letter key
-at its start.  A longer window is covered by two overlapping windows of
-length a, the power of two times 64 with a <= n < 2a, whose dense ranks
-come from the packed keys by prefix doubling.  Census rows and
-certification past 64 letters, the factor sets, the special factors and
-exchange closure (tested at the top certified length only) rest on these
-ids, so they are exact; no per-length sets are kept, and strings are cut
-only for answers.
+comparison of ids tells a palindrome or an antipalindrome at every
+length.  A window of n <= 64 letters is read as an n-bit number from the
+packed 64-letter key at its start.  A longer window is covered by two
+overlapping windows of length a, the power of two times 64 with
+a <= n < 2a, whose dense ranks come from the packed keys by prefix
+doubling.  Census rows, certification past 64 letters, the factor sets,
+the special factors and exchange closure (tested at the top certified
+length only) rest on these ids, so they are exact; no per-length sets are
+kept, and strings are cut only for answers.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .words import Word, _packed_keys, exchange, is_antipalindrome, longest_anti
 
 _KEY_LETTERS = 64
 _ALL = np.uint64(2**64 - 1)
-_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 def _dense_rank(keys: np.ndarray) -> np.ndarray:
@@ -75,15 +76,10 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.where(high > 0, high + 32, low)
 
 
-def _bit_reversed(keys: np.ndarray) -> np.ndarray:
-    """Each uint64 with its 64 bits in reverse order."""
-    return _REVERSED_BYTES[keys.byteswap().view(np.uint8)].view(np.uint64)
-
-
 def _sorted_windows(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The windows of up to 64 letters at every start of ``text[:size]``,
     given the packed 64-letter keys of text, in lexicographic order with
-    each distinct 64-letter window once: (keys, lengths, lcp).
+    each distinct 64-letter window once: (lengths, lcp, starts).
 
     A start at most size - 64 gives a 64-letter window; a later start
     gives the shorter window that ends at ``size``, its key with the bits
@@ -91,24 +87,27 @@ def _sorted_windows(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray
     it heads, and among equal keys the shorter window goes first, so the
     order is the true lexicographic one with a proper prefix before its
     extensions.  ``lcp[j]`` is the length of the common head of the
-    entries j - 1 and j, at most either length (0 for the first entry).
+    entries j - 1 and j, at most either length (0 for the first entry),
+    and ``starts[j]`` is where one occurrence of entry j starts.
     """
     full = max(size - _KEY_LETTERS + 1, 0)
-    ordered = np.sort(keys[:full])
+    order = np.argsort(keys[:full])
+    ordered = keys[order]
     first = np.ones(full, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
+    distinct, starts = ordered[first], order[first]
     lengths = np.arange(size - full, 0, -1)
     tail = keys[full:size] & ~(_ALL >> lengths.astype(np.uint64))
     order = np.lexsort((lengths, tail))
     tail, lengths = tail[order], lengths[order]
     at = np.searchsorted(distinct, tail, "left")
     words = np.insert(distinct, at, tail)
+    starts = np.insert(starts, at, full + order)
     lengths = np.insert(np.full(distinct.size, _KEY_LETTERS), at, lengths)
     lcp = np.zeros(words.size, dtype=np.int64)
     common = _KEY_LETTERS - _bit_length(words[1:] ^ words[:-1])
     lcp[1:] = np.minimum(common, np.minimum(lengths[1:], lengths[:-1]))
-    return words, lengths, lcp
+    return lengths, lcp, starts
 
 
 def _factor_counts(lengths: np.ndarray, lcp: np.ndarray) -> np.ndarray:
@@ -228,7 +227,7 @@ class FactorIndex:
         """
         top = min(self.n_max, _KEY_LETTERS)
         half = _sorted_windows(self._keys, self.prefix_len // 2)
-        agree = (_factor_counts(*self._windows[1:]) == _factor_counts(*half[1:]))[1 : top + 1]
+        agree = (_factor_counts(*self._windows[:2]) == _factor_counts(*half[:2]))[1 : top + 1]
         if not agree.all():
             return int(agree.argmin())
         lo, hi = top, self.n_max + 1  # length lo is stable; hi is not, or is past n_max
@@ -241,7 +240,16 @@ class FactorIndex:
         return lo
 
     def _starts(self, n: int) -> np.ndarray:
-        """One start for each distinct length-n window of the prefix."""
+        """One start for each distinct length-n window of the prefix.
+
+        Up to 64 letters these are the starts of the sorted windows with
+        ``lcp < n <= length``, the first entry of each group that shares an
+        n-letter head (see ``census``); longer windows take the first
+        start of each distinct id.
+        """
+        if n <= _KEY_LETTERS:
+            lengths, lcp, starts = self._windows
+            return starts[(lcp < n) & (n <= lengths)]
         return np.unique(self._aligned(n)[0], return_index=True)[1]
 
     @cached_property
@@ -320,48 +328,34 @@ class FactorIndex:
         ``lengths`` defaults to every length up to n_max; pass a sparser
         grid when n_max is large.
 
-        A row of up to 64 letters is read from the sorted windows of the
-        prefix (``_sorted_windows``), which are in the true lexicographic
-        order.  In that order the windows that share an n-letter head h are
-        contiguous: a word that lies between two words with head h starts
-        with h, so it is no shorter than n.  The common head of two
-        neighbours is at most the shorter one's length, so the distinct
-        n-factors are the entries with ``lcp < n <= length``: the first
-        entry of each group.  Their number is ``#{length >= n} -
-        #{lcp >= n}``, and a factor, the top n bits of its key, is a
-        palindrome when it equals the low n bits of the bit-reversed key,
-        an antipalindrome when it equals their complement.  A longer row
-        compares the exact ids of the prefix's windows with those of their
-        mirror images and exchanges.
+        The distinct factors of up to 64 letters are read from the sorted
+        windows of the prefix (``_sorted_windows``), which are in the true
+        lexicographic order.  In that order the windows that share an
+        n-letter head h are contiguous: a word that lies between two words
+        with head h starts with h, so it is no shorter than n.  The common
+        head of two neighbours is at most the shorter one's length, so the
+        distinct n-factors are the entries with ``lcp < n <= length``: the
+        first entry of each group (``_starts``).  A row gathers the ids of
+        these windows, of their mirror images and of their exchanges; a
+        longer row compares the ids of all the prefix's windows with those
+        of their mirror images and exchanges.  Either way a factor is a
+        palindrome or an antipalindrome when one id comparison says so.
         """
         rows = []
         for n in lengths if lengths is not None else range(1, self.n_max + 1):
             if not 1 <= n <= self.n_max:
                 raise BadBounds(f"census length {n} outside 1..{self.n_max}")
-            rows.append(self._short_row(n) if n <= _KEY_LETTERS else self._long_row(n))
+            rows.append(self._row(n))
         return tuple(rows)
 
-    @cached_property
-    def _mirrors(self) -> np.ndarray:
-        """The bit-reversed keys of the sorted windows."""
-        return _bit_reversed(self._windows[0])
-
-    def _short_row(self, n: int) -> CensusRow:
-        keys, lengths, lcp = self._windows
-        first = (lcp < n) & (n <= lengths)
-        factors = keys[first] >> np.uint64(_KEY_LETTERS - n)
-        low = _ALL >> np.uint64(_KEY_LETTERS - n)
-        mirrors = self._mirrors[first] & low
-        return CensusRow(
-            length=n,
-            factor_count=factors.size,
-            palindrome_count=int(np.count_nonzero(factors == mirrors)),
-            antipalindrome_count=0 if n % 2 else int(np.count_nonzero(factors == mirrors ^ low)),
-            certified=n <= self.stable_up_to,
-        )
-
-    def _long_row(self, n: int) -> CensusRow:
-        forward, mirror, image = self._aligned(n)
+    def _row(self, n: int) -> CensusRow:
+        if n <= _KEY_LETTERS:
+            starts, size = self._starts(n), self.prefix_len
+            forward = self._ids_at(n, starts)
+            mirror = self._ids_at(n, 2 * size - n - starts)
+            image = self._ids_at(n, 3 * size - n - starts)
+        else:
+            forward, mirror, image = self._aligned(n)
         return CensusRow(
             length=n,
             factor_count=_distinct(forward),
@@ -376,13 +370,15 @@ class FactorIndex:
         Closure at the top certified length T implies it below: a certified
         w heads a T-factor wx (w occurs in the half prefix, and T <= N/4), so
         E(w) is the tail of the factor E(wx) = E(x)E(w).  The exchanges of
-        the distinct T-windows are windows of the exchange segment.
+        the distinct T-windows are windows of the exchange segment: the
+        exchange of the window at i starts at 3N - T - i of U.
         """
-        if self.stable_up_to == 0:
+        top, size = self.stable_up_to, self.prefix_len
+        if top == 0:
             return True
-        forward, _, image = self._aligned(self.stable_up_to)
         starts = self._top_starts
-        return set(image[starts].tolist()) <= set(forward[starts].tolist())
+        image = self._ids_at(top, 3 * size - top - starts)
+        return set(image.tolist()) <= set(self._ids_at(top, starts).tolist())
 
     def antipal_center(self, limit: int) -> str:
         """The right half w of the least longest certified antipalindrome

@@ -9,6 +9,12 @@ each of its prolongable letters in order, and one line is printed:
 ``[length, factor_count, palindrome_count, antipalindrome_count, certified]``
 for every length 1..n_max.  The sha256 of the output is a regression oracle
 for the census and its certification (pytest does not collect this file).
+
+    PYTHONPATH=src python tests/census_oracle.py --queries > queries.jsonl
+
+prints, over the same indexes, ``[morphism, letter, prefix length, n_max,
+stable_up_to, e_closure_check(), bispecials(), antipal_center(16)]``: an
+oracle for the queries that read the certified factors.
 """
 
 import itertools
@@ -21,20 +27,34 @@ from antipal.morphisms import Morphism, prolongable_letters
 CASES = ((4, 2000, 64), (3, 1200, 300))
 
 
-def lines():
+def indexes():
     for bound, prefix_len, n_max in CASES:
         images = ["".join(w) for k in range(1, bound + 1) for w in itertools.product("01", repeat=k)]
         for a in images:
             for b in images:
                 m = Morphism(a, b)
                 for letter in sorted(prolongable_letters(m)):
-                    idx = build_index(m, letter, prefix_len, n_max)
-                    rows = [
-                        [r.length, r.factor_count, r.palindrome_count, r.antipalindrome_count, r.certified]
-                        for r in idx.census()
-                    ]
-                    yield json.dumps([str(m), letter, prefix_len, n_max, idx.stable_up_to, rows]) + "\n"
+                    yield build_index(m, letter, prefix_len, n_max)
+
+
+def head(idx):
+    return [str(idx.morphism), idx.letter, idx.prefix_len, idx.n_max, idx.stable_up_to]
+
+
+def lines():
+    for idx in indexes():
+        rows = [
+            [r.length, r.factor_count, r.palindrome_count, r.antipalindrome_count, r.certified]
+            for r in idx.census()
+        ]
+        yield json.dumps([*head(idx), rows]) + "\n"
+
+
+def query_lines():
+    for idx in indexes():
+        queries = [idx.e_closure_check(), list(idx.bispecials()), idx.antipal_center(16)]
+        yield json.dumps([*head(idx), *queries]) + "\n"
 
 
 if __name__ == "__main__":
-    sys.stdout.writelines(lines())
+    sys.stdout.writelines(query_lines() if sys.argv[1:] == ["--queries"] else lines())

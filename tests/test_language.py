@@ -143,18 +143,28 @@ def test_index_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
-def test_closure_and_bispecials_keep_no_per_length_sets():
-    """Each factor set is cut when it is asked for and dropped after, so
-    checking every certified length holds one set at a time."""
-    idx = build_index(THETA, "0", 8000, 400)
+def _query_peak(*queries):
     tracemalloc.start()
     try:
-        idx.e_closure_check()
-        idx.bispecials()
-        peak = tracemalloc.get_traced_memory()[1]
+        for query in queries:
+            query()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_closure_and_bispecials_keep_no_per_length_sets():
+    """Each factor set is cut when it is asked for and dropped after, so
+    checking every certified length holds one set at a time; up to 64
+    letters the queries read the distinct windows only, never the ids of
+    every window of the prefix."""
+    idx = build_index(THETA, "0", 8000, 400)
+    peak = _query_peak(idx.e_closure_check, idx.bispecials)
     assert peak < 10 * 2**20, peak
+    idx = build_index(THETA, "0", 100000, 64)
+    idx.census()
+    peak = _query_peak(idx.bispecials, idx.e_closure_check, lambda: idx.antipal_center(32))
+    assert peak < 2**20, peak
 
 
 def test_each_rank_level_is_built_once(monkeypatch):
@@ -191,6 +201,9 @@ def test_census_matches_bruteforce():
             if (p, n) not in expected:
                 expected[p, n] = _bf_row(p, n)
         assert rows == [expected[p, n] for n in range(1, n_max + 1)], (str(m), letter, prefix_len)
+        # one start per distinct factor: no window is read twice
+        starts = [idx._starts(n).size for n in range(1, n_max + 1)]
+        assert starts == [expected[p, n][0] for n in range(1, n_max + 1)], (str(m), letter, prefix_len)
         unique_ends += p[-8:] not in p[:-1]  # the last letters hold a word found nowhere else
     assert unique_ends > 0
 
@@ -224,17 +237,20 @@ def test_exact_ids_match_bruteforce_across_key_widths(m, prefix_len):
 
 def test_certification_matches_sequential_scan_past_the_packed_keys():
     tops = set()
-    bispecials = {}  # by (prefix, stable_up_to): many hosts share a prefix such as 0^1200
+    expected = {}  # by (prefix, stable_up_to): many hosts share a prefix such as 0^1200
     for m, letter in _prolongable_indexes(2):
         idx = build_index(m, letter, 1200, 300)
         assert idx.stable_up_to == bf_stable_up_to(idx.prefix, 300), (str(m), letter)
-        if idx.stable_up_to > 64:  # the special factors past 64 letters compare rank pairs
+        if idx.stable_up_to > 64:  # the queries past 64 letters compare rank pairs
             key = (idx.prefix, idx.stable_up_to)
-            if key not in bispecials:
-                bispecials[key] = tuple(bf_bispecials(*key))
-            assert idx.bispecials() == bispecials[key], (str(m), letter)
+            if key not in expected:
+                expected[key] = tuple(bf_bispecials(*key)), bf_e_closed(*key)
+            bispecials, closed = expected[key]
+            assert idx.bispecials() == bispecials, (str(m), letter)
+            assert idx.e_closure_check() is closed, (str(m), letter)
         tops.add(idx.stable_up_to)
     assert {129, 217, 232, 300} <= tops
+    assert sorted(closed for _, closed in expected.values()) == [False] * 8 + [True] * 4
 
 
 def test_census_monotone_under_longer_prefix():
