@@ -22,7 +22,9 @@ length.  A window of n <= 64 letters is read as an n-bit number from the
 packed 64-letter key at its start.  A longer window is covered by two
 overlapping windows of length a, the power of two times 64 with
 a <= n < 2a, whose dense ranks come from the packed keys by prefix
-doubling.  Census rows, certification past 64 letters, the factor sets,
+doubling; each doubling level ranks int64 pairs of the ranks below with
+one packed sort, each start held in the low bits beside its pair.
+Census rows, certification past 64 letters, the factor sets,
 the special factors and exchange closure (tested at the top certified
 length only) rest on these ids, so they are exact; no per-length sets are
 kept, and strings are cut only for answers.
@@ -50,9 +52,26 @@ _ALL = np.uint64(2**64 - 1)
 
 
 def _dense_rank(keys: np.ndarray) -> np.ndarray:
-    """Rank of each key among the distinct keys, as int32 (equal keys, equal ranks)."""
-    order = np.argsort(keys)
-    ordered = keys[order]
+    """Rank of each key among the distinct keys, as int32 (equal keys, equal ranks).
+
+    When every key leaves room for a start below it in an int64, the keys
+    are packed as ``key << shift | start`` and sorted in place: one sort of
+    plain integers, from which a mask reads the order back and a shift the
+    sorted keys.  The keys are then overwritten, so the caller passes a
+    temporary.  Other keys, such as the uint64 words of level 0 (a view
+    of the index's keys), take an argsort and are left as they are.
+    """
+    shift = keys.size.bit_length()
+    if keys.dtype == np.int64 and int(keys.max()) < 2 ** (63 - shift):
+        keys <<= shift
+        keys |= np.arange(keys.size)
+        keys.sort()
+        order = keys & ((1 << shift) - 1)
+        keys >>= shift
+        ordered = keys
+    else:
+        order = np.argsort(keys)
+        ordered = keys[order]
     step = np.zeros(keys.size, dtype=np.int32)
     np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
     del ordered  # the ranks are built in place, so the peak stays at one sorted copy
@@ -156,16 +175,21 @@ class FactorIndex:
         """Dense ranks of the length-(64 * 2**level) windows of U, by prefix doubling.
 
         The 2b-window at i is the b-window at i followed by the one at
-        i + b, so the pair of their ranks ranks it; ranks stay below |U|, so
-        the pair fits an int64 and the rank an int32 (|U| < 2**31).  Every
-        level is built once and kept.
+        i + b, so the pair of their ranks ranks it.  With d distinct ranks
+        the pair is read as ``rank * d + next``, below d**2 <= |U|**2, so up
+        to |U| < 2**21 it leaves ``_dense_rank`` room to pack each start
+        beside it for one plain sort (it falls back to an argsort past
+        that); the rank fits an int32 (|U| < 2**31).  Every level is built
+        once and kept.
         """
         levels, total = self._levels, self._keys.size
         if not levels:
             levels.append(_dense_rank(self._keys[: total - _KEY_LETTERS + 1]))
         while len(levels) <= level:
             b, rank = _KEY_LETTERS << (len(levels) - 1), levels[-1]
-            levels.append(_dense_rank(rank[: total - 2 * b + 1].astype(np.int64) * total + rank[b:]))
+            # the pairs are a temporary, which _dense_rank overwrites in place
+            pairs = rank[: total - 2 * b + 1].astype(np.int64) * (int(rank.max()) + 1) + rank[b:]
+            levels.append(_dense_rank(pairs))
         return levels[level]
 
     def _ids(self, n: int) -> np.ndarray:
@@ -222,15 +246,20 @@ class FactorIndex:
         prefix's windows are among the full prefix's), and both sizes come
         for every n at once from the sorted windows of the half and the
         full prefix, as the number of entries with ``lcp < n <= length``
-        (see ``census``).  Past 64 letters, when 64 is stable,
-        one binary search on ``_stable_at`` finds the threshold.
+        (see ``census``).  Past 64 letters, when 64 is stable, ``n_max``
+        is probed first: a stable ``n_max`` is the threshold at once, with
+        one probe.  Otherwise one binary search on ``_stable_at`` between 64
+        and ``n_max`` finds it, which costs at most two probes more than a
+        search over (64, n_max] would.
         """
         top = min(self.n_max, _KEY_LETTERS)
         half = _sorted_windows(self._keys, self.prefix_len // 2)
         agree = (_factor_counts(*self._windows[:2]) == _factor_counts(*half[:2]))[1 : top + 1]
         if not agree.all():
             return int(agree.argmin())
-        lo, hi = top, self.n_max + 1  # length lo is stable; hi is not, or is past n_max
+        if top == self.n_max or self._stable_at(self.n_max):
+            return self.n_max
+        lo, hi = top, self.n_max  # length lo is stable; hi is not
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if self._stable_at(mid):
@@ -336,7 +365,8 @@ class FactorIndex:
         head of two neighbours is at most the shorter one's length, so the
         distinct n-factors are the entries with ``lcp < n <= length``: the
         first entry of each group (``_starts``).  A row gathers the ids of
-        these windows, of their mirror images and of their exchanges; a
+        these windows, of their mirror images and of their exchanges, and
+        as the ids are distinct it counts the matches without a sort; a
         longer row compares the ids of all the prefix's windows with those
         of their mirror images and exchanges.  Either way a factor is a
         palindrome or an antipalindrome when one id comparison says so.
@@ -354,13 +384,16 @@ class FactorIndex:
             forward = self._ids_at(n, starts)
             mirror = self._ids_at(n, 2 * size - n - starts)
             image = self._ids_at(n, 3 * size - n - starts)
+            # one start per distinct factor: the ids are distinct, so no sort
+            factor_count, count = starts.size, np.count_nonzero
         else:
             forward, mirror, image = self._aligned(n)
+            factor_count, count = _distinct(forward), lambda same: _distinct(forward[same])
         return CensusRow(
             length=n,
-            factor_count=_distinct(forward),
-            palindrome_count=_distinct(forward[forward == mirror]),
-            antipalindrome_count=0 if n % 2 else _distinct(forward[forward == image]),
+            factor_count=factor_count,
+            palindrome_count=int(count(forward == mirror)),
+            antipalindrome_count=0 if n % 2 else int(count(forward == image)),
             certified=n <= self.stable_up_to,
         )
 

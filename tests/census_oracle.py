@@ -15,6 +15,14 @@ for the census and its certification (pytest does not collect this file).
 prints, over the same indexes, ``[morphism, letter, prefix length, n_max,
 stable_up_to, e_closure_check(), bispecials(), antipal_center(16)]``: an
 oracle for the queries that read the certified factors.
+
+    PYTHONPATH=src python tests/census_oracle.py --grid > grid.jsonl
+
+prints the same lines as the first mode for the family ``0->0(110)^k,
+1->1(001)^k``, k = 1, 2, 3, at prefix lengths 25000 and 100000 with n_max
+6250, over the census lengths ``GRID``: an oracle for certification past 64
+letters (by one probe at n_max or by a binary search) and for the long rows
+of every rank level up to 4096 letters.
 """
 
 import itertools
@@ -25,6 +33,7 @@ from antipal.language import build_index
 from antipal.morphisms import Morphism, prolongable_letters
 
 CASES = ((4, 2000, 64), (3, 1200, 300))
+GRID = [*range(1, 65), 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096, 6144]
 
 
 def indexes():
@@ -41,11 +50,17 @@ def head(idx):
     return [str(idx.morphism), idx.letter, idx.prefix_len, idx.n_max, idx.stable_up_to]
 
 
-def lines():
-    for idx in indexes():
+def grid_indexes():
+    for k in (1, 2, 3):
+        for prefix_len in (25_000, 100_000):
+            yield build_index(Morphism("0" + "110" * k, "1" + "001" * k), "0", prefix_len, 6250)
+
+
+def lines(source=indexes, lengths=None):
+    for idx in source():
         rows = [
             [r.length, r.factor_count, r.palindrome_count, r.antipalindrome_count, r.certified]
-            for r in idx.census()
+            for r in idx.census(lengths)
         ]
         yield json.dumps([*head(idx), rows]) + "\n"
 
@@ -57,4 +72,5 @@ def query_lines():
 
 
 if __name__ == "__main__":
-    sys.stdout.writelines(query_lines() if sys.argv[1:] == ["--queries"] else lines())
+    modes = {"--queries": query_lines, "--grid": lambda: lines(grid_indexes, GRID)}
+    sys.stdout.writelines(modes[sys.argv[1]]() if sys.argv[1:] else lines())

@@ -2,6 +2,7 @@ import gc
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from antipal import language
@@ -168,14 +169,46 @@ def test_closure_and_bispecials_keep_no_per_length_sets():
 
 
 def test_each_rank_level_is_built_once(monkeypatch):
-    """Certification climbs to the 1024-letter level; the census then reads
-    the levels from 64 up again and must find them kept."""
-    built = []
-    dense_rank = language._dense_rank
+    """Certification probes n_max first and, finding it stable, stops after
+    that one probe, which climbs to the 1024-letter level; the census then
+    reads the levels from 64 up again and must find them kept."""
+    built, probes = [], []
+    dense_rank, stable_at = language._dense_rank, language.FactorIndex._stable_at
     monkeypatch.setattr(language, "_dense_rank", lambda keys: built.append(1) or dense_rank(keys))
+    monkeypatch.setattr(
+        language.FactorIndex, "_stable_at", lambda self, n: probes.append(n) or stable_at(self, n)
+    )
     idx = build_index(Morphism("0110", "1001"), "0", 20000, 1250)
+    assert probes == [1250] and idx.stable_up_to == 1250
     idx.census([*range(1, 65), 96, 128, 192, 256, 384, 512, 768, 1024])
     assert len(built) == 5  # the levels of 64, 128, 256, 512 and 1024 letters
+
+
+def test_dense_rank_by_packed_sort_and_by_argsort():
+    """Keys that leave room for a start in an int64 (the pairs of every
+    rank level) are ranked by one packed sort, others by an argsort; both
+    must give the ranks of the sorted distinct keys."""
+
+    def check(keys):
+        expected = np.unique(keys, return_inverse=True)[1]
+        assert language._dense_rank(keys.copy()).tolist() == expected.tolist()
+
+    idx = build_index(Morphism("0110", "1001"), "0", 20000, 1250)
+    keys = idx._keys[: idx._keys.size - 63]
+    assert keys.dtype == np.uint64 and int(keys.max()) >= 2**63
+    check(keys)
+    for level, rank in enumerate(idx._levels[:-1]):
+        b = 64 << level
+        pairs = rank[: idx._keys.size - 2 * b + 1].astype(np.int64) * (int(rank.max()) + 1) + rank[b:]
+        assert int(pairs.max()) < 2 ** (63 - pairs.size.bit_length())  # these pack
+        check(pairs)
+        assert language._dense_rank(pairs).tolist() == idx._levels[level + 1].tolist()
+    rng = np.random.default_rng(5)
+    small = rng.integers(0, 50, 1000)
+    big = 2 ** (63 - 2000 .bit_length()) + rng.integers(0, 50, 1000)
+    check(rng.permutation(np.concatenate((small, big))))  # too large to pack
+    check(np.full(100, 7, dtype=np.int64))
+    check(np.array([5], dtype=np.int64))
 
 
 def _bf_row(prefix, n):
