@@ -168,19 +168,18 @@ def s_map(w: Word) -> Word:
     return "".join("1" if a != b else "0" for a, b in zip(w, w[1:]))
 
 
-def _packed_keys(bits: np.ndarray, dtype: type[np.unsignedinteger]) -> np.ndarray:
-    """From each start of a 0/1 array, as many letters as ``dtype`` has bits,
-    packed into one unsigned integer with the first letter in the top bit.
+def _packed_keys(bits: np.ndarray) -> np.ndarray:
+    """From each start of a 0/1 array, 16 letters packed into one uint16
+    with the first letter in the top bit.
 
     Doubling steps: the key of 2b letters at i is the b-letter key at i
     shifted up by b, or-ed with the b-letter key at i + b.  Letters past
     the end read as 0, so the top k bits of a key are the k-letter window
     at its start whenever that window lies inside the array.
     """
-    keys = bits.astype(dtype)
-    width, b = 8 * keys.itemsize, 1
-    while b < width:
-        wider = keys << keys.dtype.type(b)
+    keys, b = bits.astype(np.uint16), 1
+    while b < 16:
+        wider = keys << np.uint16(b)
         wider[:-b] |= keys[b:]
         keys, b = wider, 2 * b
     return keys
@@ -210,7 +209,7 @@ class _Mirrored:
 
     def __init__(self, d: np.ndarray):
         m = self.m = d.size
-        self.keys = _packed_keys(np.concatenate((d, d[::-1])), np.uint16)
+        self.keys = _packed_keys(np.concatenate((d, d[::-1])))
         self.mismatch = np.zeros(m, dtype=np.uint16)  # centre 0 has room for radius 0 only
         self.mismatch[1:] = self.keys[2 : m + 1] ^ self.keys[2 * m - 1 : m : -1]
 

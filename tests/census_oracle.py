@@ -23,6 +23,12 @@ prints the same lines as the first mode for the family ``0->0(110)^k,
 6250, over the census lengths ``GRID``: an oracle for certification past 64
 letters (by one probe at n_max or by a binary search) and for the long rows
 of every rank level up to 4096 letters.
+
+    PYTHONPATH=src python tests/census_oracle.py --grid-queries > grid-queries.jsonl
+
+prints the query lines of ``--queries`` for the grid indexes, with
+``antipal_center(64)`` in place of ``antipal_center(16)``: an oracle for
+the queries past 64 letters.
 """
 
 import itertools
@@ -65,12 +71,16 @@ def lines(source=indexes, lengths=None):
         yield json.dumps([*head(idx), rows]) + "\n"
 
 
-def query_lines():
-    for idx in indexes():
-        queries = [idx.e_closure_check(), list(idx.bispecials()), idx.antipal_center(16)]
+def query_lines(source=indexes, center=16):
+    for idx in source():
+        queries = [idx.e_closure_check(), list(idx.bispecials()), idx.antipal_center(center)]
         yield json.dumps([*head(idx), *queries]) + "\n"
 
 
 if __name__ == "__main__":
-    modes = {"--queries": query_lines, "--grid": lambda: lines(grid_indexes, GRID)}
+    modes = {
+        "--queries": query_lines,
+        "--grid": lambda: lines(grid_indexes, GRID),
+        "--grid-queries": lambda: query_lines(grid_indexes, 64),
+    }
     sys.stdout.writelines(modes[sys.argv[1]]() if sys.argv[1:] else lines())

@@ -186,8 +186,9 @@ def test_each_rank_level_is_built_once(monkeypatch):
 
 def test_dense_rank_by_packed_sort_and_by_argsort():
     """Keys that leave room for a start in an int64 (the pairs of every
-    rank level) are ranked by one packed sort, others by an argsort; both
-    must give the ranks of the sorted distinct keys."""
+    rank level) are ranked by one packed sort, others by a sorted copy and
+    a binary search, which leaves them as they are; both must give the
+    ranks of the sorted distinct keys."""
 
     def check(keys):
         expected = np.unique(keys, return_inverse=True)[1]
@@ -197,6 +198,9 @@ def test_dense_rank_by_packed_sort_and_by_argsort():
     keys = idx._keys[: idx._keys.size - 63]
     assert keys.dtype == np.uint64 and int(keys.max()) >= 2**63
     check(keys)
+    before = keys.copy()
+    language._dense_rank(keys)  # level 0 ranks a view of the index's keys, which must stay as they are
+    assert np.array_equal(keys, before)
     for level, rank in enumerate(idx._levels[:-1]):
         b = 64 << level
         pairs = rank[: idx._keys.size - 2 * b + 1].astype(np.int64) * (int(rank.max()) + 1) + rank[b:]
@@ -410,6 +414,61 @@ def test_short_census_reads_no_ids_and_no_search(monkeypatch):
     idx.census()
     assert idx.stable_up_to == 64
     assert calls == {"_ids": 0, "_stable_at": 0}
+
+
+def test_window_keys_match_bruteforce_windows():
+    """The byte-packed keys at every size up to 130 letters and at 1001:
+    byte and 64-letter boundaries, and the zeros past the end."""
+    rng = np.random.default_rng(21)
+    for size in (*range(1, 131), 1001):
+        text = "".join(rng.choice(["0", "1"], size))
+        keys = language._window_keys(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
+        expected = [int(text[i : i + 64].ljust(64, "0"), 2) for i in range(size)]
+        assert keys.dtype == np.uint64 and keys.tolist() == expected, size
+
+
+def _bf_specials(prefix, n, attach):
+    longer = bf_factor_set(prefix, n + 1)
+    return {w for w in bf_factor_set(prefix, n) if all(attach(w, a) in longer for a in "01")}
+
+
+# stable_up_to 64 (the census indexes' shape), 33, 129 and 257 (past the
+# packed keys, so rank-pair ids, and for 257 centres longer than 64), 1 and 0
+BATCHED_INDEXES = (
+    (THETA, 4000, 64),
+    (FIB, 4000, 64),
+    (Morphism("0110", "1001"), 4000, 64),
+    (THETA, 256, 64),
+    (THETA, 1200, 300),
+    (THETA, 2400, 600),
+    (THETA, 8, 2),
+    (Morphism("000001", "1"), 8, 2),
+)
+
+
+@pytest.mark.parametrize(
+    "m, prefix_len, n_max", BATCHED_INDEXES, ids=[f"{m}@{p}/{n}" for m, p, n in BATCHED_INDEXES]
+)
+def test_batched_queries_match_bruteforce_sets(m, prefix_len, n_max):
+    idx = build_index(m, "0", prefix_len, n_max)
+    p, top = idx.prefix, idx.stable_up_to
+    assert top == bf_stable_up_to(p, n_max)
+    lengths = range(1, min(n_max, 130) + 1)
+    rows = [(r.factor_count, r.palindrome_count, r.antipalindrome_count) for r in idx.census(lengths)]
+    assert rows == [_bf_row(p, n) for n in lengths]
+    assert idx.bispecials() == tuple(bf_bispecials(p, top))
+    for n in range(min(top, 130)):
+        assert idx.right_special(n) == _bf_specials(p, n, lambda w, a: w + a), n
+        assert idx.left_special(n) == _bf_specials(p, n, lambda w, a: a + w), n
+    for limit in (0, 1, 5, 32, 33, 64, 100, 300):
+        assert idx.antipal_center(limit) == bf_antipal_center(idx, limit), limit
+
+
+def test_batched_indexes_reach_each_case():
+    tops = [build_index(m, "0", prefix_len, n_max).stable_up_to for m, prefix_len, n_max in BATCHED_INDEXES]
+    assert tops == [64, 64, 64, 33, 129, 257, 1, 0]
+    assert build_index(THETA, "0", 8, 2).bispecials() == ("",)
+    assert len(build_index(THETA, "0", 2400, 600).antipal_center(100)) == 100
 
 
 def test_census_sparse_grid():

@@ -27,6 +27,7 @@ from antipal import (
     theta_factorize,
 )
 from antipal.cli import scan_space
+from antipal.language import _window_keys
 from antipal.membership import EvidenceConfig
 from antipal.morphisms import fixed_point_prefix, fixed_point_source, parse_morphism
 from antipal.words import _packed_keys
@@ -194,13 +195,16 @@ def test_s_map_on_thue_morse_prefix():
     assert s_map(t16) == "101110101011101"
 
 
-@pytest.mark.parametrize("dtype", [np.uint16, np.uint64])
-def test_packed_keys_read_every_window(dtype):
+@pytest.mark.parametrize(
+    "dtype, build", [(np.uint16, _packed_keys), (np.uint64, _window_keys)], ids=["uint16", "uint64"]
+)
+def test_packed_keys_read_every_window(dtype, build):
+    """The kernel's 16-letter keys and the factor index's 64-letter keys."""
     rng = random.Random(4096)
     text = "".join(rng.choice("01") for _ in range(4096))
     width = 8 * np.dtype(dtype).itemsize
     bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-    keys = _packed_keys(bits, dtype)
+    keys = build(bits)
     expected = [int(text[i : i + width].ljust(width, "0"), 2) for i in range(len(text))]
     assert keys.dtype == dtype
     assert np.array_equal(keys, np.array(expected, dtype=dtype))
