@@ -83,13 +83,5 @@ class CyclicMorphism(AntipalError):
     pass
 
 
-class UnstableLength(AntipalError):
-    """A factor query exceeded the certified length range of the index."""
-
-
-class CertificationExceeded(AntipalError):
-    """A search ran into the certification boundary of the index."""
-
-
 class ConsistencyError(AntipalError):
     """A property the theory guarantees failed to hold."""

@@ -4,7 +4,8 @@ The index is built over the length-N prefix of a fixed point.  Because a
 prefix only approximates the infinite language, a length n is trusted only
 when the n-factors of the half prefix and of the full prefix agree.  That
 property is downward closed, so ``stable_up_to`` is an exact threshold.
-Queries beyond the certified range raise instead of silently lying.
+The bispecial, closure and centre queries stay inside the certified
+range, and census rows past it are flagged as uncertified.
 
 Every window gets an exact integer id, ordered as the words are.  The ids
 are taken over U = prefix + reverse(prefix) + exchange(prefix), so a
@@ -29,15 +30,11 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    BadBounds,
-    CertificationExceeded,
-    CyclicMorphism,
-    PreconditionViolated,
-    UnstableLength,
-)
+from .errors import BadBounds, CyclicMorphism
 from .morphisms import Morphism, apply, conjugacy_chain, fixed_point_prefix
-from .words import Word, exchange, is_antipalindrome, longest_antipalindrome
+from .words import Word, exchange
+# unused here, but perfbench/spans.py traces longest_antipalindrome at this binding
+from .words import longest_antipalindrome
 
 _KEY_LETTERS = 64
 _ALL = np.uint64(2**64 - 1)
@@ -362,15 +359,6 @@ class FactorIndex:
         """The length-n words of the prefix at the given starts."""
         return frozenset(self.prefix[i : i + n] for i in starts.tolist())
 
-    def certified_factor(self, w: Word) -> bool:
-        return len(w) <= self.stable_up_to and w in self.prefix
-
-    def _require_certified(self, n: int):
-        if n > self.stable_up_to:
-            raise UnstableLength(
-                f"length {n} exceeds the certified range (stable up to {self.stable_up_to})"
-            )
-
     def _extensions(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One start for each distinct certified (n+1)-factor, and the
         n-ids of its head and of its tail.
@@ -380,19 +368,9 @@ class FactorIndex:
         head id that occurs twice is a right special n-factor, a tail id
         that occurs twice a left special one.
         """
-        self._require_certified(n + 1)
         starts = self._top_starts
         longer = starts[np.unique(self._ids_at(n + 1, starts), return_index=True)[1]]
         return longer, self._ids_at(n, longer), self._ids_at(n, longer + 1)
-
-    def right_special(self, n: int) -> frozenset[str]:
-        """Certified length-n factors extendable by both letters on the right."""
-        longer, heads, _ = self._extensions(n)
-        return self._cut(longer[np.isin(heads, _repeated(heads))], n)
-
-    def left_special(self, n: int) -> frozenset[str]:
-        longer, _, tails = self._extensions(n)
-        return self._cut(longer[np.isin(tails, _repeated(tails))] + 1, n)
 
     def bispecials(self) -> tuple[str, ...]:
         """All bispecial factors within the certified range, shortest first.
@@ -506,26 +484,6 @@ class FactorIndex:
         i = int(right[np.argmin(self._ids_at(k, right))])
         return self.prefix[i : i + k]
 
-    def extend_to_bispecial(self, f: Word) -> str:
-        """Extend rightward by forced letters to a right special factor,
-        then leftward to a left special one."""
-        if not self.certified_factor(f):
-            raise PreconditionViolated(f"{f!r} is not a certified factor")
-        w = f
-        for side, attach in (("right", lambda w, a: w + a), ("left", lambda w, a: a + w)):
-            while True:
-                if len(w) + 1 > self.stable_up_to:
-                    raise CertificationExceeded(
-                        f"ran into the certification boundary at length {len(w)}"
-                    )
-                exts = [x for x in (attach(w, "0"), attach(w, "1")) if x in self.prefix]
-                if len(exts) == 2:
-                    break
-                if not exts:
-                    raise CertificationExceeded(f"{w!r} has no certified {side} extension")
-                w = exts[0]
-        return w
-
 
 def build_index(
     morphism: Morphism, letter: str, prefix_len: int = 100_000, n_max: int = 64
@@ -555,21 +513,3 @@ def bispecial_orbit(m: Morphism, seed: Word, count: int) -> BispecialOrbit:
         w = bispecial_successor(m, w)
         steps.append(w)
     return BispecialOrbit(seed, tuple(steps))
-
-
-def q_antipalindrome_check(m: Morphism, idx: FactorIndex) -> bool | None:
-    """Consistency check: when the prefix keeps producing longer
-    antipalindromes, the conjugacy word between the extreme conjugates
-    must itself be an antipalindrome.
-
-    Returns None when the evidence does not grow (check not applicable),
-    otherwise the verdict of the antipalindrome test on the conjugacy
-    word.
-    """
-    chain = conjugacy_chain(m)
-    if chain.cyclic:
-        raise CyclicMorphism(f"{m} is cyclic")
-    quarter = idx.prefix[: idx.prefix_len // 4]
-    if longest_antipalindrome(idx.prefix) <= longest_antipalindrome(quarter):
-        return None
-    return is_antipalindrome(chain.q_full)

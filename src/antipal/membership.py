@@ -155,19 +155,9 @@ def p_witnesses(m: Morphism) -> tuple[PWitness, ...]:
     return tuple(PWitness(*parts) for parts in _splits(m.image0, m.image1, PWitness.mirror))
 
 
-def in_class_p(m: Morphism) -> PWitness | None:
-    ws = p_witnesses(m)
-    return ws[0] if ws else None
-
-
 def ep_witnesses(m: Morphism) -> tuple[EPWitness, ...]:
     """All class-EP witnesses, longest common prefix first."""
     return tuple(EPWitness(*parts) for parts in _splits(m.image0, m.image1, EPWitness.mirror))
-
-
-def in_class_ep(m: Morphism) -> EPWitness | None:
-    ws = ep_witnesses(m)
-    return ws[0] if ws else None
 
 
 @dataclass(frozen=True)
@@ -217,11 +207,6 @@ def a1_witnesses(m: Morphism) -> tuple[A1Witness, ...]:
     return tuple(out)
 
 
-def in_class_a1(m: Morphism) -> A1Witness | None:
-    ws = a1_witnesses(m)
-    return ws[0] if ws else None
-
-
 def a2_witnesses(m: Morphism) -> tuple[A2Witness, ...]:
     """All class-A2 witnesses, shortest core first."""
     try:
@@ -230,11 +215,6 @@ def a2_witnesses(m: Morphism) -> tuple[A2Witness, ...]:
     except NotInThetaImage:
         return ()
     return tuple(A2Witness(*s) for s in alternations(u0, u1, reverse))
-
-
-def in_class_a2(m: Morphism) -> A2Witness | None:
-    ws = a2_witnesses(m)
-    return ws[0] if ws else None
 
 
 def _mirror_test(chain: ConjugacyChain) -> bool:

@@ -6,20 +6,12 @@ import numpy as np
 import pytest
 
 from antipal import language
-from antipal.errors import (
-    BadBounds,
-    CertificationExceeded,
-    CyclicMorphism,
-    NotProlongable,
-    PreconditionViolated,
-    UnstableLength,
-)
+from antipal.errors import BadBounds, CyclicMorphism, NotProlongable
 from antipal.language import (
     BispecialOrbit,
     bispecial_orbit,
     bispecial_successor,
     build_index,
-    q_antipalindrome_check,
 )
 from antipal.morphisms import Morphism, prolongable_letters
 from antipal.words import exchange, is_antipalindrome, is_palindrome
@@ -134,11 +126,14 @@ def test_index_is_freed_without_the_cycle_collector():
         idx.bispecials()
         idx.e_closure_check()
         idx.antipal_center(16)
-        idx.extend_to_bispecial("0")
-        idx.right_special(3)
-        ref = weakref.ref(idx)
-        del idx
-        assert ref() is None
+        # certified past 64 letters: the rank levels and _extensions
+        long = build_index(THETA, "0", 1200, 300)
+        long.bispecials()
+        long.e_closure_check()
+        long.antipal_center(100)
+        refs = weakref.ref(idx), weakref.ref(long)
+        del idx, long
+        assert [ref() for ref in refs] == [None, None]
     finally:
         if enabled:
             gc.enable()
@@ -305,8 +300,6 @@ def test_stability_certification():
     # a short prefix cannot certify long factors
     idx = build_index(THETA, "0", 256, 64)
     assert 0 < idx.stable_up_to < 64
-    with pytest.raises(UnstableLength):
-        idx.right_special(idx.stable_up_to)
     # downward consistency of the certified sets
     idx = build_index(FIB, "0", 2000, 32)
     for n in range(1, idx.stable_up_to + 1):
@@ -316,16 +309,14 @@ def test_stability_certification():
 
 
 def test_special_factors():
-    idx = build_index(FIB, "0", 4000, 32)
-    assert "0" in idx.right_special(1)
-    assert "1" not in idx.right_special(1)
-    assert "" in idx.bispecials()
+    bispecials = build_index(FIB, "0", 4000, 32).bispecials()
+    assert "" in bispecials and "0" in bispecials
+    assert "1" not in bispecials  # 1 is always followed by 0
     idx_t = build_index(THETA, "0", 4000, 32)
-    assert "" in idx_t.bispecials()
-    for w in idx_t.bispecials():
-        if len(w) + 1 <= idx_t.stable_up_to:
-            assert w in idx_t.right_special(len(w))
-            assert w in idx_t.left_special(len(w))
+    bispecials = idx_t.bispecials()
+    assert "" in bispecials
+    for w in bispecials:
+        assert {w + "0", w + "1", "0" + w, "1" + w} <= idx_t.factors(len(w) + 1), w
 
 
 def test_e_closure():
@@ -345,19 +336,6 @@ def test_antipal_center():
     assert len(idx_f.antipal_center(30)) <= 2  # growth stalls
 
 
-def test_extend_to_bispecial():
-    idx = build_index(THETA, "0", 4000, 64)
-    b = idx.extend_to_bispecial("0")
-    assert b in idx.bispecials()
-    already = idx.bispecials()[3]
-    assert idx.extend_to_bispecial(already) == already
-    near_edge = idx.prefix[: idx.stable_up_to]
-    with pytest.raises((CertificationExceeded, PreconditionViolated)):
-        idx.extend_to_bispecial(near_edge)
-    with pytest.raises(PreconditionViolated):
-        idx.extend_to_bispecial("0" * (idx.stable_up_to + 5))
-
-
 def test_bispecial_successor():
     assert bispecial_successor(FIB, "") == "0"
     assert bispecial_successor(THETA, "0") == "01"
@@ -370,14 +348,13 @@ def test_bispecial_successor():
 def test_bispecial_orbit_stays_bispecial():
     for m in (FIB, THETA):
         idx = build_index(m, "0", 60000, 512)
-        seeds = [w for w in idx.bispecials() if len(w) <= 2]
-        for seed in seeds:
+        bispecials = idx.bispecials()
+        for seed in [w for w in bispecials if len(w) <= 2]:
             orbit = bispecial_orbit(m, seed, 4)
             assert isinstance(orbit, BispecialOrbit)
             for w in orbit.steps:
                 if len(w) + 1 <= idx.stable_up_to:
-                    assert w in idx.right_special(len(w))
-                    assert w in idx.left_special(len(w))
+                    assert w in bispecials
 
 
 def test_antipalindromic_bispecials_at_several_lengths():
@@ -387,15 +364,6 @@ def test_antipalindromic_bispecials_at_several_lengths():
         idx = build_index(m, "0", 60000, 256)
         lengths = {len(w) for w in idx.bispecials() if w and is_antipalindrome(w)}
         assert len(lengths) >= 3, (str(m), sorted(lengths))
-
-
-def test_q_antipalindrome_check():
-    idx = build_index(THETA, "0", 20000, 64)
-    assert q_antipalindrome_check(THETA, idx) is True
-    idx_f = build_index(FIB, "0", 20000, 64)
-    assert q_antipalindrome_check(FIB, idx_f) is None  # no growing evidence
-    with pytest.raises(CyclicMorphism):
-        q_antipalindrome_check(Morphism("01", "01"), idx)
 
 
 def test_short_census_reads_no_ids_and_no_search(monkeypatch):
@@ -427,11 +395,6 @@ def test_window_keys_match_bruteforce_windows():
         assert keys.dtype == np.uint64 and keys.tolist() == expected, size
 
 
-def _bf_specials(prefix, n, attach):
-    longer = bf_factor_set(prefix, n + 1)
-    return {w for w in bf_factor_set(prefix, n) if all(attach(w, a) in longer for a in "01")}
-
-
 # stable_up_to 64 (the census indexes' shape), 33, 129 and 257 (past the
 # packed keys, so rank-pair ids, and for 257 centres longer than 64), 1 and 0
 BATCHED_INDEXES = (
@@ -457,9 +420,6 @@ def test_batched_queries_match_bruteforce_sets(m, prefix_len, n_max):
     rows = [(r.factor_count, r.palindrome_count, r.antipalindrome_count) for r in idx.census(lengths)]
     assert rows == [_bf_row(p, n) for n in lengths]
     assert idx.bispecials() == tuple(bf_bispecials(p, top))
-    for n in range(min(top, 130)):
-        assert idx.right_special(n) == _bf_specials(p, n, lambda w, a: w + a), n
-        assert idx.left_special(n) == _bf_specials(p, n, lambda w, a: a + w), n
     for limit in (0, 1, 5, 32, 33, 64, 100, 300):
         assert idx.antipal_center(limit) == bf_antipal_center(idx, limit), limit
 
