@@ -336,24 +336,21 @@ class FactorIndex:
 
     @cached_property
     def _top_starts(self) -> np.ndarray:
-        """One start for each distinct window of length ``stable_up_to``."""
+        """One start for each distinct window of length ``stable_up_to``.
+
+        Every certified factor heads one of these windows: it lies inside
+        such a window, which also occurs in the half prefix, and a window
+        starting inside the half prefix fits in the prefix.
+        """
         return self._starts(self.stable_up_to)
 
     def factors(self, n: int) -> frozenset[str]:
-        """Exact set of length-n factors of the prefix (not certification-gated).
-
-        A certified length takes the heads of one window per distinct id
-        at length ``stable_up_to``: every length-n factor lies inside such
-        a window, which also occurs in the half prefix, and a window
-        starting inside the half prefix fits in the prefix, so the factor
-        heads a window.  Longer lengths slice one window per distinct id.
-        """
+        """Exact set of length-n factors of the prefix (not certification-gated)."""
         if n < 0 or n > self.prefix_len:
             return frozenset()
         if n == 0:
             return frozenset({""})
-        starts = self._top_starts if n <= self.stable_up_to else self._starts(n)
-        return self._cut(starts, n)
+        return self._cut(self._starts(n), n)
 
     def _cut(self, starts: np.ndarray, n: int) -> frozenset[str]:
         """The length-n words of the prefix at the given starts."""
@@ -364,7 +361,7 @@ class FactorIndex:
         n-ids of its head and of its tail.
 
         The (n+1)-factors are the heads of the distinct top windows (see
-        ``factors``), so their ids are gathered at ``_top_starts`` only.  A
+        ``_top_starts``), so their ids are gathered at those starts only.  A
         head id that occurs twice is a right special n-factor, a tail id
         that occurs twice a left special one.
         """

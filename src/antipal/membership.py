@@ -24,6 +24,7 @@ back to two-scale empirical evidence otherwise.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from os.path import commonprefix
 from typing import Callable, ClassVar, get_args
 
 from .equations import alternations, decompose_two_antipalindromes, decompose_two_palindromes
@@ -141,12 +142,9 @@ def witness_from_dict(d: dict) -> Witness:
 def _splits(x0: Word, x1: Word, mirror):
     """Every split x_a == common + rest_a with all three parts fixed by
     ``mirror``, as (common, rest0, rest1), longest common prefix first."""
-    for plen in range(min(len(x0), len(x1)), -1, -1):
-        common = x0[:plen]
-        if x1[:plen] != common or not mirror(common):
-            continue
-        rest0, rest1 = x0[plen:], x1[plen:]
-        if mirror(rest0) and mirror(rest1):
+    for plen in range(len(commonprefix([x0, x1])), -1, -1):
+        common, rest0, rest1 = x0[:plen], x0[plen:], x1[plen:]
+        if mirror(common) and mirror(rest0) and mirror(rest1):
             yield common, rest0, rest1
 
 
@@ -315,24 +313,24 @@ class ClassMembership:
         }
 
 
-def _chain_hit(enumerate_witnesses, chain: ConjugacyChain, where: str) -> Hit | None:
-    for index, element in enumerate(chain.chain):
-        ws = enumerate_witnesses(element)
+def _chain_walk(enumerate_witnesses, m: Morphism, chain: ConjugacyChain, where: str) -> tuple:
+    """Search each element of m's chain once: the first witness of m and
+    the ``Hit`` at the first element that has a witness.  m is in its own
+    chain, at index |p| (see ``conjugacy_chain``) when the chain is not
+    cyclic and at index 0 when it is cyclic or an image is empty."""
+    found = [enumerate_witnesses(element) for element in chain.chain]
+    own = next(iter(found[chain.chain.index(m)]), None)
+    for index, ws in enumerate(found):
         if ws:
-            q = chain.qs[index] if chain.qs else None
-            return Hit(where, ws[0], chain_index=index, q=q)
-    return None
+            return own, Hit(where, ws[0], chain_index=index, q=chain.qs[index] if chain.qs else None)
+    return own, None
 
 
 def _membership(enumerate_witnesses, m, chain, m2, chain2) -> ClassMembership:
-    direct = enumerate_witnesses(m)
-    sq = enumerate_witnesses(m2)
-    return ClassMembership(
-        direct=direct[0] if direct else None,
-        conjugate=_chain_hit(enumerate_witnesses, chain, "conjugate"),
-        square=sq[0] if sq else None,
-        square_conjugate=_chain_hit(enumerate_witnesses, chain2, "square-conjugate"),
-    )
+    """One walk over the chain of m and one over that of its square m2."""
+    direct, conjugate = _chain_walk(enumerate_witnesses, m, chain, "conjugate")
+    on_square, square_conjugate = _chain_walk(enumerate_witnesses, m2, chain2, "square-conjugate")
+    return ClassMembership(direct, conjugate, on_square, square_conjugate)
 
 
 def conjugate_to_a1(m: Morphism) -> Hit | None:
@@ -400,7 +398,6 @@ class ClassificationReport:
     evidence: Evidence | None
     counterexample_candidate: bool
     chain: ConjugacyChain = field(repr=False)
-    square_chain: ConjugacyChain = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -571,5 +568,4 @@ def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> Classificat
         evidence=evidence,
         counterexample_candidate=candidate,
         chain=chain,
-        square_chain=chain2,
     )

@@ -133,6 +133,18 @@ def bf_pal_antipal_solutions(x, y):
     return out
 
 
+def bf_split_witnesses(x0, x1, mirror):
+    """Every split x_a == common + rest_a with all three parts fixed by
+    ``mirror``, as (common, rest0, rest1): each prefix length is tried in
+    turn, longest first, comparing the two prefixes letter by letter."""
+    found = []
+    for plen in range(min(len(x0), len(x1)), -1, -1):
+        common, rest0, rest1 = x0[:plen], x0[plen:], x1[plen:]
+        if x1[:plen] == common and mirror(common) and mirror(rest0) and mirror(rest1):
+            found.append((common, rest0, rest1))
+    return tuple(found)
+
+
 def bf_a2_witnesses(max_image_len):
     """Every class-A2 witness (core, k, h) built forwards from its
     definition, 0 -> theta(core (R(core) core)^k) and

@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import pytest
 
+from antipal import membership
 from antipal.cli import scan_space
 from antipal.errors import CyclicMorphism, PreconditionViolated
 from antipal.membership import (
@@ -35,7 +36,16 @@ from antipal.morphisms import (
     square,
 )
 from antipal.words import exchange, is_antipalindrome, reverse, theta_apply
-from bruteforce import bf_a2_witnesses, bf_fixed_point_prefix, bf_proven_period, bf_theta, words_up_to
+from bruteforce import (
+    bf_a2_witnesses,
+    bf_fixed_point_prefix,
+    bf_is_antipalindrome,
+    bf_is_palindrome,
+    bf_proven_period,
+    bf_split_witnesses,
+    bf_theta,
+    words_up_to,
+)
 
 FIB = Morphism("01", "0")
 THETA = Morphism("01", "10")
@@ -150,6 +160,48 @@ def test_witness_soundness_exhaustive_small():
             for w in p_witnesses(m) + ep_witnesses(m) + a1_witnesses(m) + a2_witnesses(m):
                 assert w.build() == m
                 assert w.is_valid()
+
+
+def test_split_enumerators_are_complete():
+    # every P, EP and EP-suffix split of every image pair up to 6 letters,
+    # in the brute-force oracle's order
+    for i0 in words_up_to(6, include_empty=False):
+        for i1 in words_up_to(6, include_empty=False):
+            m = Morphism(i0, i1)
+            assert tuple((w.prefix, w.tail0, w.tail1) for w in p_witnesses(m)) == bf_split_witnesses(
+                i0, i1, bf_is_palindrome
+            ), str(m)
+            assert tuple((w.prefix, w.tail0, w.tail1) for w in ep_witnesses(m)) == bf_split_witnesses(
+                i0, i1, bf_is_antipalindrome
+            ), str(m)
+            suffix = ep_suffix_witnesses(m)
+            assert tuple((w.body0, w.body1, w.suffix) for w in suffix) == tuple(
+                (rest0[::-1], rest1[::-1], common[::-1])
+                for common, rest0, rest1 in bf_split_witnesses(i0[::-1], i1[::-1], bf_is_antipalindrome)
+            ), str(m)
+            for w in suffix:
+                assert w.build() == m
+                assert w.is_valid()
+
+
+def test_classify_searches_each_conjugate_once(monkeypatch):
+    # one enumeration per element of the chains of m and of its square,
+    # for each class, hit or no hit
+    names = ("p_witnesses", "ep_witnesses", "a1_witnesses", "a2_witnesses")
+    calls = {}
+    for name in names:
+
+        def counting(m, name=name, enumerate_witnesses=getattr(membership, name)):
+            calls[name] += 1
+            return enumerate_witnesses(m)
+
+        monkeypatch.setattr(membership, name, counting)
+    for text in scan_space(3):
+        m = parse_morphism(text)
+        calls.update(dict.fromkeys(names, 0))
+        classify(m)
+        expected = len(conjugacy_chain(m).chain) + len(conjugacy_chain(square(m)).chain)
+        assert calls == dict.fromkeys(names, expected), text
 
 
 def test_mirror_test_agrees_with_chain_search():
