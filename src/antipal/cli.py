@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
@@ -41,6 +42,10 @@ from .morphisms import (
 from .words import complement, parse_word
 
 _SCAN_CHUNK = 8
+# Chunks a scan keeps submitted to its pool and not yet written, per worker:
+# enough to keep every worker busy, few enough that a large space never
+# queues all of its chunks at once.
+_IN_FLIGHT = 4
 
 
 def _index(args, m: Morphism, n_max: int | None):
@@ -321,6 +326,18 @@ def _classify_chunk(chunk: list[str], cfg: EvidenceConfig) -> list[str]:
     return lines
 
 
+def _pooled(pool, workers: int, chunks, cfg: EvidenceConfig):
+    """``_classify_chunk`` over ``chunks`` on ``pool``, in chunk order, with at
+    most ``_IN_FLIGHT * workers`` chunks submitted and not yet yielded."""
+    pending = deque()
+    for chunk in chunks:
+        pending.append(pool.submit(_classify_chunk, chunk, cfg))
+        if len(pending) == _IN_FLIGHT * workers:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def _complete_records(path: Path, space: list[str], cfg: EvidenceConfig) -> tuple[int, int]:
     """Count and byte size of the complete, in-order records that open the file, all made under ``cfg``.
 
@@ -356,11 +373,13 @@ def cmd_scan(args) -> int:
     if out.exists() and not args.overwrite:
         resumed, size = _complete_records(out, space, cfg)
 
-    chunks = [space[i : i + _SCAN_CHUNK] for i in range(resumed, len(space), _SCAN_CHUNK)]
-    workers = min(args.parallelism, len(chunks), os.cpu_count() or 1)
+    starts = range(resumed, len(space), _SCAN_CHUNK)
+    chunks = (space[i : i + _SCAN_CHUNK] for i in starts)
+    workers = min(args.parallelism, len(starts), os.cpu_count() or 1)
     with out.open("a") as fh, ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         fh.truncate(size)
-        for lines in (pool.map if pool else map)(_classify_chunk, chunks, repeat(cfg)):
+        results = _pooled(pool, workers, chunks, cfg) if pool else map(_classify_chunk, chunks, repeat(cfg))
+        for lines in results:
             fh.write("\n".join(lines) + "\n")
             fh.flush()
 

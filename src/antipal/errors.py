@@ -59,10 +59,6 @@ class NoNormalForm(NoSolution):
     pass
 
 
-class NotAConjugacyWord(NoSolution):
-    pass
-
-
 class PreconditionViolated(AntipalError):
     """Arguments violate a stated precondition."""
 

@@ -28,7 +28,7 @@ from os.path import commonprefix
 from typing import Callable, ClassVar, get_args
 
 from .equations import alternations, decompose_two_antipalindromes, decompose_two_palindromes
-from .errors import CyclicMorphism, NotInThetaImage, PreconditionViolated
+from .errors import NotInThetaImage, PreconditionViolated
 from .morphisms import (
     ConjugacyChain,
     Morphism,
@@ -222,37 +222,6 @@ def _mirror_test(chain: ConjugacyChain) -> bool:
     return reverse(right.image0) == left.image0 and reverse(right.image1) == left.image1
 
 
-def conjugate_to_p(m: Morphism) -> bool:
-    """Whether some conjugate of the acyclic morphism m is in class P."""
-    chain = conjugacy_chain(m)
-    if chain.cyclic:
-        raise CyclicMorphism(f"{format_morphism(m)} is cyclic")
-    return _mirror_test(chain)
-
-
-def a1_palindromicity(w: A1Witness) -> bool:
-    """Fixed point of the witnessed morphism is palindromic iff the
-    suffix is empty and the head is a palindrome (aperiodic case)."""
-    return w.suffix == "" and is_palindrome(w.head)
-
-
-def a2_palindromicity(w: A2Witness) -> bool:
-    """Fixed point of the witnessed morphism is palindromic iff the core
-    is an antipalindrome (aperiodic case)."""
-    return is_antipalindrome(w.core)
-
-
-def a2_rebalance(w: A2Witness) -> A2Witness:
-    """Shift the whole alternation budget onto the second image.
-
-    The two witnessed morphisms share their fixed points, so rebalancing
-    never changes the generated word.
-    """
-    if w.k + w.h < 1:
-        raise PreconditionViolated("rebalancing needs k + h >= 1")
-    return A2Witness(w.core, 0, w.k + w.h)
-
-
 @dataclass(frozen=True)
 class Hit:
     """Where a class membership was found around a morphism.
@@ -331,13 +300,6 @@ def _membership(enumerate_witnesses, m, chain, m2, chain2) -> ClassMembership:
     direct, conjugate = _chain_walk(enumerate_witnesses, m, chain, "conjugate")
     on_square, square_conjugate = _chain_walk(enumerate_witnesses, m2, chain2, "square-conjugate")
     return ClassMembership(direct, conjugate, on_square, square_conjugate)
-
-
-def conjugate_to_a1(m: Morphism) -> Hit | None:
-    """First class-A1 hit over the chains of m and of its square."""
-    m2 = square(m)
-    mem = _membership(a1_witnesses, m, conjugacy_chain(m), m2, conjugacy_chain(m2))
-    return mem.first_hit()
 
 
 @dataclass(frozen=True)

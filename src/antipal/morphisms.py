@@ -15,7 +15,6 @@ from math import isqrt, sqrt
 from os.path import commonprefix
 
 from .errors import (
-    NotAConjugacyWord,
     NotPrimitive,
     NotProlongable,
     ParseError,
@@ -268,17 +267,6 @@ def conjugacy_chain(m: Morphism) -> ConjugacyChain:
     chain = tuple(Morphism(su[j : j + len(u)], sv[j : j + len(v)]) for j in starts)
     qs = tuple(su[j:top] for j in starts)
     return ConjugacyChain(chain, qs, qs[-1], False)
-
-
-def conjugate_by(m: Morphism, q: Word) -> Morphism:
-    """The left conjugate of m by q: the morphism psi with q·psi(w) == m(w)·q."""
-    images = []
-    for letter in "01":
-        shifted = m.image(letter) + q
-        if not shifted.startswith(q):
-            raise NotAConjugacyWord(f"{q!r} is not a conjugacy word for {format_morphism(m)}")
-        images.append(shifted[len(q) :])
-    return Morphism(images[0], images[1])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ the empty word is the only word that is both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -84,40 +83,6 @@ def theta_decode(w: Word) -> Word:
     return candidate
 
 
-@dataclass(frozen=True)
-class ThetaFactorization:
-    """A decomposition ``x + theta_apply(z) + y`` with both borders of length <= 1."""
-
-    x: Word
-    z: Word
-    y: Word
-
-    def reassemble(self) -> Word:
-        return self.x + theta_apply(self.z) + self.y
-
-
-def theta_factorize(v: Word) -> tuple[ThetaFactorization, ...]:
-    """All decompositions ``v = x + theta_apply(z) + y`` with ``|x|, |y| <= 1``.
-
-    Returns every valid boundary choice (at most four).  Whenever ``v``
-    contains 00 or 11 the result has at most one element; existence is
-    only guaranteed for factors of the fixed points this is used on.
-    """
-    found = []
-    n = len(v)
-    for xl in (0, 1):
-        for yl in (0, 1):
-            if xl + yl > n:
-                continue
-            mid = v[xl : n - yl]
-            if len(mid) % 2:
-                continue
-            candidate = mid[0::2]
-            if theta_apply(candidate) == mid:
-                found.append(ThetaFactorization(v[:xl], candidate, v[n - yl :] if yl else ""))
-    return tuple(found)
-
-
 def smallest_period(w: Word, bound: int | None = None) -> int | None:
     """Smallest p >= 1 with w[i] == w[i+p] for all valid i.
 
@@ -159,13 +124,6 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     if len(w) % p == 0:
         return w[:p], len(w) // p
     return w, 1
-
-
-def s_map(w: Word) -> Word:
-    """Letterwise difference map: output letter i is (w[i] + w[i+1]) mod 2; length shrinks by one."""
-    if not w:
-        raise EmptyWordError("the difference map needs a nonempty word")
-    return "".join("1" if a != b else "0" for a, b in zip(w, w[1:]))
 
 
 def _packed_keys(bits: np.ndarray) -> np.ndarray:

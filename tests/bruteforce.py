@@ -35,35 +35,6 @@ def bf_theta(w):
     return "".join("01" if c == "0" else "10" for c in w)
 
 
-def bf_theta_decode(w):
-    if len(w) % 2:
-        return None
-    out = []
-    for i in range(0, len(w), 2):
-        pair = w[i : i + 2]
-        if pair == "01":
-            out.append("0")
-        elif pair == "10":
-            out.append("1")
-        else:
-            return None
-    return "".join(out)
-
-
-def bf_theta_factorizations(v):
-    """All (x, z, y) with x + theta(z) + y == v and |x|, |y| <= 1."""
-    found = []
-    for xl in (0, 1):
-        for yl in (0, 1):
-            if xl + yl > len(v):
-                continue
-            mid = v[xl : len(v) - yl] if yl else v[xl:]
-            z = bf_theta_decode(mid)
-            if z is not None:
-                found.append((v[:xl], z, v[len(v) - yl :] if yl else ""))
-    return found
-
-
 def bf_smallest_period(w):
     """Try every p in turn: w has period p when w[p:] == w[:n-p] (compared
     as memoryviews, so a long word is not copied once per p)."""

@@ -23,10 +23,7 @@ from antipal.language import build_index
 from antipal.membership import (
     A1Witness,
     A2Witness,
-    a1_palindromicity,
-    a2_rebalance,
     classify,
-    conjugate_to_a1,
 )
 from antipal.morphisms import (
     FrequencyVector,
@@ -44,7 +41,6 @@ from antipal.words import (
     is_antipalindrome,
     is_palindrome,
     reverse,
-    s_map,
     theta_apply,
 )
 from bruteforce import (
@@ -246,7 +242,7 @@ def test_bounded_antipalindromes_example():
     rep = classify(m)
     assert rep.class_ep.direct is not None
     assert rep.evidence.a_small == rep.evidence.a_big  # exact equality
-    assert conjugate_to_a1(m) is None  # covers m, its square, both chains
+    assert rep.class_a1.first_hit() is None  # covers m, its square, both chains
     assert rep.antipal_verdict == "proven-finite"
     _passed(
         f"morphism 0->0101,1->1100: A(25000) = A(100000) = {rep.evidence.a_small}, no uniform-class hit"
@@ -261,12 +257,11 @@ def test_rebalanced_morphisms_share_fixed_points():
         k = rng.randrange(k_total + 1)
         core = "".join(rng.choice("01") for _ in range(rng.randrange(1, 4)))
         witness = A2Witness(core, k, k_total - k)
-        m = witness.build()
-        letters = prolongable_letters(m) & prolongable_letters(a2_rebalance(witness).build())
+        m, m_re = witness.build(), A2Witness(core, 0, k_total).build()
+        letters = prolongable_letters(m) & prolongable_letters(m_re)
         if not letters:
             continue
         letter = sorted(letters)[0]
-        m_re = a2_rebalance(witness).build()
         assert fixed_point_prefix(m, letter, 100_000) == fixed_point_prefix(m_re, letter, 100_000)
         done += 1
     _passed("rebalanced doubling-class morphisms share 100k fixed-point prefixes (10 witnesses)")
@@ -279,7 +274,8 @@ def test_palindromic_and_antipalindromic_family():
         rep = classify(m)
         assert rep.class_p.direct is not None
         assert rep.class_a1.direct is not None
-        assert a1_palindromicity(rep.class_a1.direct)
+        w = rep.class_a1.direct
+        assert w.suffix == "" and is_palindrome(w.head)
         assert rep.palindromic_status == "proven"
         assert rep.antipal_verdict == "proven-infinite"
         totals = {}
@@ -422,5 +418,5 @@ def test_difference_map_sends_doubling_word_to_period_doubling():
     period_doubling = Morphism("11", "10")
     t = fixed_point_prefix(theta, "0", 10_000)
     d = fixed_point_prefix(period_doubling, "1", 9_999)
-    assert s_map(t) == d
+    assert "".join("01"[a != b] for a, b in zip(t, t[1:])) == d
     _passed("letterwise difference of the 10k doubling-word prefix is the period-doubling word")

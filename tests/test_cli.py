@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -334,12 +335,19 @@ def test_scan_crash_keeps_finished_records(tmp_path, capsys):
 
 
 class _CountingPool:
-    """Stands in for ProcessPoolExecutor: records the worker count, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records the worker count, runs in-process.
+
+    When ``out`` is set, each submit also records how many chunks have been
+    submitted and not yet written to that file.
+    """
 
     workers = []
+    in_flight = []
+    out = None
 
     def __init__(self, max_workers):
         self.workers.append(max_workers)
+        self.submitted = 0
 
     def __enter__(self):
         return self
@@ -347,7 +355,14 @@ class _CountingPool:
     def __exit__(self, *exc):
         return False
 
-    map = staticmethod(map)
+    def submit(self, fn, *args):
+        self.submitted += 1
+        if self.out is not None:
+            written = self.out.read_text().count("\n") // cli._SCAN_CHUNK
+            self.in_flight.append(self.submitted - written)
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def test_scan_pool_is_capped(tmp_path, capsys, monkeypatch):
@@ -360,3 +375,24 @@ def test_scan_pool_is_capped(tmp_path, capsys, monkeypatch):
                            "--parallelism", "64")
         assert code == 0
     assert _CountingPool.workers == [2, 3]
+
+
+def test_scan_bounds_the_chunks_in_flight(tmp_path, capsys, monkeypatch):
+    # the <= 3 space is 105 records in 14 chunks, more than 2 workers may
+    # hold submitted and not yet written; the bytes match the in-process run
+    out, serial = tmp_path / "p2.jsonl", tmp_path / "p1.jsonl"
+    bound = cli._IN_FLIGHT * 2
+    assert bound < 14
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "workers", [])
+    monkeypatch.setattr(_CountingPool, "in_flight", [])
+    monkeypatch.setattr(_CountingPool, "out", out)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for path, parallelism in ((out, "2"), (serial, "1")):
+        code, _, _ = run(capsys, "scan", "--max-image-len", "3", "--out", str(path), "--prefix-len", "100",
+                         "--parallelism", parallelism)
+        assert code == 0
+    assert _CountingPool.workers == [2]
+    assert len(_CountingPool.in_flight) == 14
+    assert max(_CountingPool.in_flight) <= bound
+    assert out.read_bytes() == serial.read_bytes()

@@ -5,19 +5,14 @@ import pytest
 
 from antipal import membership
 from antipal.cli import scan_space
-from antipal.errors import CyclicMorphism, PreconditionViolated
+from antipal.errors import PreconditionViolated
 from antipal.membership import (
     A1Witness,
     A2Witness,
     EvidenceConfig,
-    a1_palindromicity,
     a1_witnesses,
-    a2_palindromicity,
-    a2_rebalance,
     a2_witnesses,
     classify,
-    conjugate_to_a1,
-    conjugate_to_p,
     ep_suffix_witnesses,
     ep_witnesses,
     p_witnesses,
@@ -35,7 +30,7 @@ from antipal.morphisms import (
     prolongable_letters,
     square,
 )
-from antipal.words import exchange, is_antipalindrome, reverse, theta_apply
+from antipal.words import exchange, is_antipalindrome, is_palindrome, reverse, theta_apply
 from bruteforce import (
     bf_a2_witnesses,
     bf_fixed_point_prefix,
@@ -90,14 +85,6 @@ def test_class_p_examples():
     assert p_witnesses(THETA) == ()
 
 
-def test_conjugate_to_p():
-    assert conjugate_to_p(FIB) is True
-    assert conjugate_to_p(THETA) is False
-    assert conjugate_to_p(Morphism("01001", "01")) is True
-    with pytest.raises(CyclicMorphism):
-        conjugate_to_p(Morphism("01", "01"))
-
-
 def test_class_ep_examples():
     w = ep_witnesses(Morphism("0101", "1100"))[0]
     assert (w.prefix, w.tail0, w.tail1) == ("", "0101", "1100")
@@ -116,12 +103,12 @@ def test_class_a1_examples():
 
 
 def test_conjugate_to_a1():
-    hit = conjugate_to_a1(THETA)
+    hit = classify(THETA).class_a1.first_hit()
     assert hit is not None and hit.where == "square"
     assert (hit.witness.head, hit.witness.suffix) == ("0110", "")
-    assert conjugate_to_a1(Morphism("0101", "1100")) is None
+    assert classify(Morphism("0101", "1100")).class_a1.first_hit() is None
     # cyclic morphisms search the full rotation cycle
-    hit = conjugate_to_a1(Morphism("01", "01"))
+    hit = classify(Morphism("01", "01")).class_a1.first_hit()
     assert hit is not None and hit.where == "direct"
 
 
@@ -213,7 +200,31 @@ def test_mirror_test_agrees_with_chain_search():
             if chain.cyclic or not is_primitive(m):
                 continue
             by_search = any(p_witnesses(e) for e in chain.chain)
-            assert conjugate_to_p(m) == by_search, str(m)
+            assert membership._mirror_test(chain) == by_search, str(m)
+
+
+def test_palindromic_status_agrees_with_the_paper_lemmas():
+    # On primitive non-cyclic records the status is "proven" exactly when a
+    # conjugate of m or of m^2 is in class P (the mirror test), and the
+    # palindromicity lemmas on the first A1 and A2 witnesses give the same
+    # answer.  The lemmas assume an aperiodic fixed point, so cyclic records
+    # are left out.
+    a1_lemma = []
+    a2_lemma = []
+    for text in scan_space(4):
+        rep = classify(parse_morphism(text))
+        if not rep.primitive or rep.cyclic:
+            continue
+        proven = rep.palindromic_status == "proven"
+        assert proven == (rep.class_p.conjugate is not None or rep.class_p.square_conjugate is not None), text
+        if (hit := rep.class_a1.first_hit()) is not None:
+            a1_lemma.append(hit.witness.suffix == "" and is_palindrome(hit.witness.head))
+            assert a1_lemma[-1] == proven, text
+        if (hit := rep.class_a2.first_hit()) is not None:
+            a2_lemma.append(is_antipalindrome(hit.witness.core))
+            assert a2_lemma[-1] == proven, text
+    assert sorted(set(a1_lemma)) == [False, True]
+    assert a2_lemma
 
 
 def test_uniform_a1_iff_composed_with_doubling_in_ep():
@@ -289,25 +300,6 @@ def test_constructive_antipalindromes_a1():
         assert lengths == sorted(set(lengths))
 
 
-def test_a1_palindromicity():
-    assert a1_palindromicity(A1Witness("0110", ""))
-    assert not a1_palindromicity(A1Witness("01", ""))
-    assert not a1_palindromicity(A1Witness("0", "01"))
-
-
-def test_a2_palindromicity():
-    assert a2_palindromicity(A2Witness("01", 0, 0))
-    assert not a2_palindromicity(A2Witness("0", 1, 0))
-    assert a2_palindromicity(A2Witness("0101", 1, 2))
-
-
-def test_a2_rebalance():
-    assert a2_rebalance(A2Witness("01", 1, 0)) == A2Witness("01", 0, 1)
-    assert a2_rebalance(A2Witness("0", 2, 1)) == A2Witness("0", 0, 3)
-    with pytest.raises(PreconditionViolated):
-        a2_rebalance(A2Witness("01", 0, 0))
-
-
 def test_evidence_config_rejects_lengths_the_kernel_cannot_take():
     # the longer evidence prefix is prefix_len * factor letters; the kernel takes fewer than 2**30
     with pytest.raises(PreconditionViolated):
@@ -317,7 +309,7 @@ def test_evidence_config_rejects_lengths_the_kernel_cannot_take():
 
 def test_a2_rebalance_preserves_fixed_point():
     w = A2Witness("01", 1, 1)
-    m, m_re = w.build(), a2_rebalance(w).build()
+    m, m_re = w.build(), A2Witness(w.core, 0, w.k + w.h).build()
     assert fixed_point_prefix(m, "0", 5000) == fixed_point_prefix(m_re, "0", 5000)
 
 
@@ -361,7 +353,8 @@ def test_classify_family_with_both_characters():
         rep = classify(m)
         assert rep.class_p.direct is not None
         assert rep.class_a1.direct is not None
-        assert a1_palindromicity(rep.class_a1.direct)
+        w = rep.class_a1.direct
+        assert w.suffix == "" and is_palindrome(w.head)
         assert rep.palindromic_status == "proven"
         assert rep.antipal_verdict == "proven-infinite"
 

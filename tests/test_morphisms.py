@@ -6,13 +6,12 @@ import pytest
 
 from antipal import ParseError, morphisms
 from antipal.cli import scan_space
-from antipal.errors import NotAConjugacyWord, NotPrimitive, NotProlongable, PreconditionViolated
+from antipal.errors import NotPrimitive, NotProlongable, PreconditionViolated
 from antipal.morphisms import (
     Morphism,
     apply,
     compose,
     conjugacy_chain,
-    conjugate_by,
     fixed_point_prefix,
     fixed_point_source,
     format_morphism,
@@ -243,17 +242,23 @@ def test_chain_elements_share_factors():
             assert factors == seen
 
 
-def test_conjugate_by():
-    assert conjugate_by(FIB, "0") == Morphism("10", "0")
-    assert conjugate_by(FIB, "") == FIB
-    with pytest.raises(NotAConjugacyWord):
-        conjugate_by(THETA, "0")
-
-
-def test_conjugate_by_agrees_with_chain():
-    chain = conjugacy_chain(Morphism("01001", "01"))
-    for elem, q in zip(chain.chain, chain.qs):
-        assert conjugate_by(elem, q) == chain.leftmost
+def test_chain_conjugacy_words_link_every_element_to_the_leftmost():
+    # qs[i] + leftmost(a) == chain[i](a) + qs[i] for both letters, on every
+    # non-cyclic morphism with images of at most 4 letters (empty ones too)
+    checked = 0
+    for i0 in words_up_to(4):
+        for i1 in words_up_to(4):
+            if not i0 and not i1:
+                continue
+            chain = conjugacy_chain(Morphism(i0, i1))
+            if chain.cyclic:
+                continue
+            checked += 1
+            assert chain.qs[0] == "" and chain.q_full == chain.qs[-1]
+            for elem, q in zip(chain.chain, chain.qs, strict=True):
+                for a in "01":
+                    assert q + chain.leftmost.image(a) == elem.image(a) + q, (i0, i1, q)
+    assert checked == 902
 
 
 def test_letter_frequencies():

@@ -20,11 +20,9 @@ from antipal import (
     parse_word,
     primitive_root,
     reverse,
-    s_map,
     smallest_period,
     theta_apply,
     theta_decode,
-    theta_factorize,
 )
 from antipal.cli import scan_space
 from antipal.language import _window_keys
@@ -36,7 +34,6 @@ from bruteforce import (
     bf_longest_antipalindrome,
     bf_manacher_longest_antipalindrome,
     bf_smallest_period,
-    bf_theta_factorizations,
     words_up_to,
 )
 
@@ -98,23 +95,6 @@ def test_theta_decode():
 def test_theta_round_trip():
     for w in words_up_to(8):
         assert theta_decode(theta_apply(w)) == w
-
-
-def test_theta_factorize_frozen():
-    assert [(f.x, f.z, f.y) for f in theta_factorize("100")] == [("", "1", "0")]
-    assert [(f.x, f.z, f.y) for f in theta_factorize("001")] == [("0", "0", "")]
-    # only one boundary choice survives here: the bare decoding
-    assert [(f.x, f.z, f.y) for f in theta_factorize("0110")] == [("", "01", "")]
-
-
-def test_theta_factorize_matches_bruteforce_and_uniqueness():
-    for v in words_up_to(12):
-        got = [(f.x, f.z, f.y) for f in theta_factorize(v)]
-        assert sorted(got) == sorted(bf_theta_factorizations(v))
-        for f in theta_factorize(v):
-            assert f.reassemble() == v
-        if "00" in v or "11" in v:
-            assert len(got) <= 1
 
 
 def test_primitive_root():
@@ -180,19 +160,6 @@ def test_bounded_period_rejects_bad_bounds():
                 smallest_period(w, bound)
     with pytest.raises(EmptyWordError):
         smallest_period("", 0)
-
-
-def test_s_map():
-    assert s_map("00") == "0"
-    assert s_map("01") == "1"
-    assert s_map("0") == ""
-    with pytest.raises(EmptyWordError):
-        s_map("")
-
-
-def test_s_map_on_thue_morse_prefix():
-    t16 = "0110100110010110"
-    assert s_map(t16) == "101110101011101"
 
 
 @pytest.mark.parametrize(
