@@ -7,14 +7,18 @@ property is downward closed, so ``stable_up_to`` is an exact threshold.
 The bispecial, closure and centre queries stay inside the certified
 range, and census rows past it are flagged as uncertified.
 
-Every window gets an exact integer id, ordered as the words are.  The ids
-are taken over U = prefix + reverse(prefix) + exchange(prefix), so a
-window's mirror image and its exchange are windows of U too, and one
+Every window of the prefix gets an exact integer id, ordered as the words
+are.  Up to 64 letters the id is read from the packed 64-letter key at the
+window's start, and the keys come from the packed bytes of the prefix.  A
+longer window pairs the dense ranks of two overlapping windows of
+64 * 2**k letters, built by prefix doubling over the prefix alone.
+
+A window's mirror image and its exchange get ids too, so that one
 comparison of ids tells a palindrome or an antipalindrome.  Up to 64
-letters the id is read from the packed 64-letter key at the window's
-start, and the keys come from the packed bytes of U.  A longer window
-pairs the dense ranks of two overlapping windows of 64 * 2**k letters,
-built by prefix doubling.
+letters they come from the bit reversal of the key.  Past that each rank
+level keeps two maps on its distinct ranks, to the rank of the reversed
+window and of its exchange, or -1 when that image is no factor of the
+prefix; each level's maps come from the level below.
 
 Up to 64 letters one batched pass over the sorted distinct windows of
 the prefix gives one start for each distinct factor of every length at
@@ -32,12 +36,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadBounds, CyclicMorphism
 from .morphisms import Morphism, apply, conjugacy_chain, fixed_point_prefix
-from .words import Word, exchange
+from .words import Word
 # unused here, but perfbench/spans.py traces longest_antipalindrome at this binding
 from .words import longest_antipalindrome
 
 _KEY_LETTERS = 64
 _ALL = np.uint64(2**64 - 1)
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 def _window_keys(bits: np.ndarray) -> np.ndarray:
@@ -56,6 +61,33 @@ def _window_keys(bits: np.ndarray) -> np.ndarray:
     rows = np.packbits(sliding_window_view(padded, width)[:8], axis=1)
     words = np.ndarray((count, 8), dtype=">u8", buffer=rows, strides=(1, rows.strides[0]))
     return words.astype(np.uint64, order="C").reshape(-1)[:size]
+
+
+def _reversed_bits(keys: np.ndarray) -> np.ndarray:
+    """Each uint64 with its 64 bits in reverse order: every byte reversed
+    by a table, then the byte order swapped."""
+    return _REVERSED_BYTES[np.ascontiguousarray(keys).view(np.uint8)].view(np.uint64).byteswap()
+
+
+def _lookup(distinct: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of each value among the sorted ``distinct`` values, or -1
+    where it is not one of them, as int32."""
+    at = np.searchsorted(distinct, values).clip(max=distinct.size - 1)
+    return np.where(distinct[at] == values, at, -1).astype(np.int32)
+
+
+def _pair_ids(head: np.ndarray, tail: np.ndarray, width: int) -> np.ndarray:
+    """The pairs of ranks read as ``head * width + tail``, in an int64."""
+    return head.astype(np.int64) * width + tail
+
+
+def _image_ids(head: np.ndarray, tail: np.ndarray, width: int) -> np.ndarray:
+    """``_pair_ids``, or -1 where either rank is -1 (no product is formed
+    from a -1, so none can pass for an id)."""
+    ids = np.full(head.size, -1, dtype=np.int64)
+    found = (head | tail) >= 0
+    ids[found] = _pair_ids(head[found], tail[found], width)
+    return ids
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -193,47 +225,91 @@ class FactorIndex:
         self.prefix_len = prefix_len
         self.n_max = n_max
         self.prefix = fixed_point_prefix(morphism, letter, prefix_len)
-        text = self.prefix + self.prefix[::-1] + exchange(self.prefix)
-        self._keys = _window_keys(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
-        self._levels: list[np.ndarray] = []  # level k: dense ranks of the (64 * 2**k)-windows of U
+        self._keys = _window_keys(np.frombuffer(self.prefix.encode("ascii"), dtype=np.uint8) - ord("0"))
+        self._levels: list[np.ndarray] = []  # level k: dense ranks of the (64 * 2**k)-windows
+        self._maps: list[tuple[np.ndarray, np.ndarray]] = []  # level k: its mirror and exchange maps
         self._windows = _sorted_windows(self._keys, prefix_len)
         self.stable_up_to = self._certify()
 
     def _ranks(self, level: int) -> np.ndarray:
-        """Dense ranks of the length-(64 * 2**level) windows of U, by prefix doubling.
+        """Dense ranks of the length-(64 * 2**level) windows of the prefix,
+        by prefix doubling.
 
         The 2b-window at i is the b-window at i followed by the one at
         i + b, so the pair of their ranks ranks it.  With d distinct ranks
-        the pair is read as ``rank * d + next``, below d**2 <= |U|**2, so up
-        to |U| < 2**21 it leaves ``_dense_rank`` room to pack each start
-        beside it for one plain sort (it falls back to a sorted copy and a
-        binary search past that); the rank fits an int32 (|U| < 2**31).
-        Ranks follow the order of the words.  Every level is built once
-        and kept.
+        the pair is read as ``rank * d + next``, below d**2 <= N**2 for a
+        prefix of N letters, so up to N < 2**21 it leaves ``_dense_rank``
+        room to pack each start beside it for one plain sort (it falls back
+        to a sorted copy and a binary search past that); the rank fits an
+        int32 (N < 2**31).  Ranks follow the order of the words.  Every
+        level is built once and kept.
         """
-        levels, total = self._levels, self._keys.size
+        levels, size = self._levels, self.prefix_len
         if not levels:
-            levels.append(_dense_rank(self._keys[: total - _KEY_LETTERS + 1]))
+            levels.append(_dense_rank(self._keys[: size - _KEY_LETTERS + 1]))
         while len(levels) <= level:
             b, rank = _KEY_LETTERS << (len(levels) - 1), levels[-1]
             # the pairs are a temporary, which _dense_rank overwrites in place
-            pairs = rank[: total - 2 * b + 1].astype(np.int64) * (int(rank.max()) + 1) + rank[b:]
+            pairs = _pair_ids(rank[: size - 2 * b + 1], rank[b:], int(rank.max()) + 1)
             levels.append(_dense_rank(pairs))
         return levels[level]
 
+    def _level_maps(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """(mirror, exchange) maps of a rank level: int32 arrays on its
+        distinct ranks, giving the rank of the reversed window and of its
+        exchange, or -1 where that image is no factor of the prefix.
+
+        A level's distinct windows are read at one start per rank.  At
+        level 0 they are the distinct keys, whose images are their bit
+        reversals and the complements of those, found by a binary search.
+        The 2b-window xy of ranks (x, y) at level k + 1 reverses to
+        R(y)R(x), so its mirror is the pair (rho(y), rho(x)) of level k's
+        mirror map rho, found among the level's sorted distinct pairs; the
+        exchange E(y)E(x) goes the same way through level k's exchange map.
+        Every level's maps are built once and kept.
+        """
+        maps = self._maps
+        while len(maps) <= level:
+            k = len(maps)
+            rank = self._ranks(k)
+            width = int(rank.max()) + 1
+            first = np.empty(width, dtype=np.int64)
+            first[rank] = np.arange(rank.size)  # a start of each rank
+            if k == 0:
+                distinct = self._keys[first]
+                mirror = _reversed_bits(distinct)
+                maps.append((_lookup(distinct, mirror), _lookup(distinct, ~mirror)))
+                continue
+            below, b = self._levels[k - 1], _KEY_LETTERS << (k - 1)
+            head, tail = below[first], below[first + b]
+            below_width = int(below.max()) + 1
+            distinct = _pair_ids(head, tail, below_width)
+            maps.append(
+                tuple(_lookup(distinct, _image_ids(f[tail], f[head], below_width)) for f in maps[k - 1])
+            )
+        return maps[level]
+
+    def _halves(self, n: int, starts: np.ndarray | None = None) -> tuple[int, np.ndarray, np.ndarray]:
+        """For n > 64: the level of the a-windows (a <= n < 2a) that cover
+        each length-n window, and the ranks of the a-window at the window's
+        start and of the one ending where it ends, at the given starts (at
+        every start of the prefix when None)."""
+        level = (n // _KEY_LETTERS).bit_length() - 1
+        a, rank = _KEY_LETTERS << level, self._ranks(level)
+        if starts is None:
+            count = self.prefix_len - n + 1
+            return level, rank[:count], rank[n - a : n - a + count]
+        return level, rank[starts], rank[starts + (n - a)]
+
     def _ids(self, n: int) -> np.ndarray:
-        """Exact id of every length-n window of U, by start, for n > 64.
+        """Exact id of every length-n window of the prefix, by start, for n > 64.
 
         The window is the a-window at its start followed by the one ending
         where it ends (a <= n < 2a, so the two cover it), and the id pairs
         their ranks.  Two words that agree on their first a letters differ
         first inside the last a, so the ids are ordered as the words are.
         """
-        total = self._keys.size
-        count = total - n + 1
-        level = (n // _KEY_LETTERS).bit_length() - 1
-        a, rank = _KEY_LETTERS << level, self._ranks(level)
-        return rank[:count].astype(np.int64) * total + rank[n - a : n - a + count]
+        return self._ids_at(n, None)
 
     def _key_ids(self, n, starts: np.ndarray) -> np.ndarray:
         """Ids of the windows of n <= 64 letters at the given starts: the
@@ -242,21 +318,54 @@ class FactorIndex:
         yields 0)."""
         return self._keys[starts] >> np.uint64(_KEY_LETTERS - n)
 
-    def _ids_at(self, n: int, starts: np.ndarray) -> np.ndarray:
+    def _ids_at(self, n: int, starts: np.ndarray | None) -> np.ndarray:
         """The ids of the length-n windows at the given starts only (see ``_ids``)."""
         if n <= _KEY_LETTERS:
             return self._key_ids(n, starts)
-        level = (n // _KEY_LETTERS).bit_length() - 1
-        a, rank = _KEY_LETTERS << level, self._ranks(level)
-        return rank[starts].astype(np.int64) * self._keys.size + rank[starts + (n - a)]
+        _, head, tail = self._halves(n, starts)
+        return _pair_ids(head, tail, self.prefix_len)
 
-    def _aligned(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ids of the length-n windows of the prefix (n > 64), of their
-        mirror images and of their exchanges, by start: the window at i
-        mirrors to the one at size - n - i of the reverse and of the
-        exchange segment of U."""
-        ids, size, count = self._ids(n), self.prefix_len, self.prefix_len - n + 1
-        return ids[:count], ids[size : size + count][::-1], ids[2 * size : 2 * size + count][::-1]
+    def _key_images(self, n, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ids of the windows of n <= 64 letters at the given starts, of
+        their mirror images and of their exchanges (n may be an array, as in
+        ``_key_ids``).  Bit reversal puts a window's letter j at bit j of its
+        key, so the low n bits are the id of its mirror image, and their
+        complement that of its exchange."""
+        keys = self._keys[starts]
+        mirror = _reversed_bits(keys)
+        low = _ALL >> np.uint64(_KEY_LETTERS - n)
+        return keys >> np.uint64(_KEY_LETTERS - n), mirror & low, ~mirror & low
+
+    def _images(self, n: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ids of the length-n windows at the given starts, of their mirror
+        images and of their exchanges.
+
+        Past 64 letters a window with ranks (x, y) reverses to the window of
+        ranks (rho(y), rho(x)) and exchanges to (psi(y), psi(x)), by the
+        maps of its level (``_level_maps``); the image id is -1, equal to
+        no id, when that image is no factor of the prefix.
+        """
+        if n <= _KEY_LETTERS:
+            return self._key_images(n, starts)
+        level, head, tail = self._halves(n, starts)
+        size = self.prefix_len
+        images = (_image_ids(f[tail], f[head], size) for f in self._level_maps(level))
+        return (_pair_ids(head, tail, size), *images)
+
+    def _aligned(self, n: int, starts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ids of the length-n windows (n > 64) at the given starts (at
+        every start of the prefix when None), and masks of the palindromes
+        and of the antipalindromes among them.
+
+        A window with ranks (x, y) is a palindrome when its mirror image,
+        of ranks (rho(y), rho(x)), is itself, that is when rho(y) == x:
+        then R(Y) = X, so R(X) = Y and rho(x) == y follows.  Likewise with
+        psi for an antipalindrome.  One gather and one comparison per map,
+        and no image id is formed.
+        """
+        level, head, tail = self._halves(n, starts)
+        rho, psi = self._level_maps(level)
+        return _pair_ids(head, tail, self.prefix_len), rho[tail] == head, psi[tail] == head
 
     @cached_property
     def _short_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +397,7 @@ class FactorIndex:
         The half prefix's windows are among the full prefix's, so the sets
         agree exactly when they have as many distinct ids.
         """
-        ids = self._aligned(n)[0]
+        ids = self._ids(n)
         half_count = self.prefix_len // 2 - n + 1
         return half_count >= 1 and _distinct(ids[:half_count]) == _distinct(ids)
 
@@ -332,7 +441,7 @@ class FactorIndex:
         if n <= _KEY_LETTERS:
             lengths, starts = self._shorter(n)
             return starts[np.searchsorted(lengths, n) :]
-        return np.unique(self._aligned(n)[0], return_index=True)[1]
+        return np.unique(self._ids(n), return_index=True)[1]
 
     @cached_property
     def _top_starts(self) -> np.ndarray:
@@ -374,7 +483,8 @@ class FactorIndex:
 
         Up to 63 letters one pass covers every length: the certified
         factors of 1..64 letters (``_short_factors``) give the ids of their
-        heads and tails, each with a bit set above it for its length, so
+        heads and tails (their own ids less the last bit, or less the top
+        one), each with a bit set above it for its length, so
         ids of different lengths stay apart and sort by length first, then
         lexicographically.  The heads are sorted already, as the factors
         are, so a binary search finds a start for each bispecial id.
@@ -383,10 +493,11 @@ class FactorIndex:
         """
         top = self.stable_up_to
         lengths, longer = self._shorter(min(top, _KEY_LETTERS))
-        n = lengths - 1
-        tag = np.uint64(1) << n.astype(np.uint64)
-        heads = self._key_ids(n, longer) | tag
-        both = _bispecial_ids(heads, self._key_ids(n, longer + 1) | tag)
+        n = (lengths - 1).astype(np.uint64)
+        tag = np.uint64(1) << n
+        ids = self._key_ids(lengths, longer)
+        heads = (ids >> np.uint64(1)) | tag
+        both = _bispecial_ids(heads, (ids & ~(_ALL << n)) | tag)
         at = np.searchsorted(heads, both)
         found = [self.prefix[i : i + k] for i, k in zip(longer[at].tolist(), n[at].tolist())]
         for k in range(_KEY_LETTERS, top):
@@ -402,11 +513,12 @@ class FactorIndex:
 
         The rows up to 64 letters come at once from one start per distinct
         factor of every length (``_short_factors``): the ids of those
-        windows, of their mirror images and of their exchanges, compared
-        and counted by length.  A longer row compares the ids of all the
-        prefix's windows with those of their mirror images and exchanges.
-        Either way a factor is a palindrome or an antipalindrome when one
-        id comparison says so.
+        windows, of their mirror images and of their exchanges (from the
+        bit reversal of the keys), compared and counted by length.  A
+        longer row compares the ids of all the prefix's windows with those
+        of their mirror images and exchanges (from the maps of a rank
+        level).  Either way a factor is a palindrome or an antipalindrome
+        when one id comparison says so.
         """
         short, rows = self._short_rows(), []
         for n in lengths if lengths is not None else range(1, self.n_max + 1):
@@ -419,32 +531,28 @@ class FactorIndex:
     def _short_rows(self) -> list[tuple[int, int, int]]:
         """(factors, palindromes, antipalindromes) of every length 0..64, by length."""
         lengths, starts = self._short_factors
-        size = self.prefix_len
-        forward = self._key_ids(lengths, starts)
-        mirror = self._key_ids(lengths, 2 * size - lengths - starts)
-        image = self._key_ids(lengths, 3 * size - lengths - starts)
+        forward, mirror, image = self._key_images(lengths, starts)
         masks = (slice(None), forward == mirror, forward == image)
         return list(zip(*(np.bincount(lengths[m], minlength=_KEY_LETTERS + 1).tolist() for m in masks)))
 
     def _long_row(self, n: int) -> tuple[int, int, int]:
-        forward, mirror, image = self._aligned(n)
-        return tuple(_distinct(forward[m]) for m in (slice(None), forward == mirror, forward == image))
+        ids, palindromic, antipalindromic = self._aligned(n)
+        return tuple(_distinct(ids[m]) for m in (slice(None), palindromic, antipalindromic))
 
     def e_closure_check(self) -> bool:
         """True iff the certified factor sets are closed under the exchange map.
 
         Closure at the top certified length T implies it below: a certified
         w heads a T-factor wx (w occurs in the half prefix, and T <= N/4), so
-        E(w) is the tail of the factor E(wx) = E(x)E(w).  The exchanges of
-        the distinct T-windows are windows of the exchange segment: the
-        exchange of the window at i starts at 3N - T - i of U.
+        E(w) is the tail of the factor E(wx) = E(x)E(w).  So the ids of the
+        exchanges of the distinct T-windows (-1 past 64 letters for an
+        exchange that is no factor of the prefix) must all be ids of
+        T-windows.
         """
-        top, size = self.stable_up_to, self.prefix_len
-        if top == 0:
+        if self.stable_up_to == 0:
             return True
-        starts = self._top_starts
-        image = self._ids_at(top, 3 * size - top - starts)
-        return set(image.tolist()) <= set(self._ids_at(top, starts).tolist())
+        ids, _, image = self._images(self.stable_up_to, self._top_starts)
+        return set(image.tolist()) <= set(ids.tolist())
 
     def antipal_center(self, limit: int) -> str:
         """The right half w of the least longest certified antipalindrome
@@ -457,18 +565,19 @@ class FactorIndex:
         right half among the antipalindromic factors of the greatest even
         certified length that has one.  Past 64 letters each even length,
         from the longest down, compares the ids of the top windows' heads
-        with those of their exchanges; up to 64 one comparison over the
-        distinct factors of every length finds the antipalindromic ones
-        (an odd length has none).
+        with those of their exchanges (from the maps of a rank level); up
+        to 64 one comparison over the distinct factors of every length
+        finds the antipalindromic ones (an odd length has none).
         """
-        half, size = min(limit, self.stable_up_to // 2), self.prefix_len
+        half = min(limit, self.stable_up_to // 2)
         for k in range(half, _KEY_LETTERS // 2, -1):
-            n, starts = 2 * k, self._top_starts
-            anti = self._ids_at(n, starts) == self._ids_at(n, 3 * size - n - starts)
+            starts = self._top_starts
+            anti = self._aligned(2 * k, starts)[2]
             if anti.any():
                 return self._least_half(starts[anti], k)
         lengths, starts = self._shorter(2 * min(half, _KEY_LETTERS // 2))
-        anti = self._key_ids(lengths, starts) == self._key_ids(lengths, 3 * size - lengths - starts)
+        ids, _, image = self._key_images(lengths, starts)
+        anti = ids == image
         if not anti.any():
             return ""
         longest = int(lengths[anti][-1])

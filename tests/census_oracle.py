@@ -29,6 +29,12 @@ of every rank level up to 4096 letters.
 prints the query lines of ``--queries`` for the grid indexes, with
 ``antipal_center(64)`` in place of ``antipal_center(16)``: an oracle for
 the queries past 64 letters.
+
+    PYTHONPATH=src python tests/census_oracle.py --long-queries > long-queries.jsonl
+
+prints ``[morphism, letter, prefix length, n_max, stable_up_to,
+e_closure_check(), antipal_center(150)]`` for the indexes at (1200, 300):
+an oracle for the exchange ids past 64 letters off the grid family.
 """
 
 import itertools
@@ -42,8 +48,8 @@ CASES = ((4, 2000, 64), (3, 1200, 300))
 GRID = [*range(1, 65), 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096, 6144]
 
 
-def indexes():
-    for bound, prefix_len, n_max in CASES:
+def indexes(cases=CASES):
+    for bound, prefix_len, n_max in cases:
         images = ["".join(w) for k in range(1, bound + 1) for w in itertools.product("01", repeat=k)]
         for a in images:
             for b in images:
@@ -71,6 +77,11 @@ def lines(source=indexes, lengths=None):
         yield json.dumps([*head(idx), rows]) + "\n"
 
 
+def long_query_lines():
+    for idx in indexes(CASES[1:]):
+        yield json.dumps([*head(idx), idx.e_closure_check(), idx.antipal_center(150)]) + "\n"
+
+
 def query_lines(source=indexes, center=16):
     for idx in source():
         queries = [idx.e_closure_check(), list(idx.bispecials()), idx.antipal_center(center)]
@@ -82,5 +93,6 @@ if __name__ == "__main__":
         "--queries": query_lines,
         "--grid": lambda: lines(grid_indexes, GRID),
         "--grid-queries": lambda: query_lines(grid_indexes, 64),
+        "--long-queries": long_query_lines,
     }
     sys.stdout.writelines(modes[sys.argv[1]]() if sys.argv[1:] else lines())

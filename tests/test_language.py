@@ -285,6 +285,40 @@ def test_certification_matches_sequential_scan_past_the_packed_keys():
     assert sorted(closed for _, closed in expected.values()) == [False] * 8 + [True] * 4
 
 
+def test_mirror_and_exchange_ids_past_the_packed_keys():
+    """Past 64 letters the mirror and exchange ids come from the maps of a
+    rank level: each must be the id of the reversed or exchanged factor
+    when that word is a factor of the prefix, and -1 when it is not."""
+    found = {"mirror": [0, 0], "exchange": [0, 0]}  # [images that are factors, images that are not]
+    for m, letter in _prolongable_indexes(2):
+        idx = build_index(m, letter, 1200, 300)
+        for n in range(65, idx.stable_up_to + 1):
+            starts = idx._starts(n)
+            ids, mirror, image = idx._images(n, starts)
+            words = [idx.prefix[i : i + n] for i in starts.tolist()]
+            id_of = dict(zip(words, ids.tolist()))
+            assert set(id_of) == idx.factors(n), (str(m), letter, n)
+            for name, got, move in (("mirror", mirror, lambda w: w[::-1]), ("exchange", image, exchange)):
+                expected = [id_of.get(move(w), -1) for w in words]
+                assert got.tolist() == expected, (str(m), letter, n, name)
+                found[name][0] += sum(e >= 0 for e in expected)
+                found[name][1] += expected.count(-1)
+    assert all(present and absent for present, absent in found.values()), found
+
+
+def test_rank_levels_cover_the_prefix_only():
+    """Level k ranks the (64 * 2**k)-letter windows of the prefix alone:
+    N - 64 * 2**k + 1 of them, with a mirror and an exchange map on its
+    distinct ranks."""
+    idx = build_index(Morphism("0110", "1001"), "0", 20000, 1250)
+    idx._level_maps(4)
+    assert idx._keys.size == idx.prefix_len
+    for k, rank in enumerate(idx._levels):
+        assert rank.size == idx.prefix_len - (64 << k) + 1, k
+        assert [f.size for f in idx._maps[k]] == [int(rank.max()) + 1] * 2, k
+    assert len(idx._levels) == len(idx._maps) == 5
+
+
 def test_census_monotone_under_longer_prefix():
     small = build_index(THETA, "0", 4096, 64).census()
     big = build_index(THETA, "0", 8192, 64).census()
