@@ -9,9 +9,12 @@ range, and census rows past it are flagged as uncertified.
 
 Every window of the prefix gets an exact integer id, ordered as the words
 are.  Up to 64 letters the id is read from the packed 64-letter key at the
-window's start, and the keys come from the packed bytes of the prefix.  A
+window's start, and the keys come from the packed bytes of the text.  A
 longer window pairs the dense ranks of two overlapping windows of
-64 * 2**k letters, built by prefix doubling over the prefix alone.
+64 * 2**k letters, built by prefix doubling.  When ``n_max`` passes 64 the
+text runs C letters past the prefix, C = 64 * 2**K the least such width
+>= n_max, so that every start of the prefix has a window at every level
+up to C.
 
 A window's mirror image and its exchange get ids too, so that one
 comparison of ids tells a palindrome or an antipalindrome.  Up to 64
@@ -20,10 +23,15 @@ level keeps two maps on its distinct ranks, to the rank of the reversed
 window and of its exchange, or -1 when that image is no factor of the
 prefix; each level's maps come from the level below.
 
-Up to 64 letters one batched pass over the sorted distinct windows of
-the prefix gives one start for each distinct factor of every length at
-once, and from it every census row, the bispecial factors and the
-antipalindromic centres.  Strings are cut only for answers.
+No query sorts every window.  Up to 64 letters one sort of the keys gives
+the distinct windows, and one batched pass over them one start for each
+distinct factor of every length at once, and from it every census row,
+the bispecial factors and the antipalindromic centres.  Past 64 letters
+one order of the prefix's starts by their C-letter windows, with the
+length of the common head of neighbours (an LCP array, Manber & Myers,
+SIAM J. Comput. 1993), gives the first start of each distinct factor of
+any length up to C, so a long census row or a certification probe tests
+those starts only.  Strings are cut only for answers.
 """
 
 from __future__ import annotations
@@ -71,9 +79,14 @@ def _reversed_bits(keys: np.ndarray) -> np.ndarray:
 
 def _lookup(distinct: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Index of each value among the sorted ``distinct`` values, or -1
-    where it is not one of them, as int32."""
-    at = np.searchsorted(distinct, values).clip(max=distinct.size - 1)
-    return np.where(distinct[at] == values, at, -1).astype(np.int32)
+    where it is not one of them.  The values are searched in sorted order,
+    which a binary search walks much faster than scattered needles, and
+    the answers are put back in place."""
+    order = np.argsort(values)
+    at = np.empty(values.size, dtype=np.int64)
+    at[order] = np.searchsorted(distinct, values[order])
+    at.clip(max=distinct.size - 1, out=at)
+    return np.where(distinct[at] == values, at, -1)
 
 
 def _pair_ids(head: np.ndarray, tail: np.ndarray, width: int) -> np.ndarray:
@@ -97,37 +110,48 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return first
 
 
-def _dense_rank(keys: np.ndarray) -> np.ndarray:
-    """Rank of each key among the distinct keys, as int32 (equal keys, equal ranks).
+def _sort_order(keys: np.ndarray) -> np.ndarray:
+    """Sort non-negative int64 keys in place and return their order (the
+    caller passes a temporary).
 
-    When every key leaves room for a start below it in an int64, the keys
-    are packed as ``key << shift | start`` and sorted in place: one sort of
+    When every key leaves room for its index below it in an int64, the
+    keys are packed as ``key << shift | index`` and sorted: one sort of
     plain integers, from which a mask reads the order back and a shift the
-    sorted keys.  The keys are then overwritten, so the caller passes a
-    temporary.  Other keys, such as the uint64 words of level 0 (a view
-    of the index's keys), are left as they are: a sorted copy gives the
-    distinct keys, and a binary search ranks each key among them.
+    sorted keys.  Larger keys are argsorted.
     """
     shift = keys.size.bit_length()
-    if keys.dtype != np.int64 or int(keys.max()) >= 2 ** (63 - shift):
-        ordered = np.sort(keys)
-        return np.searchsorted(ordered[_run_starts(ordered)], keys).astype(np.int32)
+    if int(keys.max()) >= 2 ** (63 - shift):
+        order = np.argsort(keys)
+        keys[:] = keys[order]
+        return order
     keys <<= shift
     keys |= np.arange(keys.size)
     keys.sort()
     order = keys & ((1 << shift) - 1)
     keys >>= shift
+    return order
+
+
+def _dense_rank(keys: np.ndarray) -> np.ndarray:
+    """Rank of each key among the distinct keys, as int32 (equal keys, equal ranks).
+
+    int64 keys, such as the pairs of a rank level, are sorted in place by
+    ``_sort_order`` (one packed sort when they leave room for a start below
+    them), so the caller passes a temporary.  Other keys, such as the
+    uint64 words of level 0 (a view of the index's keys), are left as they
+    are: a sorted copy gives the distinct keys, and a binary search ranks
+    each key among them.
+    """
+    if keys.dtype != np.int64:
+        ordered = np.sort(keys)
+        return np.searchsorted(ordered[_run_starts(ordered)], keys).astype(np.int32)
+    order = _sort_order(keys)
     step = np.zeros(keys.size, dtype=np.int32)
     np.not_equal(keys[1:], keys[:-1], out=step[1:])
     np.cumsum(step, out=step)
     rank = np.empty(keys.size, dtype=np.int32)
     rank[order] = step
     return rank
-
-
-def _distinct(ids: np.ndarray) -> int:
-    """Number of distinct values (a sort is much faster here than ``np.unique``'s hashing)."""
-    return int(np.count_nonzero(_run_starts(np.sort(ids))))
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
@@ -165,19 +189,38 @@ def _with_tails(distinct: np.ndarray, keys: np.ndarray, size: int):
     return lengths, lcp, at, full + order
 
 
+def _first_starts(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """A start of each of the sorted ``distinct`` keys, every one of which
+    occurs in ``keys``: the keys are searched among the distinct ones in
+    runs that double, from the first ``max(1024, 4 * distinct.size)``
+    on, until every distinct key has been met.  So a prefix whose every
+    64-letter window recurs early is read once at its head, and no run is
+    searched twice."""
+    starts = np.full(distinct.size, -1, dtype=np.int64)
+    lo, hi = 0, max(1024, 4 * distinct.size)
+    while (starts < 0).any():
+        starts[np.searchsorted(distinct, keys[lo:hi])] = np.arange(lo, min(hi, keys.size))
+        lo, hi = hi, 2 * hi
+    return starts
+
+
 def _sorted_windows(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The windows of up to 64 letters at every start of ``text[:size]``,
     given the packed 64-letter keys of text, in lexicographic order with
     each distinct 64-letter window once: (lengths, lcp, starts) as in
     ``_with_tails``, with ``starts[j]`` where one occurrence of entry j
     starts.
+
+    The keys are sorted, not argsorted: the runs of the sorted copy give
+    the distinct windows, and ``_first_starts`` one start of each.  Any
+    occurrence will do, because every answer is cut from the prefix by
+    its word or compared by its id.
     """
     full = max(size - _KEY_LETTERS + 1, 0)
-    order = np.argsort(keys[:full])
-    ordered = keys[order]
-    first = _run_starts(ordered)
-    lengths, lcp, at, tail_starts = _with_tails(ordered[first], keys, size)
-    return lengths, lcp, np.insert(order[first], at, tail_starts)
+    ordered = np.sort(keys[:full])
+    distinct = ordered[_run_starts(ordered)]
+    lengths, lcp, at, tail_starts = _with_tails(distinct, keys, size)
+    return lengths, lcp, np.insert(_first_starts(distinct, keys[:full]), at, tail_starts)
 
 
 def _factor_counts(keys: np.ndarray, size: int) -> np.ndarray:
@@ -224,27 +267,31 @@ class FactorIndex:
         self.letter = letter
         self.prefix_len = prefix_len
         self.n_max = n_max
-        self.prefix = fixed_point_prefix(morphism, letter, prefix_len)
-        self._keys = _window_keys(np.frombuffer(self.prefix.encode("ascii"), dtype=np.uint8) - ord("0"))
+        # past 64 letters, C = 64 * 2**K, the least such width >= n_max: the
+        # keys and rank levels run C letters past the prefix, so that every
+        # start of the prefix has a C-letter window (see _suffixes)
+        self._reach = _KEY_LETTERS << ((n_max - 1) // _KEY_LETTERS).bit_length() if n_max > _KEY_LETTERS else 0
+        text = fixed_point_prefix(morphism, letter, prefix_len + self._reach)
+        self.prefix = text[:prefix_len]
+        self._keys = _window_keys(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
         self._levels: list[np.ndarray] = []  # level k: dense ranks of the (64 * 2**k)-windows
         self._maps: list[tuple[np.ndarray, np.ndarray]] = []  # level k: its mirror and exchange maps
         self._windows = _sorted_windows(self._keys, prefix_len)
         self.stable_up_to = self._certify()
 
     def _ranks(self, level: int) -> np.ndarray:
-        """Dense ranks of the length-(64 * 2**level) windows of the prefix,
-        by prefix doubling.
+        """Dense ranks of the length-(64 * 2**level) windows of the keyed
+        text (the prefix and the C letters after it), by prefix doubling.
 
         The 2b-window at i is the b-window at i followed by the one at
         i + b, so the pair of their ranks ranks it.  With d distinct ranks
-        the pair is read as ``rank * d + next``, below d**2 <= N**2 for a
-        prefix of N letters, so up to N < 2**21 it leaves ``_dense_rank``
+        the pair is read as ``rank * d + next``, below d**2 <= T**2 for a
+        text of T letters, so up to T < 2**21 it leaves ``_dense_rank``
         room to pack each start beside it for one plain sort (it falls back
-        to a sorted copy and a binary search past that); the rank fits an
-        int32 (N < 2**31).  Ranks follow the order of the words.  Every
+        to an argsort past that); the rank fits an int32 (T < 2**31).  Ranks follow the order of the words.  Every
         level is built once and kept.
         """
-        levels, size = self._levels, self.prefix_len
+        levels, size = self._levels, self._keys.size
         if not levels:
             levels.append(_dense_rank(self._keys[: size - _KEY_LETTERS + 1]))
         while len(levels) <= level:
@@ -257,59 +304,52 @@ class FactorIndex:
     def _level_maps(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """(mirror, exchange) maps of a rank level: int32 arrays on its
         distinct ranks, giving the rank of the reversed window and of its
-        exchange, or -1 where that image is no factor of the prefix.
+        exchange, or -1 where that image is no factor of the prefix (and
+        at every rank of a window that is none).
 
-        A level's distinct windows are read at one start per rank.  At
-        level 0 they are the distinct keys, whose images are their bit
-        reversals and the complements of those, found by a binary search.
-        The 2b-window xy of ranks (x, y) at level k + 1 reverses to
-        R(y)R(x), so its mirror is the pair (rho(y), rho(x)) of level k's
-        mirror map rho, found among the level's sorted distinct pairs; the
-        exchange E(y)E(x) goes the same way through level k's exchange map.
-        Every level's maps are built once and kept.
+        The maps are built from the prefix's windows only, read at the
+        first start of each distinct one (``_starts``, in the order of the
+        words and so of the ranks).  At level 0 they are the distinct keys,
+        whose images are their bit reversals and the complements of those,
+        found by a binary search.  The 2b-window xy of ranks (x, y) at level
+        k + 1 reverses to R(y)R(x), so its mirror is the pair (rho(y),
+        rho(x)) of level k's mirror map rho, found among the sorted distinct
+        pairs of the level's windows in the prefix; the exchange E(y)E(x)
+        goes the same way through level k's exchange map.  Every level's
+        maps are built once and kept.
         """
-        maps = self._maps
+        maps, width = self._maps, self._keys.size
         while len(maps) <= level:
             k = len(maps)
             rank = self._ranks(k)
-            width = int(rank.max()) + 1
-            first = np.empty(width, dtype=np.int64)
-            first[rank] = np.arange(rank.size)  # a start of each rank
+            count = int(rank.max()) + 1
+            starts = self._starts(_KEY_LETTERS << k)
+            ranks = rank[starts]
             if k == 0:
-                distinct = self._keys[first]
+                distinct = self._keys[starts]
                 mirror = _reversed_bits(distinct)
-                maps.append((_lookup(distinct, mirror), _lookup(distinct, ~mirror)))
-                continue
-            below, b = self._levels[k - 1], _KEY_LETTERS << (k - 1)
-            head, tail = below[first], below[first + b]
-            below_width = int(below.max()) + 1
-            distinct = _pair_ids(head, tail, below_width)
-            maps.append(
-                tuple(_lookup(distinct, _image_ids(f[tail], f[head], below_width)) for f in maps[k - 1])
-            )
+                images = (mirror, ~mirror)
+            else:
+                below, b = self._levels[k - 1], _KEY_LETTERS << (k - 1)
+                head, tail = below[starts], below[starts + b]
+                distinct = _pair_ids(head, tail, width)
+                images = [_image_ids(f[tail], f[head], width) for f in maps[k - 1]]
+            level_maps = []
+            for image in images:
+                at = _lookup(distinct, image)
+                mapped = np.full(count, -1, dtype=np.int32)
+                mapped[ranks] = np.where(at >= 0, ranks[at], -1)
+                level_maps.append(mapped)
+            maps.append(tuple(level_maps))
         return maps[level]
 
-    def _halves(self, n: int, starts: np.ndarray | None = None) -> tuple[int, np.ndarray, np.ndarray]:
+    def _halves(self, n: int, starts: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         """For n > 64: the level of the a-windows (a <= n < 2a) that cover
         each length-n window, and the ranks of the a-window at the window's
-        start and of the one ending where it ends, at the given starts (at
-        every start of the prefix when None)."""
+        start and of the one ending where it ends, at the given starts."""
         level = (n // _KEY_LETTERS).bit_length() - 1
         a, rank = _KEY_LETTERS << level, self._ranks(level)
-        if starts is None:
-            count = self.prefix_len - n + 1
-            return level, rank[:count], rank[n - a : n - a + count]
         return level, rank[starts], rank[starts + (n - a)]
-
-    def _ids(self, n: int) -> np.ndarray:
-        """Exact id of every length-n window of the prefix, by start, for n > 64.
-
-        The window is the a-window at its start followed by the one ending
-        where it ends (a <= n < 2a, so the two cover it), and the id pairs
-        their ranks.  Two words that agree on their first a letters differ
-        first inside the last a, so the ids are ordered as the words are.
-        """
-        return self._ids_at(n, None)
 
     def _key_ids(self, n, starts: np.ndarray) -> np.ndarray:
         """Ids of the windows of n <= 64 letters at the given starts: the
@@ -318,12 +358,20 @@ class FactorIndex:
         yields 0)."""
         return self._keys[starts] >> np.uint64(_KEY_LETTERS - n)
 
-    def _ids_at(self, n: int, starts: np.ndarray | None) -> np.ndarray:
-        """The ids of the length-n windows at the given starts only (see ``_ids``)."""
+    def _ids_at(self, n: int, starts: np.ndarray) -> np.ndarray:
+        """Exact ids of the length-n windows at the given starts.
+
+        Past 64 letters the window is the a-window at its start followed
+        by the one ending where it ends (a <= n < 2a, so the two cover it),
+        and the id pairs their ranks, read as ``head * T + tail`` with T the
+        keyed text's length, above every rank.  Two words that agree on
+        their first a letters differ first inside the last a, so the ids
+        are ordered as the words are.
+        """
         if n <= _KEY_LETTERS:
             return self._key_ids(n, starts)
         _, head, tail = self._halves(n, starts)
-        return _pair_ids(head, tail, self.prefix_len)
+        return _pair_ids(head, tail, self._keys.size)
 
     def _key_images(self, n, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ids of the windows of n <= 64 letters at the given starts, of
@@ -348,14 +396,13 @@ class FactorIndex:
         if n <= _KEY_LETTERS:
             return self._key_images(n, starts)
         level, head, tail = self._halves(n, starts)
-        size = self.prefix_len
-        images = (_image_ids(f[tail], f[head], size) for f in self._level_maps(level))
-        return (_pair_ids(head, tail, size), *images)
+        width = self._keys.size
+        images = (_image_ids(f[tail], f[head], width) for f in self._level_maps(level))
+        return (_pair_ids(head, tail, width), *images)
 
-    def _aligned(self, n: int, starts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ids of the length-n windows (n > 64) at the given starts (at
-        every start of the prefix when None), and masks of the palindromes
-        and of the antipalindromes among them.
+    def _aligned(self, n: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the palindromes and of the antipalindromes among the
+        length-n windows (n > 64) at the given starts.
 
         A window with ranks (x, y) is a palindrome when its mirror image,
         of ranks (rho(y), rho(x)), is itself, that is when rho(y) == x:
@@ -365,7 +412,7 @@ class FactorIndex:
         """
         level, head, tail = self._halves(n, starts)
         rho, psi = self._level_maps(level)
-        return _pair_ids(head, tail, self.prefix_len), rho[tail] == head, psi[tail] == head
+        return rho[tail] == head, psi[tail] == head
 
     @cached_property
     def _short_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -391,15 +438,44 @@ class FactorIndex:
         cut = np.searchsorted(lengths, n, "right")
         return lengths[:cut], starts[:cut]
 
-    def _stable_at(self, n: int) -> bool:
-        """Factor set of length n > 64 agrees between the half and full prefix.
+    @cached_property
+    def _suffixes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The N starts of the prefix in the order of their C-letter windows
+        (C = 64 * 2**K >= n_max, whose windows all fit in the keyed text),
+        and ``lcp[j]``, the length of the common head of the windows at
+        ``order[j - 1]`` and ``order[j]``, at most C (0 for j = 0), both
+        int32.
 
-        The half prefix's windows are among the full prefix's, so the sets
-        agree exactly when they have as many distinct ids.
+        The C-window at s is the two (C/2)-windows at s and s + C/2, so
+        one sort of the pairs of their ranks (``_sort_order``) gives the
+        order, and level K itself is not built.  Neighbours with equal
+        pairs share C letters; for the others the levels below K, from the
+        widest down, each add their width to the common head while the
+        windows there agree, and the first differing bit of the keys past
+        it gives the last letters.
         """
-        ids = self._ids(n)
-        half_count = self.prefix_len // 2 - n + 1
-        return half_count >= 1 and _distinct(ids[:half_count]) == _distinct(ids)
+        cap, size = self._reach, self.prefix_len
+        top = (cap // _KEY_LETTERS).bit_length() - 1
+        below, half = self._ranks(top - 1), cap // 2
+        pairs = _pair_ids(below[:size], below[half : half + size], int(below.max()) + 1)
+        order = _sort_order(pairs).astype(np.int32)  # leaves the pairs sorted
+        lcp = np.full(size, cap, dtype=np.int32)
+        lcp[0] = 0
+        differ = np.flatnonzero(pairs[1:] != pairs[:-1])
+        p, q = order[differ], order[differ + 1]
+        common = np.zeros(differ.size, dtype=np.int64)
+        for k in range(top - 1, -1, -1):
+            below = self._levels[k]
+            common += (below[p + common] == below[q + common]) * (_KEY_LETTERS << k)
+        common += _KEY_LETTERS - _bit_length(self._keys[p + common] ^ self._keys[q + common])
+        lcp[differ + 1] = common
+        return order, lcp
+
+    def _stable_at(self, n: int) -> bool:
+        """Factor set of length 64 < n <= n_max agrees between the half and
+        full prefix: each distinct n-factor first occurs at a start of the
+        half prefix (at most N // 2 - n)."""
+        return bool((self._starts(n) <= self.prefix_len // 2 - n).all())
 
     def _certify(self) -> int:
         """Largest n <= n_max with the length-n factor sets stable.
@@ -416,7 +492,9 @@ class FactorIndex:
         probed first: a stable ``n_max`` is the threshold at once, with one
         probe.  Otherwise one binary search on ``_stable_at`` between 64
         and ``n_max`` finds it, which costs at most two probes more than a
-        search over (64, n_max] would.
+        search over (64, n_max] would.  Each probe reads the first starts
+        of the distinct windows from ``_suffixes``, which the first probe
+        builds, so no probe sorts.
         """
         top = min(self.n_max, _KEY_LETTERS)
         full = np.bincount(self._short_factors[0], minlength=_KEY_LETTERS + 1)
@@ -435,13 +513,26 @@ class FactorIndex:
         return lo
 
     def _starts(self, n: int) -> np.ndarray:
-        """One start for each distinct length-n window of the prefix: up to
-        64 letters from ``_short_factors``, past that the first start of
-        each distinct id."""
+        """One start for each distinct length-n window of the prefix, in the
+        order of the words: up to 64 letters from ``_short_factors``.
+
+        Up to C letters, the first starts: in the order of ``_suffixes`` the
+        windows with a common n-letter head are the runs of neighbours whose
+        lcp is at least n, so the least start of each run is the first
+        occurrence of a distinct n-window at the prefix's starts, and those
+        that leave room for n letters in the prefix are its n-factors.  No
+        id is formed or sorted.  Longer windows, which only ``factors`` asks
+        for, take the first start of each distinct id among every start's.
+        """
         if n <= _KEY_LETTERS:
             lengths, starts = self._shorter(n)
             return starts[np.searchsorted(lengths, n) :]
-        return np.unique(self._ids(n), return_index=True)[1]
+        if n <= self._reach:
+            order, lcp = self._suffixes
+            first = np.minimum.reduceat(order, np.flatnonzero(lcp < n))
+            # int64, as numpy gathers more slowly by int32 indices
+            return first[first <= self.prefix_len - n].astype(np.int64)
+        return np.unique(self._ids_at(n, np.arange(self.prefix_len - n + 1)), return_index=True)[1]
 
     @cached_property
     def _top_starts(self) -> np.ndarray:
@@ -515,10 +606,11 @@ class FactorIndex:
         factor of every length (``_short_factors``): the ids of those
         windows, of their mirror images and of their exchanges (from the
         bit reversal of the keys), compared and counted by length.  A
-        longer row compares the ids of all the prefix's windows with those
-        of their mirror images and exchanges (from the maps of a rank
-        level).  Either way a factor is a palindrome or an antipalindrome
-        when one id comparison says so.
+        longer row takes the first start of each distinct factor from one
+        order of the prefix's starts (``_starts``), with no sort, and tests
+        only the windows there against their mirror images and exchanges
+        (from the maps of a rank level).  Either way a factor is a
+        palindrome or an antipalindrome when one id comparison says so.
         """
         short, rows = self._short_rows(), []
         for n in lengths if lengths is not None else range(1, self.n_max + 1):
@@ -536,8 +628,9 @@ class FactorIndex:
         return list(zip(*(np.bincount(lengths[m], minlength=_KEY_LETTERS + 1).tolist() for m in masks)))
 
     def _long_row(self, n: int) -> tuple[int, int, int]:
-        ids, palindromic, antipalindromic = self._aligned(n)
-        return tuple(_distinct(ids[m]) for m in (slice(None), palindromic, antipalindromic))
+        starts = self._starts(n)
+        masks = self._aligned(n, starts)
+        return (starts.size, *(int(np.count_nonzero(m)) for m in masks))
 
     def e_closure_check(self) -> bool:
         """True iff the certified factor sets are closed under the exchange map.
@@ -572,7 +665,7 @@ class FactorIndex:
         half = min(limit, self.stable_up_to // 2)
         for k in range(half, _KEY_LETTERS // 2, -1):
             starts = self._top_starts
-            anti = self._aligned(2 * k, starts)[2]
+            anti = self._aligned(2 * k, starts)[1]
             if anti.any():
                 return self._least_half(starts[anti], k)
         lengths, starts = self._shorter(2 * min(half, _KEY_LETTERS // 2))

@@ -35,6 +35,14 @@ the queries past 64 letters.
 prints ``[morphism, letter, prefix length, n_max, stable_up_to,
 e_closure_check(), antipal_center(150)]`` for the indexes at (1200, 300):
 an oracle for the exchange ids past 64 letters off the grid family.
+
+    PYTHONPATH=src python tests/census_oracle.py --boundaries > boundaries.jsonl
+
+prints ``[morphism, letter, prefix length, n_max, stable_up_to,
+e_closure_check(), rows]`` for the indexes with images of up to 2 letters at
+n_max 65, 128, 129, 256 and 257 with prefix length ``4 * n_max + 3``: an
+oracle for the long rows and certification on both sides of each change
+of rank-level width.
 """
 
 import itertools
@@ -45,6 +53,7 @@ from antipal.language import build_index
 from antipal.morphisms import Morphism, prolongable_letters
 
 CASES = ((4, 2000, 64), (3, 1200, 300))
+BOUNDARIES = tuple((2, 4 * n_max + 3, n_max) for n_max in (65, 128, 129, 256, 257))
 GRID = [*range(1, 65), 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096, 6144]
 
 
@@ -82,6 +91,15 @@ def long_query_lines():
         yield json.dumps([*head(idx), idx.e_closure_check(), idx.antipal_center(150)]) + "\n"
 
 
+def boundary_lines():
+    for idx in indexes(BOUNDARIES):
+        rows = [
+            [r.length, r.factor_count, r.palindrome_count, r.antipalindrome_count, r.certified]
+            for r in idx.census()
+        ]
+        yield json.dumps([*head(idx), idx.e_closure_check(), rows]) + "\n"
+
+
 def query_lines(source=indexes, center=16):
     for idx in source():
         queries = [idx.e_closure_check(), list(idx.bispecials()), idx.antipal_center(center)]
@@ -94,5 +112,6 @@ if __name__ == "__main__":
         "--grid": lambda: lines(grid_indexes, GRID),
         "--grid-queries": lambda: query_lines(grid_indexes, 64),
         "--long-queries": long_query_lines,
+        "--boundaries": boundary_lines,
     }
     sys.stdout.writelines(modes[sys.argv[1]]() if sys.argv[1:] else lines())

@@ -306,15 +306,69 @@ def test_mirror_and_exchange_ids_past_the_packed_keys():
     assert all(present and absent for present, absent in found.values()), found
 
 
+def test_long_rows_and_first_starts_match_bruteforce():
+    """Every row of 65..300 letters, certified or not, of the indexes with
+    images of up to 2 letters at (1200, 300), and one start per distinct
+    factor, the first, in the order of the words.  The growing runs of
+    0 -> 001, 1 -> 1 put first occurrences of long factors within the last
+    C = 512 letters, where their windows run past the prefix."""
+    size, n_max, reach = 1200, 300, 512
+    lengths = range(65, n_max + 1)
+    expected = {}  # by prefix: many hosts share a prefix such as 0^1200
+    late = 0
+    for m, letter in [*_prolongable_indexes(2), (Morphism("001", "1"), "0")]:
+        idx = build_index(m, letter, size, n_max)
+        p = idx.prefix
+        if p not in expected:
+            firsts = []
+            for n in lengths:
+                first = {}
+                for i in range(size - n + 1):
+                    first.setdefault(p[i : i + n], i)
+                firsts.append([first[w] for w in sorted(first)])
+            expected[p] = [_bf_row(p, n) for n in lengths], firsts
+        rows, firsts = expected[p]
+        got = [(r.factor_count, r.palindrome_count, r.antipalindrome_count) for r in idx.census(lengths)]
+        assert got == rows, (str(m), letter)
+        assert [idx._starts(n).tolist() for n in lengths] == firsts, (str(m), letter)
+        late += str(m) == "0->001,1->1" and max(map(max, firsts)) > size - reach
+    assert late == 1
+
+
+def test_factors_past_the_census_lengths_match_bruteforce():
+    """``factors`` is not bounded by n_max: past 64 letters on an index
+    that never reads past 64, and past C on one that does, it must still
+    give the exact sets."""
+    for m, n_max in ((THETA, 64), (FIB, 100)):
+        idx = build_index(m, "0", 1000, n_max)
+        for n in (65, 100, 128, 129, 300, 999, 1000):
+            assert idx.factors(n) == bf_factor_set(idx.prefix, n), (str(m), n)
+
+
+def test_first_starts_search_reaches_the_last_key():
+    """Distinct keys met only at the end of the keys: the doubling runs must
+    reach it, and every start returned must hold its key."""
+    rng = np.random.default_rng(27)
+    for size, fresh in ((10_000, 5), (10_000, 1), (700, 300)):
+        keys = rng.integers(0, 8, size).astype(np.uint64)
+        keys[size - fresh :] = np.arange(100, 100 + fresh, dtype=np.uint64)
+        distinct = np.unique(keys)
+        starts = language._first_starts(distinct, keys)
+        assert keys[starts].tolist() == distinct.tolist(), (size, fresh)
+        assert starts.max() == size - 1, (size, fresh)
+
+
 def test_rank_levels_cover_the_prefix_only():
-    """Level k ranks the (64 * 2**k)-letter windows of the prefix alone:
-    N - 64 * 2**k + 1 of them, with a mirror and an exchange map on its
-    distinct ranks."""
+    """Level k ranks the (64 * 2**k)-letter windows of the prefix and of the
+    C = 2048 letters after it (the least 64 * 2**k >= n_max), so that every
+    start of the prefix has a window at every level: N + C - 64 * 2**k + 1
+    of them, with a mirror and an exchange map on its distinct ranks."""
     idx = build_index(Morphism("0110", "1001"), "0", 20000, 1250)
     idx._level_maps(4)
-    assert idx._keys.size == idx.prefix_len
+    reach = 2048
+    assert idx._keys.size == idx.prefix_len + reach
     for k, rank in enumerate(idx._levels):
-        assert rank.size == idx.prefix_len - (64 << k) + 1, k
+        assert rank.size == idx.prefix_len + reach - (64 << k) + 1, k
         assert [f.size for f in idx._maps[k]] == [int(rank.max()) + 1] * 2, k
     assert len(idx._levels) == len(idx._maps) == 5
 
@@ -402,8 +456,8 @@ def test_antipalindromic_bispecials_at_several_lengths():
 
 def test_short_census_reads_no_ids_and_no_search(monkeypatch):
     """Certification and every row up to 64 letters come from the sorted
-    windows: no window ids and no binary search on ``_stable_at``."""
-    calls = {"_ids": 0, "_stable_at": 0}
+    windows: no rank level is built and no probe of ``_stable_at`` made."""
+    calls = {"_ranks": 0, "_stable_at": 0}
     for name in calls:
         method = getattr(language.FactorIndex, name)
 
@@ -415,7 +469,7 @@ def test_short_census_reads_no_ids_and_no_search(monkeypatch):
     idx = build_index(THETA, "0", 100000, 64)
     idx.census()
     assert idx.stable_up_to == 64
-    assert calls == {"_ids": 0, "_stable_at": 0}
+    assert calls == {"_ranks": 0, "_stable_at": 0}
 
 
 def test_window_keys_match_bruteforce_windows():
