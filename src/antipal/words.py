@@ -13,8 +13,6 @@ the empty word is the only word that is both.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .errors import EmptyWordError, NotInThetaImage, ParseError, PreconditionViolated
@@ -143,11 +141,11 @@ def _packed_keys(bits: np.ndarray) -> np.ndarray:
     return keys
 
 
-# The antipalindrome kernel reads every radius from packed uint16 keys (so
-# _EXACT <= 16): one exact pass settles the radii below _EXACT letters and a
-# doubling search goes beyond.  Before a search pass that would compare more
-# than _DENSITY * m letters the periodic runs among its centres are settled
-# in closed form; tests set _DENSITY to 0 to run that step before every pass.
+# The antipalindrome kernel settles the radii below _EXACT letters from the
+# letters alone and reads every longer radius from packed uint16 keys in a
+# doubling search.  Before a search pass that would compare more than
+# _DENSITY * m letters the periodic runs among its centres are settled in
+# closed form; tests set _DENSITY to 0 to run that step before every pass.
 _EXACT = 16
 _DENSITY = 1
 _MAX_LEN = 2**30
@@ -155,21 +153,18 @@ _MAX_LEN = 2**30
 
 class _Mirrored:
     """``S = d + reverse(d)`` for a difference word d of length m, as the
-    packed 16-letter keys of S, with the exact short test of every centre.
+    packed 16-letter keys of S.
 
     The radius-r window right of centre c is ``S[c+1 .. c+r]`` and its
-    mirror image left of c is ``S[2m-c .. 2m-c+r-1]``.  ``mismatch[c]`` is the
-    xor of the packed 16-letter keys at those two starts: its top k bits are
-    zero exactly when the first k letters of the two windows agree (for
-    ``k <= r``, and r within the centre's room).  The second half of S reads
-    d leftwards, so a run of d is extended to the left like to the right.
+    mirror image left of c is ``S[2m-c .. 2m-c+r-1]``, so the keys at those
+    two starts compare 16 letters of both sides of c at once.  The second
+    half of S reads d leftwards, so a run of d is extended to the left like
+    to the right.  Only words that reach the search build it.
     """
 
     def __init__(self, d: np.ndarray):
-        m = self.m = d.size
+        self.m = d.size
         self.keys = _packed_keys(np.concatenate((d, d[::-1])))
-        self.mismatch = np.zeros(m, dtype=np.uint16)  # centre 0 has room for radius 0 only
-        self.mismatch[1:] = self.keys[2 : m + 1] ^ self.keys[2 * m - 1 : m : -1]
 
 
 def _agree(keys: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -237,36 +232,38 @@ def _settle_runs(text: _Mirrored, alive: np.ndarray, lo: int) -> tuple[int, np.n
 def longest_antipalindrome(w: Word) -> int:
     """Length of the longest antipalindromic factor of ``w`` (0 if none).
 
-    An even factor ``w[c-r .. c+r+1]`` is an antipalindrome exactly when the
+    An even factor ``w[c-r .. c+r+1]`` is an antipalindrome exactly when
+    ``w[c-t] != w[c+1+t]`` for every t in ``0..r``; equivalently the
     difference word ``d`` (``d[i] = w[i] xor w[i+1]``) has an odd palindrome
-    of radius r centred on a letter ``d[c] == 1``; the answer is
-    ``2 * (R + 1)`` for the largest such radius R.  The room of centre c,
-    ``min(c, m - 1 - c)``, is the largest radius that fits in d.  Every
-    radius is read exactly from the packed keys of ``_Mirrored``: there is
-    no hash and nothing to confirm.  Two stages find R, with W = ``_EXACT``
-    = 16:
+    of radius r centred on a letter ``d[c] == 1``.  The answer is
+    ``2 * (R + 1)`` for the largest such radius R over the centres c of d.
+    The room of centre c, ``min(c, m - 1 - c)``, is the largest radius that
+    fits in d.  Every radius is read exactly: there is no hash and nothing
+    to confirm.  Two stages find R, with W = ``_EXACT`` = 16:
 
-    * **One exact pass over all centres.**  The leading zero bits of
-      ``mismatch[c]`` count the letters on which the two sides of c agree,
-      so the radius of a 1-centre capped at W is
-      ``min(16 - mismatch[c].bit_length(), room(c), W)``.  The centres in
-      ``[W, m - W)`` all have room for W, so one minimum of ``mismatch``
-      masked to the 1-centres gives the largest capped radius among them;
-      the at most 2W edge centres are read one by one with their room.  If
-      the largest capped radius is below W it is R, with no search: every
-      word whose longest antipalindrome has at most 2W letters is settled
-      here.
-    * **A doubling search beyond W.**  Only the centres that reach W (the
-      1-centres in ``[W, m - W)`` with ``mismatch[c] < 1 << (16 - W)``)
-      survive, and ``best = W``.  The survivor with the most room gets its
-      exact radius once, from the keys up to its room (on a periodic prefix
-      that radius is the whole room, which ends the search).  Then, from
-      ``lo = W``, each pass drops the survivors whose room is at most
-      ``best``, gives every other one its radius capped at
-      ``r = max(2 lo, 16)`` from the keys of the new letters ``[lo, r)``
-      alone (``_agree``),
-      records the largest in ``best``, keeps the survivors that reach r and
-      sets ``lo = r``, until no survivor is left.
+    * **A shrinking mask over the letters.**  At t = 0 the mask marks the
+      1-centres, ``w[c] != w[c+1]`` (a word of one letter has none and
+      answers 0).  Step t keeps the centres with room for
+      t whose letters ``w[c-t]`` and ``w[c+1+t]`` differ:
+      ``run = run[1:-1] & (w[:m-2t] != w[2t+1:])``, so the mask covers the
+      centres ``[t, m - t)`` and its index i stands for centre i + t.  The
+      first t <= W with no survivor gives R = t - 1.  So every word whose
+      longest antipalindrome has at most 2W letters is settled by at most
+      W steps of two slice comparisons each, with no difference word, key or
+      edge loop.
+    * **A doubling search beyond W.**  The centres that survive step W
+      reach W, and ``best = W``.  Only these words build d and its keys
+      (``_Mirrored``).  The survivor with the most room is the one nearest
+      the middle centre; it is found in windows of the mask about the
+      middle that widen 4x, and gets its exact radius once, from the keys
+      up to its room (on a periodic prefix that radius is the whole room,
+      which ends the search).  Only the survivors whose room is above
+      ``best`` are then listed.  From ``lo = W``, each pass drops the
+      survivors whose room is at most ``best``, gives every other one its
+      radius capped at ``r = max(2 lo, 16)`` from the keys of the new
+      letters ``[lo, r)`` alone (``_agree``), records the largest in
+      ``best``, keeps the survivors that reach r and sets ``lo = r``, until
+      no survivor is left.
 
     A pass over k survivors compares ``k * lo`` letters, which is quadratic
     on near-periodic words where most centres reach far.  So before a pass
@@ -295,8 +292,8 @@ def longest_antipalindrome(w: Word) -> int:
     most ``m + lo`` letters, over at most ``log2 m`` passes; the extensions
     read keys in proportion to the runs and arms they measure.
 
-    With ``_EXACT = 0`` the first stage settles nothing and every 1-centre
-    goes to the search.
+    With ``_EXACT = 0`` the mask takes no step and every 1-centre goes to
+    the search.
 
     The centre indices are int32 and the window starts in S reach ``2|w|``,
     which fits below ``2**30`` letters; that is checked.
@@ -306,30 +303,37 @@ def longest_antipalindrome(w: Word) -> int:
         return 0
     if n >= _MAX_LEN:
         raise PreconditionViolated(f"longest_antipalindrome takes fewer than 2**30 letters, got {n}")
+    if "0" not in w or "1" not in w:  # no letter differs from its neighbour
+        return 0
     m = n - 1
     letters = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
-    d = letters[1:] ^ letters[:-1]
-    if not d.any():
-        return 0
-    text = _Mirrored(d)
+    run = letters[:-1] != letters[1:]
     width = _EXACT
-    inner = slice(width, max(width, m - width))
-    nearest = np.where(d[inner], text.mismatch[inner], 0xFFFF).min(initial=0xFFFF)
-    best = 16 - int(nearest).bit_length()
-    if best < width:
-        for c in chain(range(min(width, m)), range(max(width, m - width), m)):
-            if d[c]:
-                best = max(best, min(16 - int(text.mismatch[c]).bit_length(), c, m - 1 - c))
-        return 2 * (best + 1)
-    alive = np.flatnonzero(d[inner] & (text.mismatch[inner] < 1 << (16 - width)))
-    alive = (alive + width).astype(np.int32)
+    for t in range(1, width + 1):
+        if m <= 2 * t:
+            return 2 * t
+        run = run[1 : m - 2 * t + 1]
+        run &= letters[: m - 2 * t] != letters[2 * t + 1 :]
+        if not run.any():
+            return 2 * t
 
+    # run[i] marks centre i + width; the survivor nearest the middle has the most room
+    size, half = run.size, 1
+    while True:
+        a = max(0, (size - 1) // 2 - half)
+        near = np.flatnonzero(run[a : size - a]) + a
+        if near.size:
+            break
+        half *= 4
+    top = int(near[np.minimum(near, size - 1 - near).argmax()]) + width
+    room = min(top, m - 1 - top)
+    text = _Mirrored(letters[1:] ^ letters[:-1])
     lo = best = width
-    room = np.minimum(alive, m - 1 - alive)
-    top = int(room.argmax())
-    if room[top] > lo:
-        c = alive[top : top + 1]
-        best = int(_agree(text.keys, c + 1, 2 * m - c, lo, int(room[top]))[0])
+    if room > lo:
+        c = np.array([top])
+        best = int(_agree(text.keys, c + 1, 2 * m - c, lo, room)[0])
+    # list only the survivors with room above best, the centres [best + 1, m - 1 - best)
+    alive = (np.flatnonzero(run[best + 1 - width : m - 1 - best - width]) + best + 1).astype(np.int32)
     while True:
         alive = alive[np.minimum(alive, m - 1 - alive) > best]
         if len(alive) * lo > _DENSITY * m:

@@ -406,20 +406,82 @@ def test_longest_antipalindrome_exact_around_the_exact_width(seed):
 
 def test_bounded_evidence_builds_no_hash(monkeypatch):
     """A word whose longest antipalindrome has at most 2W letters (radius
-    below the exact width W) is settled by the exact pass: the kernel makes
-    no search pass and compares no keys beyond it; a longer one does."""
+    below the exact width W) is settled from its letters alone: on both
+    evidence scales of every fixed point of the image-length <= 4 space,
+    such a word builds no packed keys and compares none; a longer one
+    builds them and searches."""
     letters = count_agree(monkeypatch)
+    packed_keys, builds = antipal.words._packed_keys, []
+
+    def counting_packed_keys(bits):
+        builds.append(bits.size)
+        return packed_keys(bits)
+
+    monkeypatch.setattr(antipal.words, "_packed_keys", counting_packed_keys)
     cfg = EvidenceConfig()
-    sources = {fixed_point_source(parse_morphism(text)) for text in scan_space(3)} - {None}
-    bounded = 0
+    sources = {fixed_point_source(parse_morphism(text)) for text in scan_space(4)} - {None}
+    bounded = searched = 0
     for _, host, letter in sources:
         big = fixed_point_prefix(host, letter, cfg.big_len)
         for w in (big[: cfg.prefix_len], big):
             letters.clear()
+            builds.clear()
             longest = longest_antipalindrome(w)
-            assert bool(letters) == (longest > 2 * antipal.words._EXACT), (host, letter, len(w), longest)
-            bounded += not letters
-    assert bounded > 0
+            reached = longest > 2 * antipal.words._EXACT
+            assert bool(builds) == bool(letters) == reached, (host, letter, len(w), longest)
+            bounded += not reached
+            searched += reached
+    assert bounded > 0 and searched > 0
+
+
+def _planted_words():
+    """100k-letter words with E(u) + u planted, its radius 40 to 5000 and a
+    letter on each side that stops it from growing: in random letters near
+    the start, near the end, at both ends and across the middle, and near
+    the start of ``(0001)^k``, which has no antipalindrome of 4 letters, so
+    that the only survivors of the exact stage lie about 50000 letters from
+    the middle and the window that looks for the one with the most room
+    widens eight times."""
+    rng = random.Random(40)
+    n = 100_000
+
+    def random_word(k):
+        return format(rng.getrandbits(k), f"0{k}b")
+
+    def core(radius):
+        u = random_word(radius + 1)
+        border = rng.choice("01")
+        return border + exchange(u) + u + border
+
+    def plant(w, piece, at):
+        return w[:at] + piece + w[at + len(piece) :]
+
+    words = {}
+    for radius in (40, 700, 5000):
+        a, b = core(radius), core(radius // 2 + 17)
+        words[f"start {radius}"] = plant(random_word(n), a, rng.randrange(8))
+        words[f"end {radius}"] = plant(random_word(n), a, n - len(a) - rng.randrange(8))
+        both = plant(random_word(n), a, rng.randrange(8))
+        words[f"both ends {radius}"] = plant(both, b, n - len(b) - rng.randrange(8))
+        words[f"middle {radius}"] = plant(random_word(n), a, (n - len(a)) // 2 + rng.randrange(-3, 4))
+    words["far from the middle"] = plant(("0001" * n)[:n], core(300), 100)
+    return words
+
+
+PLANTED = _planted_words()
+
+
+@pytest.mark.parametrize("name", PLANTED)
+def test_longest_antipalindrome_probe_first_on_planted_words(name):
+    """The survivor nearest the middle is probed before any survivor is
+    listed, and only those with room above its radius are listed; from the
+    exact width W = 16 and from W = 0, where every 1-centre survives."""
+    w = PLANTED[name]
+    expected = bf_manacher_longest_antipalindrome(w)
+    for width in (0, 16):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(antipal.words, "_EXACT", width)
+            assert longest_antipalindrome(w) == expected, width
 
 
 SCALE_WORDS = {
