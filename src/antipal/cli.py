@@ -232,9 +232,9 @@ def cmd_bispecials(args) -> int:
     m = parse_morphism(args.morphism)
     if args.orbit is not None:
         fixed_point_source(m, args.seed_letter)  # rejects an unusable --seed-letter like every command
-        orbit = bispecial_orbit(m, parse_word(args.orbit), args.steps)
-        payload = {"seed": orbit.seed, "steps": list(orbit.steps)}
-        _emit(args, payload, "\n".join([orbit.seed or "(empty)"] + list(orbit.steps)))
+        seed = parse_word(args.orbit)
+        steps = list(bispecial_orbit(m, seed, args.steps))
+        _emit(args, {"seed": seed, "steps": steps}, "\n".join([seed or "(empty)"] + steps))
         return 0
     idx = _index(args, m, args.max_len)
     bs = idx.bispecials()
@@ -338,18 +338,22 @@ def _pooled(pool, workers: int, chunks, cfg: EvidenceConfig):
         yield pending.popleft().result()
 
 
-def _complete_records(path: Path, space: list[str], cfg: EvidenceConfig) -> tuple[int, int]:
-    """Count and byte size of the complete, in-order records that open the file, all made under ``cfg``.
+def _complete_records(path: Path, space: list[str], cfg: EvidenceConfig) -> tuple[int, int, dict[str, int], list[str]]:
+    """Count and byte size of the complete, in-order records that open the file, all made under ``cfg``,
+    with the count of each verdict among them and the morphisms of those that are counterexample candidates.
 
     A complete record out of order or past the end of ``space`` was made under another ``--max-image-len``.
     """
     settings = (cfg.prefix_len, cfg.big_len)
     count = size = 0
+    verdicts: dict[str, int] = {}
+    candidates = []
     with path.open("rb") as fh:
         for line in fh:
             try:  # a tail of NUL bytes is not UTF-8 to json; [] or a partial object is not a record
                 record = json.loads(line)
-                morphism, ev = record["morphism"], record["antipalindromic"]["evidence"]
+                morphism, result = record["morphism"], record["antipalindromic"]
+                verdict, ev, candidate = result["verdict"], result["evidence"], record["counterexample_candidate"]
                 made = ev and (ev["prefix_len"], ev["big_len"])
             except (ValueError, LookupError, TypeError):
                 break
@@ -361,7 +365,10 @@ def _complete_records(path: Path, space: list[str], cfg: EvidenceConfig) -> tupl
                 raise ParseError(f"{path} was made with evidence lengths {made}, not {settings}; see --overwrite")
             count += 1
             size += len(line)
-    return count, size
+            verdicts[verdict] = verdicts.get(verdict, 0) + 1
+            if candidate:
+                candidates.append(morphism)
+    return count, size, verdicts, candidates
 
 
 def cmd_scan(args) -> int:
@@ -371,7 +378,7 @@ def cmd_scan(args) -> int:
 
     resumed = size = 0
     if out.exists() and not args.overwrite:
-        resumed, size = _complete_records(out, space, cfg)
+        resumed, size, _, _ = _complete_records(out, space, cfg)
 
     starts = range(resumed, len(space), _SCAN_CHUNK)
     chunks = (space[i : i + _SCAN_CHUNK] for i in starts)
@@ -383,17 +390,9 @@ def cmd_scan(args) -> int:
             fh.write("\n".join(lines) + "\n")
             fh.flush()
 
-    verdicts: dict[str, int] = {}
-    candidates = []
-    with out.open() as fh:
-        for line in fh:
-            record = json.loads(line)
-            v = record["antipalindromic"]["verdict"]
-            verdicts[v] = verdicts.get(v, 0) + 1
-            if record["counterexample_candidate"]:
-                candidates.append(record["morphism"])
+    records, _, verdicts, candidates = _complete_records(out, space, cfg)
     summary = {
-        "records": sum(verdicts.values()),
+        "records": records,
         "resumed": resumed,
         "verdicts": dict(sorted(verdicts.items())),
         "counterexample_candidates": candidates,

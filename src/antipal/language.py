@@ -699,16 +699,12 @@ def bispecial_successor(m: Morphism, w: Word) -> Word:
     return apply(chain.rightmost, w) + chain.q_full
 
 
-@dataclass(frozen=True)
-class BispecialOrbit:
-    seed: Word
-    steps: tuple[Word, ...]
-
-
-def bispecial_orbit(m: Morphism, seed: Word, count: int) -> BispecialOrbit:
+def bispecial_orbit(m: Morphism, seed: Word, count: int) -> tuple[Word, ...]:
+    """The ``count`` words that follow ``seed`` on its orbit under
+    ``bispecial_successor``, nearest first; the seed itself is not among them."""
     steps = []
     w = seed
     for _ in range(count):
         w = bispecial_successor(m, w)
         steps.append(w)
-    return BispecialOrbit(seed, tuple(steps))
+    return tuple(steps)

@@ -291,7 +291,8 @@ def _chain_walk(enumerate_witnesses, m: Morphism, chain: ConjugacyChain, where: 
     own = next(iter(found[chain.chain.index(m)]), None)
     for index, ws in enumerate(found):
         if ws:
-            return own, Hit(where, ws[0], chain_index=index, q=chain.qs[index] if chain.qs else None)
+            q = None if chain.cyclic else chain.q_full[len(chain.q_full) - index :]
+            return own, Hit(where, ws[0], chain_index=index, q=q)
     return own, None
 
 

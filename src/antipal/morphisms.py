@@ -213,17 +213,16 @@ def fixed_point_source(
 class ConjugacyChain:
     """The finite chain of conjugates, leftmost first, rightmost last.
 
-    ``qs[i]`` is the conjugacy word of ``chain[i]`` against the leftmost
-    element: qs[i] + leftmost(w) == chain[i](w) + qs[i] for every w, and
-    ``q_full == qs[-1]`` links the two extremes.  For a cyclic morphism
-    the chain is the full rotation cycle starting at the queried
-    morphism, the extremes are meaningless, and ``q_full`` is the
-    primitive common root of the images (the period of the unique fixed
-    point).
+    ``q_full`` links the two extremes, and the conjugacy word of
+    ``chain[i]`` against the leftmost element is its last i letters,
+    ``q = q_full[len(q_full) - i:]``: q + leftmost(w) == chain[i](w) + q
+    for every w.  For a cyclic morphism the chain is the full rotation
+    cycle starting at the queried morphism, the extremes are meaningless,
+    and ``q_full`` is the primitive common root of the images (the period
+    of the unique fixed point).
     """
 
     chain: tuple[Morphism, ...]
-    qs: tuple[Word, ...]
     q_full: Word
     cyclic: bool
 
@@ -248,25 +247,24 @@ def conjugacy_chain(m: Morphism) -> ConjugacyChain:
     suffix.  Element i of the chain, leftmost first, is the pair of
     windows of s+u+p and s+v+p that start at |s|+|p|-i, and its
     conjugacy word is the i letters of s+u+p just before the leftmost
-    window.  Images that commute (uv == vu) are powers of one primitive
-    root r (Lyndon-Schutzenberger), so rolling only rotates them and the
-    chain is the cycle of |r| rotations; an empty image blocks every roll.
+    window; ``q_full`` is all |s|+|p| of them.  Images that commute
+    (uv == vu) are powers of one primitive root r (Lyndon-Schutzenberger),
+    so rolling only rotates them and the chain is the cycle of |r|
+    rotations; an empty image blocks every roll.
     """
     u, v = m.image0, m.image1
     if not u or not v:
-        return ConjugacyChain((m,), ("",), "", False)
+        return ConjugacyChain((m,), "", False)
     uv, vu = u + v, v + u
     if uv == vu:
         root, _ = primitive_root(u)
         rotations = tuple(Morphism(u[t:] + u[:t], v[t:] + v[:t]) for t in range(len(root)))
-        return ConjugacyChain(rotations, (), root, True)
+        return ConjugacyChain(rotations, root, True)
     p = commonprefix([uv, vu])
     s = commonprefix([uv[::-1], vu[::-1]])[::-1]
     su, sv, top = s + u + p, s + v + p, len(s) + len(p)
-    starts = range(top, -1, -1)
-    chain = tuple(Morphism(su[j : j + len(u)], sv[j : j + len(v)]) for j in starts)
-    qs = tuple(su[j:top] for j in starts)
-    return ConjugacyChain(chain, qs, qs[-1], False)
+    chain = tuple(Morphism(su[j : j + len(u)], sv[j : j + len(v)]) for j in range(top, -1, -1))
+    return ConjugacyChain(chain, su[:top], False)
 
 
 @dataclass(frozen=True)

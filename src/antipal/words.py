@@ -118,10 +118,8 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     """The primitive root and maximal exponent: root**exponent == w."""
     if not w:
         raise EmptyWordError("the empty word has no primitive root")
-    p = smallest_period(w)
-    if len(w) % p == 0:
-        return w[:p], len(w) // p
-    return w, 1
+    p = (w + w).find(w, 1)  # w equals its rotation by p exactly when w is a power of w[:p]
+    return w[:p], len(w) // p
 
 
 def _packed_keys(bits: np.ndarray) -> np.ndarray:
@@ -149,22 +147,6 @@ def _packed_keys(bits: np.ndarray) -> np.ndarray:
 _EXACT = 16
 _DENSITY = 1
 _MAX_LEN = 2**30
-
-
-class _Mirrored:
-    """``S = d + reverse(d)`` for a difference word d of length m, as the
-    packed 16-letter keys of S.
-
-    The radius-r window right of centre c is ``S[c+1 .. c+r]`` and its
-    mirror image left of c is ``S[2m-c .. 2m-c+r-1]``, so the keys at those
-    two starts compare 16 letters of both sides of c at once.  The second
-    half of S reads d leftwards, so a run of d is extended to the left like
-    to the right.  Only words that reach the search build it.
-    """
-
-    def __init__(self, d: np.ndarray):
-        self.m = d.size
-        self.keys = _packed_keys(np.concatenate((d, d[::-1])))
 
 
 def _agree(keys: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -201,10 +183,9 @@ def _extension(keys: np.ndarray, a: np.ndarray, b: np.ndarray, cap: np.ndarray) 
     return out
 
 
-def _settle_runs(text: _Mirrored, alive: np.ndarray, lo: int) -> tuple[int, np.ndarray]:
+def _settle_runs(keys: np.ndarray, m: int, alive: np.ndarray, lo: int) -> tuple[int, np.ndarray]:
     """The largest radius among the centres of ``alive`` that lie in chains,
     and the centres that lie in none (see ``longest_antipalindrome``)."""
-    m, keys = text.m, text.keys
     gaps = np.diff(alive)
     small = gaps <= lo
     if not small.any():
@@ -252,10 +233,15 @@ def longest_antipalindrome(w: Word) -> int:
       W steps of two slice comparisons each, with no difference word, key or
       edge loop.
     * **A doubling search beyond W.**  The centres that survive step W
-      reach W, and ``best = W``.  Only these words build d and its keys
-      (``_Mirrored``).  The survivor with the most room is the one nearest
-      the middle centre; it is found in windows of the mask about the
-      middle that widen 4x, and gets its exact radius once, from the keys
+      reach W, and ``best = W``.  Only these words build d and the packed
+      16-letter keys of ``S = d + reverse(d)``.  The radius-r window right
+      of centre c is ``S[c+1 .. c+r]`` and its mirror image left of c is
+      ``S[2m-c .. 2m-c+r-1]``, so the keys at those two starts compare 16
+      letters of both sides of c at once.  The second half of S reads d
+      leftwards, so a run of d is extended to the left like to the right.
+      The survivor with the most room is the one nearest the middle
+      centre; it is found in windows of the mask about the middle that
+      widen 4x, and gets its exact radius once, from the keys
       up to its room (on a periodic prefix that radius is the whole room,
       which ends the search).  Only the survivors whose room is above
       ``best`` are then listed.  From ``lo = W``, each pass drops the
@@ -327,21 +313,22 @@ def longest_antipalindrome(w: Word) -> int:
         half *= 4
     top = int(near[np.minimum(near, size - 1 - near).argmax()]) + width
     room = min(top, m - 1 - top)
-    text = _Mirrored(letters[1:] ^ letters[:-1])
+    d = letters[1:] ^ letters[:-1]
+    keys = _packed_keys(np.concatenate((d, d[::-1])))
     lo = best = width
     if room > lo:
         c = np.array([top])
-        best = int(_agree(text.keys, c + 1, 2 * m - c, lo, room)[0])
+        best = int(_agree(keys, c + 1, 2 * m - c, lo, room)[0])
     # list only the survivors with room above best, the centres [best + 1, m - 1 - best)
     alive = (np.flatnonzero(run[best + 1 - width : m - 1 - best - width]) + best + 1).astype(np.int32)
     while True:
         alive = alive[np.minimum(alive, m - 1 - alive) > best]
         if len(alive) * lo > _DENSITY * m:
-            settled, alive = _settle_runs(text, alive, lo)
+            settled, alive = _settle_runs(keys, m, alive, lo)
             best = max(best, settled)
         if not len(alive):
             return 2 * (best + 1)
         r = max(2 * lo, 16)
-        radius = np.minimum(_agree(text.keys, alive + 1, 2 * m - alive, lo, r), np.minimum(alive, m - 1 - alive))
+        radius = np.minimum(_agree(keys, alive + 1, 2 * m - alive, lo, r), np.minimum(alive, m - 1 - alive))
         best = max(best, int(radius.max()))
         alive, lo = alive[radius == r], r

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -77,7 +78,11 @@ def test_bispecials_and_orbit(capsys):
     assert "(empty)" in out.split("\n")[0]
     code, out, _ = run(capsys, "bispecials", "0->01,1->10", "--orbit", "0",
                        "--steps", "2", "--prefix-len", "512", "--format", "json")
-    assert json.loads(out)["steps"] == ["01", "0110"]
+    assert json.loads(out) == {"seed": "0", "steps": ["01", "0110"]}
+    code, out, _ = run(capsys, "bispecials", "0->01,1->0", "--orbit", "eps", "--steps", "3")
+    assert code == 0 and out == "(empty)\n0\n010\n010010\n"
+    code, out, _ = run(capsys, "bispecials", "0->01,1->0", "--orbit", "eps", "--steps", "3", "--format", "json")
+    assert out == json.dumps({"seed": "", "steps": ["0", "010", "010010"]}, indent=2) + "\n"
     # the orbit needs no factor index, hence no prolongable letter
     code, out, _ = run(capsys, "bispecials", "0->10,1->01", "--orbit", "0", "--steps", "2")
     assert code == 0 and out.split() == ["0", "10", "0110"]
@@ -123,6 +128,17 @@ def test_scan_space_counts():
     assert space == sorted(space)
 
 
+def _recount(path):
+    """The summary fields of a finished scan file, counted line by line."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    verdicts = Counter(r["antipalindromic"]["verdict"] for r in records)
+    return {
+        "records": len(records),
+        "verdicts": dict(sorted(verdicts.items())),
+        "counterexample_candidates": [r["morphism"] for r in records if r["counterexample_candidate"]],
+    }
+
+
 def test_scan_deterministic_and_resumable(tmp_path, capsys):
     out1 = tmp_path / "p1.jsonl"
     out2 = tmp_path / "p2.jsonl"
@@ -143,6 +159,12 @@ def test_scan_deterministic_and_resumable(tmp_path, capsys):
     assert code == 0
     assert "resumed 5" in out
     assert trunc.read_bytes() == out1.read_bytes()
+    recount = _recount(trunc)
+    assert out.splitlines() == [
+        f"records: {recount['records']} (resumed 5) -> {trunc}",
+        *(f"  {v}: {n}" for v, n in recount["verdicts"].items()),
+        f"counterexample candidates: {len(recount['counterexample_candidates'])}",
+    ]
 
 
 def test_scan_records_round_trip(tmp_path, capsys):
@@ -282,8 +304,10 @@ def test_scan_redoes_damaged_tail(tmp_path, capsys):
         cut = tmp_path / "cut.jsonl"
         cut.write_bytes(damaged)
         code, out, _ = _scan(capsys, cut, "--prefix-len", "2000")
-        assert code == 0 and json.loads(out)["resumed"] == resumed
+        summary = json.loads(out)
+        assert code == 0 and summary["resumed"] == resumed
         assert cut.read_bytes() == full.read_bytes()
+        assert {key: summary[key] for key in ("records", "verdicts", "counterexample_candidates")} == _recount(cut)
 
 
 def test_scan_resume_refuses_other_settings(tmp_path, capsys):

@@ -192,15 +192,42 @@ def test_classify_searches_each_conjugate_once(monkeypatch):
 
 
 def test_mirror_test_agrees_with_chain_search():
-    # the mirror test on the extremes equals exhaustive search of the chain
+    # Each order-reversing map sigma on morphisms (sigma_R reverses both
+    # images, sigma_E exchanges both, sigma_S exchanges both and swaps the
+    # letters) maps a chain of k + 1 elements onto a chain in reverse order.
+    # When sigma(rightmost) == leftmost, element i has exactly one witness
+    # of the matching class, with a cut in closed form, and otherwise none:
+    # P with prefix length 2i - k in [0, min image length], EP the same with
+    # the prefix length even, A1 on a uniform element with suffix length
+    # k - 2i in [0, n - 1].  When sigma(rightmost) != leftmost no element
+    # has a witness.  sigma_R's test is the mirror test.
+    sigmas = {
+        "p": lambda u, v: Morphism(reverse(u), reverse(v)),
+        "ep": lambda u, v: Morphism(exchange(u), exchange(v)),
+        "a1": lambda u, v: Morphism(exchange(v), exchange(u)),
+    }
+    chains, held = 0, dict.fromkeys(sigmas, 0)
     for i0 in words_up_to(4, include_empty=False):
         for i1 in words_up_to(4, include_empty=False):
-            m = Morphism(i0, i1)
-            chain = conjugacy_chain(m)
-            if chain.cyclic or not is_primitive(m):
-                continue
-            by_search = any(p_witnesses(e) for e in chain.chain)
-            assert membership._mirror_test(chain) == by_search, str(m)
+            for host in (Morphism(i0, i1), square(Morphism(i0, i1))):
+                chain = conjugacy_chain(host)
+                if chain.cyclic:
+                    continue
+                chains += 1
+                k, right = len(chain.chain) - 1, chain.rightmost
+                holds = {cls: sigma(right.image0, right.image1) == chain.leftmost for cls, sigma in sigmas.items()}
+                assert membership._mirror_test(chain) == holds["p"], str(host)
+                for cls in sigmas:
+                    held[cls] += holds[cls]
+                for i, e in enumerate(chain.chain):
+                    cut, short, n = 2 * i - k, min(len(e.image0), len(e.image1)), len(e.image0)
+                    p_cut = [cut] if holds["p"] and 0 <= cut <= short else []
+                    ep_cut = [cut] if holds["ep"] and 0 <= cut <= short and cut % 2 == 0 else []
+                    a1_cut = [-cut] if holds["a1"] and is_uniform(e) and 0 <= -cut <= n - 1 else []
+                    assert [len(w.prefix) for w in p_witnesses(e)] == p_cut, (str(host), i)
+                    assert [len(w.prefix) for w in ep_witnesses(e)] == ep_cut, (str(host), i)
+                    assert [len(w.suffix) for w in a1_witnesses(e)] == a1_cut, (str(host), i)
+    assert chains == 1684 and held == {"p": 1006, "ep": 42, "a1": 98}
 
 
 def test_palindromic_status_agrees_with_the_paper_lemmas():

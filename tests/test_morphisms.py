@@ -217,7 +217,7 @@ def test_chain_satisfies_conjugacy_relation():
         if left.image0 and left.image1:
             assert left.image0[0] != left.image1[0]
             assert chain.rightmost.image0[-1] != chain.rightmost.image1[-1]
-        for elem, q in zip(chain.chain, chain.qs):
+        for elem, q in zip(chain.chain, _conjugacy_words(chain)):
             for a in "01":
                 assert q + apply(left, a) == apply(elem, a) + q
         if is_primitive(m):
@@ -243,8 +243,9 @@ def test_chain_elements_share_factors():
 
 
 def test_chain_conjugacy_words_link_every_element_to_the_leftmost():
-    # qs[i] + leftmost(a) == chain[i](a) + qs[i] for both letters, on every
-    # non-cyclic morphism with images of at most 4 letters (empty ones too)
+    # q + leftmost(a) == chain[i](a) + q for both letters, q the last i
+    # letters of q_full, on every non-cyclic morphism with images of at
+    # most 4 letters (empty ones too)
     checked = 0
     for i0 in words_up_to(4):
         for i1 in words_up_to(4):
@@ -254,8 +255,8 @@ def test_chain_conjugacy_words_link_every_element_to_the_leftmost():
             if chain.cyclic:
                 continue
             checked += 1
-            assert chain.qs[0] == "" and chain.q_full == chain.qs[-1]
-            for elem, q in zip(chain.chain, chain.qs, strict=True):
+            assert len(chain.q_full) == len(chain.chain) - 1
+            for elem, q in zip(chain.chain, _conjugacy_words(chain), strict=True):
                 for a in "01":
                     assert q + chain.leftmost.image(a) == elem.image(a) + q, (i0, i1, q)
     assert checked == 902
@@ -289,9 +290,16 @@ def test_exhaustive_small_chains_terminate():
                 assert len(chain.chain) == len(chain.q_full) + 1
 
 
+def _conjugacy_words(chain):
+    """Element i's conjugacy word: the last i letters of ``q_full``, none on a cyclic chain."""
+    if chain.cyclic:
+        return ()
+    return tuple(chain.q_full[len(chain.q_full) - i :] for i in range(len(chain.chain)))
+
+
 def _as_walk(chain):
     pairs = tuple((e.image0, e.image1) for e in chain.chain)
-    return pairs, chain.qs, chain.q_full, chain.cyclic
+    return pairs, _conjugacy_words(chain), chain.q_full, chain.cyclic
 
 
 def _long_image_sample(rng):
