@@ -15,10 +15,13 @@ decomposition:
   word:  0 -> T(core (R(core) core)^k),  1 -> T((R(core) core)^h R(core))
   where T is 0->01,1->10.  Generally non-uniform, same conclusion.
 
-``classify`` assembles the deciders over the whole conjugacy chain of a
+``classify`` assembles the deciders over the conjugacy chain of a
 morphism and of its square, settles the palindromic and antipalindromic
 character of the fixed point where the theory is decisive, and falls
-back to two-scale empirical evidence otherwise.
+back to two-scale empirical evidence otherwise.  On a chain that is not
+cyclic, P, EP and A1 are read off the chain's two ends in closed form
+(``_symmetric``); only cyclic chains, and A2 on even image lengths, are
+searched element by element.
 """
 
 from __future__ import annotations
@@ -215,11 +218,65 @@ def a2_witnesses(m: Morphism) -> tuple[A2Witness, ...]:
     return tuple(A2Witness(*s) for s in alternations(u0, u1, reverse))
 
 
-def _mirror_test(chain: ConjugacyChain) -> bool:
-    """Mirror test on the extreme conjugates: reversing every rightmost
-    image must give the corresponding leftmost image."""
+# The order-reversing map on image pairs that ``_symmetric`` tests for each
+# class: sigma_R, sigma_E and sigma_S.
+_SIGMA = {
+    PWitness: lambda u, v: (reverse(u), reverse(v)),
+    EPWitness: lambda u, v: (exchange(u), exchange(v)),
+    A1Witness: lambda u, v: (exchange(v), exchange(u)),
+}
+
+
+def _symmetric(chain: ConjugacyChain, sigma) -> bool:
+    """Whether ``sigma`` maps the rightmost element of a chain to its leftmost.
+
+    sigma is one of three order-reversing maps on morphisms: sigma_R
+    reverses both images, sigma_E applies E to both, and sigma_S maps
+    (u, v) to (E(v), E(u)).  If phi' is phi rolled by one letter x
+    (phi(a) = x w_a, phi'(a) = w_a x), then sigma(phi) is sigma(phi')
+    rolled by one letter, so sigma maps a chain onto a chain in reverse
+    order.  That chain is this one exactly when the test holds, and then
+    element i goes to element k - i, the chain having k + 1 elements.
+
+    Rolling the first letter of both images to their ends moves element i
+    to element i - 1.  Write c = 2i - k.
+
+    * P (sigma_R): a witness (p w_0, p w_1) at element i, |p| = c', rolls
+      c' letters to (w_0 p, w_1 p), its sigma_R-image; so the test holds
+      and c' = c.  Conversely, if the test holds and c is in
+      [0, min image length], element i is (p y_0, p y_1) with |p| = c and
+      element i - c = k - i is (y_0 p, y_1 p) = (R(y_0) R(p), R(y_1) R(p)),
+      so p, y_0 and y_1 are palindromes: exactly one witness, at the cut c.
+    * EP (sigma_E): the same with E; an antipalindrome has even length,
+      so c must be even.
+    * A1 (sigma_S): rolling the other way, a witness (h t, E(h) t) at
+      element i with |t| = -c rolls to (t h, t E(h)), its sigma_S-image
+      exactly when E(t) = t.  Conversely, if the test holds, the element is
+      (y_0 t, y_1 t) with |t| = -c in [0, n - 1] and (t y_0, t y_1) =
+      (E(t) E(y_1), E(t) E(y_0)) makes t an antipalindrome, |y_0| = |y_1|
+      (the element is uniform) and y_1 = E(y_0).
+
+    So when the test fails no element has a witness of the class, and when
+    it holds element i has one exactly when its cut is in range.  If k is
+    even, sigma fixes element k/2 (cut 0): both images are palindromes,
+    both are antipalindromes, or the element is self-dual.  Under sigma_E
+    and sigma_S, k is even: at an odd k the two middle elements x w_a and
+    w_a x would give x = E(x).  A cyclic chain has no extremes.
+    """
     left, right = chain.leftmost, chain.rightmost
-    return reverse(right.image0) == left.image0 and reverse(right.image1) == left.image1
+    return sigma(right.image0, right.image1) == (left.image0, left.image1)
+
+
+def _witness_at_cut(kind, e: Morphism, cut: int) -> Witness | None:
+    """The witness of class ``kind`` that element e of a chain on which
+    ``_symmetric`` holds has at the cut 2i - k, if any (see there)."""
+    n0, n1 = len(e.image0), len(e.image1)
+    if kind is A1Witness:
+        if n0 == n1 and 1 - n0 <= cut <= 0:
+            return A1Witness(e.image0[: n0 + cut], e.image0[n0 + cut :])
+    elif 0 <= cut <= min(n0, n1) and (kind is PWitness or cut % 2 == 0):
+        return kind(e.image0[:cut], e.image0[cut:], e.image1[cut:])
+    return None
 
 
 @dataclass(frozen=True)
@@ -282,24 +339,44 @@ class ClassMembership:
         }
 
 
-def _chain_walk(enumerate_witnesses, m: Morphism, chain: ConjugacyChain, where: str) -> tuple:
-    """Search each element of m's chain once: the first witness of m and
-    the ``Hit`` at the first element that has a witness.  m is in its own
-    chain, at index |p| (see ``conjugacy_chain``) when the chain is not
-    cyclic and at index 0 when it is cyclic or an image is empty."""
-    found = [enumerate_witnesses(element) for element in chain.chain]
-    own = next(iter(found[chain.chain.index(m)]), None)
-    for index, ws in enumerate(found):
-        if ws:
-            q = None if chain.cyclic else chain.q_full[len(chain.q_full) - index :]
-            return own, Hit(where, ws[0], chain_index=index, q=q)
-    return own, None
+def _chain_walk(kind, enumerate_witnesses, m: Morphism, chain: ConjugacyChain, where: str) -> tuple:
+    """The first witness of m and the ``Hit`` at the first element of m's
+    chain that has a witness of class ``kind``.
+
+    m is in its own chain, at index |p| (see ``conjugacy_chain``) when the
+    chain is not cyclic and at index 0 when it is cyclic or an image is
+    empty.  A cyclic chain is searched element by element.  On any other
+    chain P, EP and A1 are settled by ``_symmetric`` with no search: the
+    first element with a witness is the least i whose cut 2i - k is in
+    range, (k + 1) // 2 for P and EP and the least i with k - 2i <= n - 1
+    for A1, n the image length.  Every element has m's image lengths and
+    ``theta_decode`` takes no odd length, so A2 is searched only when both
+    are even.
+    """
+    if kind is A2Witness and (len(m.image0) % 2 or len(m.image1) % 2):
+        return None, None
+    if chain.cyclic or kind is A2Witness:
+        found = [enumerate_witnesses(element) for element in chain.chain]
+        own = next(iter(found[chain.chain.index(m)]), None)
+        first = next((index for index, ws in enumerate(found) if ws), None)
+        witness = None if first is None else found[first][0]
+    elif _symmetric(chain, _SIGMA[kind]):
+        k = len(chain.chain) - 1
+        first = max(0, (k - len(m.image0) + 2) // 2) if kind is A1Witness else (k + 1) // 2
+        own = _witness_at_cut(kind, m, 2 * chain.chain.index(m) - k)
+        witness = _witness_at_cut(kind, chain.chain[first], 2 * first - k)
+    else:
+        return None, None
+    if witness is None:
+        return own, None
+    q = None if chain.cyclic else chain.q_full[len(chain.q_full) - first :]
+    return own, Hit(where, witness, chain_index=first, q=q)
 
 
-def _membership(enumerate_witnesses, m, chain, m2, chain2) -> ClassMembership:
+def _membership(kind, enumerate_witnesses, m, chain, m2, chain2) -> ClassMembership:
     """One walk over the chain of m and one over that of its square m2."""
-    direct, conjugate = _chain_walk(enumerate_witnesses, m, chain, "conjugate")
-    on_square, square_conjugate = _chain_walk(enumerate_witnesses, m2, chain2, "square-conjugate")
+    direct, conjugate = _chain_walk(kind, enumerate_witnesses, m, chain, "conjugate")
+    on_square, square_conjugate = _chain_walk(kind, enumerate_witnesses, m2, chain2, "square-conjugate")
     return ClassMembership(direct, conjugate, on_square, square_conjugate)
 
 
@@ -426,10 +503,10 @@ def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> Classificat
     m2 = square(m)
     chain2 = conjugacy_chain(m2)
 
-    class_p = _membership(p_witnesses, m, chain, m2, chain2)
-    class_ep = _membership(ep_witnesses, m, chain, m2, chain2)
-    class_a1 = _membership(a1_witnesses, m, chain, m2, chain2)
-    class_a2 = _membership(a2_witnesses, m, chain, m2, chain2)
+    class_p = _membership(PWitness, p_witnesses, m, chain, m2, chain2)
+    class_ep = _membership(EPWitness, ep_witnesses, m, chain, m2, chain2)
+    class_a1 = _membership(A1Witness, a1_witnesses, m, chain, m2, chain2)
+    class_a2 = _membership(A2Witness, a2_witnesses, m, chain, m2, chain2)
 
     primitive = is_primitive(m)
     uniform = is_uniform(m)
@@ -488,7 +565,9 @@ def classify(m: Morphism, cfg: EvidenceConfig = EvidenceConfig()) -> Classificat
     else:
         # m is not cyclic here, so neither is its square: an empty image
         # stays empty, and noncommuting nonempty images make m injective.
-        palindromic = _mirror_test(chain) or _mirror_test(chain2)
+        # On a chain that is not cyclic the mirror test (sigma_R) holds
+        # exactly when the class-P walk hits.
+        palindromic = class_p.conjugate is not None or class_p.square_conjugate is not None
         palindromic_status = "proven" if palindromic else "proven-absent"
         palindromic_basis = "mirror test on the extreme conjugates of the morphism or its square"
         if periodicity == "aperiodic-likely" and (uniform or palindromic):

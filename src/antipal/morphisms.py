@@ -40,8 +40,8 @@ class Morphism:
         return self.image0 if letter == "0" else self.image1
 
     @cached_property
-    def _table(self):
-        return str.maketrans({"0": self.image0, "1": self.image1})
+    def _images(self) -> dict[str, Word]:
+        return {"0": self.image0, "1": self.image1}
 
     def __str__(self) -> str:
         return format_morphism(self)
@@ -67,8 +67,8 @@ def parse_morphism(text: str) -> Morphism:
 
 
 def apply(m: Morphism, w: Word) -> Word:
-    """Image of w: the concatenation of the letter images."""
-    return w.translate(m._table)
+    """Image of w: the concatenation of the letter images, built by one join."""
+    return "".join(map(m._images.__getitem__, w))
 
 
 def compose(m1: Morphism, m2: Morphism) -> Morphism:
@@ -123,7 +123,7 @@ def prolongable_letters(m: Morphism) -> frozenset[str]:
     return frozenset(out)
 
 
-# fixed_point_prefix translates by the least power of the morphism whose
+# fixed_point_prefix builds blocks by the least power of the morphism whose
 # image of the seed letter has _POWER_SEED_LEN letters, unless an image of
 # that power would pass _POWER_MAX_LEN letters (the other letter, which the
 # fixed point may not even use, can grow much faster than the seed).
@@ -132,7 +132,7 @@ _POWER_MAX_LEN = 4096
 
 
 def _block_power(m: Morphism, letter: str) -> tuple[int, Morphism]:
-    """(j, m^j) for the power that fixed_point_prefix translates blocks by, j >= 1."""
+    """(j, m^j) for the power that fixed_point_prefix builds blocks by, j >= 1."""
     (a, b), (c, d) = incidence(m)
     lengths, j = (len(m.image0), len(m.image1)), 1  # the image lengths of m^j
     while lengths[letter == "1"] < _POWER_SEED_LEN:
@@ -170,10 +170,10 @@ def fixed_point_prefix(m: Morphism, letter: str, n: int) -> Word:
 
     The fixed point is letter + t + m(t) + m(m(t)) + ... with t the image
     tail.  A tail that m fixes just repeats.  Otherwise block i is m^j
-    applied to block i - j, so translating by the table of a power m^j
+    applied to block i - j, so building a block by a power m^j
     reads about n / lambda^j input letters instead of about n (lambda the
     growth rate of the blocks), and total work stays linear in n.  Of the
-    last block only the head that reaches n letters is translated, so at
+    last block only the head that reaches n letters is mapped, so at
     most n plus the longest image of the power used is built.
     """
     if letter not in prolongable_letters(m):
@@ -219,7 +219,9 @@ class ConjugacyChain:
     for every w.  For a cyclic morphism the chain is the full rotation
     cycle starting at the queried morphism, the extremes are meaningless,
     and ``q_full`` is the primitive common root of the images (the period
-    of the unique fixed point).
+    of the unique fixed point).  The class deciders of ``membership`` read
+    a non-cyclic chain from its two extremes and build at most two of its
+    elements' witnesses; a cyclic one they search element by element.
     """
 
     chain: tuple[Morphism, ...]

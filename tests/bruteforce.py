@@ -345,3 +345,17 @@ def bf_antipal_center(idx, limit):
 
     grow("")
     return best
+
+
+def bf_chain_walk(enumerate_witnesses, m, chain, where):
+    """The class search over a whole conjugacy chain with no shortcut: every
+    element is enumerated, m's first witness is kept, and the first element
+    with a witness gives (where, witness, index, q), q its conjugacy word
+    against the leftmost element (None on a cyclic chain)."""
+    found = [enumerate_witnesses(element) for element in chain.chain]
+    own = next(iter(found[chain.chain.index(m)]), None)
+    for index, ws in enumerate(found):
+        if ws:
+            q = None if chain.cyclic else chain.q_full[len(chain.q_full) - index :]
+            return own, (where, ws[0], index, q)
+    return own, None

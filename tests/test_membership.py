@@ -9,7 +9,9 @@ from antipal.errors import PreconditionViolated
 from antipal.membership import (
     A1Witness,
     A2Witness,
+    EPWitness,
     EvidenceConfig,
+    PWitness,
     a1_witnesses,
     a2_witnesses,
     classify,
@@ -33,6 +35,7 @@ from antipal.morphisms import (
 from antipal.words import exchange, is_antipalindrome, is_palindrome, reverse, theta_apply
 from bruteforce import (
     bf_a2_witnesses,
+    bf_chain_walk,
     bf_fixed_point_prefix,
     bf_is_antipalindrome,
     bf_is_palindrome,
@@ -171,9 +174,10 @@ def test_split_enumerators_are_complete():
                 assert w.is_valid()
 
 
-def test_classify_searches_each_conjugate_once(monkeypatch):
-    # one enumeration per element of the chains of m and of its square,
-    # for each class, hit or no hit
+def test_classify_searches_only_chains_the_closed_form_leaves_open(monkeypatch):
+    # P, EP and A1 enumerate each element of a cyclic chain once and never
+    # run on any other chain; A2 enumerates each element once when both
+    # image lengths of the host are even and never otherwise
     names = ("p_witnesses", "ep_witnesses", "a1_witnesses", "a2_witnesses")
     calls = {}
     for name in names:
@@ -187,8 +191,50 @@ def test_classify_searches_each_conjugate_once(monkeypatch):
         m = parse_morphism(text)
         calls.update(dict.fromkeys(names, 0))
         classify(m)
-        expected = len(conjugacy_chain(m).chain) + len(conjugacy_chain(square(m)).chain)
-        assert calls == dict.fromkeys(names, expected), text
+        expected = dict.fromkeys(names, 0)
+        for host in (m, square(m)):
+            chain = conjugacy_chain(host)
+            size = len(chain.chain)
+            if chain.cyclic:
+                for name in names[:3]:
+                    expected[name] += size
+            if len(host.image0) % 2 == 0 and len(host.image1) % 2 == 0:
+                expected["a2_witnesses"] += size
+        assert calls == expected, text
+
+
+def test_chain_walk_agrees_with_the_full_search():
+    # over every chain of m and of m^2 up to image length 6, for all four
+    # classes, the closed form gives what enumerating every element gives;
+    # on an even-k chain whose sigma test holds, sigma fixes element k/2
+    classes = (
+        (PWitness, p_witnesses),
+        (EPWitness, ep_witnesses),
+        (A1Witness, a1_witnesses),
+        (A2Witness, a2_witnesses),
+    )
+    chains = 0
+    for text in scan_space(6):
+        m = parse_morphism(text)
+        for host in (m, square(m)):
+            chain = conjugacy_chain(host)
+            chains += 1
+            for kind, enumerate_witnesses in classes:
+                own, hit = bf_chain_walk(enumerate_witnesses, host, chain, "conjugate")
+                expected = (own, membership.Hit(*hit) if hit else None)
+                assert membership._chain_walk(kind, enumerate_witnesses, host, chain, "conjugate") == expected, (
+                    text,
+                    kind.kind,
+                    str(host),
+                )
+            k = len(chain.chain) - 1
+            if chain.cyclic or k % 2:
+                continue
+            middle = chain.chain[k // 2]
+            for sigma in membership._SIGMA.values():
+                if membership._symmetric(chain, sigma):
+                    assert sigma(middle.image0, middle.image1) == (middle.image0, middle.image1), str(host)
+    assert chains == 16002
 
 
 def test_mirror_test_agrees_with_chain_search():
@@ -200,7 +246,8 @@ def test_mirror_test_agrees_with_chain_search():
     # P with prefix length 2i - k in [0, min image length], EP the same with
     # the prefix length even, A1 on a uniform element with suffix length
     # k - 2i in [0, n - 1].  When sigma(rightmost) != leftmost no element
-    # has a witness.  sigma_R's test is the mirror test.
+    # has a witness.  sigma_R's test is the mirror test.  ``_symmetric`` makes
+    # all three tests.
     sigmas = {
         "p": lambda u, v: Morphism(reverse(u), reverse(v)),
         "ep": lambda u, v: Morphism(exchange(u), exchange(v)),
@@ -216,9 +263,9 @@ def test_mirror_test_agrees_with_chain_search():
                 chains += 1
                 k, right = len(chain.chain) - 1, chain.rightmost
                 holds = {cls: sigma(right.image0, right.image1) == chain.leftmost for cls, sigma in sigmas.items()}
-                assert membership._mirror_test(chain) == holds["p"], str(host)
-                for cls in sigmas:
-                    held[cls] += holds[cls]
+                for kind in (PWitness, EPWitness, A1Witness):
+                    assert membership._symmetric(chain, membership._SIGMA[kind]) == holds[kind.kind], str(host)
+                    held[kind.kind] += holds[kind.kind]
                 for i, e in enumerate(chain.chain):
                     cut, short, n = 2 * i - k, min(len(e.image0), len(e.image1)), len(e.image0)
                     p_cut = [cut] if holds["p"] and 0 <= cut <= short else []
