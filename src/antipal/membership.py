@@ -261,21 +261,25 @@ def _symmetric(chain: ConjugacyChain, sigma) -> bool:
     even, sigma fixes element k/2 (cut 0): both images are palindromes,
     both are antipalindromes, or the element is self-dual.  Under sigma_E
     and sigma_S, k is even: at an odd k the two middle elements x w_a and
-    w_a x would give x = E(x).  A cyclic chain has no extremes.
+    w_a x would give x = E(x).  A cyclic chain has no extremes.  The test
+    compares the images cut from the chain's two end windows and builds no
+    element.
     """
-    left, right = chain.leftmost, chain.rightmost
-    return sigma(right.image0, right.image1) == (left.image0, left.image1)
+    left, right = chain._ends
+    return sigma(*right) == left
 
 
-def _witness_at_cut(kind, e: Morphism, cut: int) -> Witness | None:
-    """The witness of class ``kind`` that element e of a chain on which
-    ``_symmetric`` holds has at the cut 2i - k, if any (see there)."""
-    n0, n1 = len(e.image0), len(e.image1)
+def _witness_at_cut(kind, images: tuple[Word, Word], cut: int) -> Witness | None:
+    """The witness of class ``kind`` that the element of a chain on which
+    ``_symmetric`` holds with these images has at the cut 2i - k, if any
+    (see there)."""
+    x0, x1 = images
+    n0, n1 = len(x0), len(x1)
     if kind is A1Witness:
         if n0 == n1 and 1 - n0 <= cut <= 0:
-            return A1Witness(e.image0[: n0 + cut], e.image0[n0 + cut :])
+            return A1Witness(x0[: n0 + cut], x0[n0 + cut :])
     elif 0 <= cut <= min(n0, n1) and (kind is PWitness or cut % 2 == 0):
-        return kind(e.image0[:cut], e.image0[cut:], e.image1[cut:])
+        return kind(x0[:cut], x0[cut:], x1[cut:])
     return None
 
 
@@ -349,22 +353,23 @@ def _chain_walk(kind, enumerate_witnesses, m: Morphism, chain: ConjugacyChain, w
     chain P, EP and A1 are settled by ``_symmetric`` with no search: the
     first element with a witness is the least i whose cut 2i - k is in
     range, (k + 1) // 2 for P and EP and the least i with k - 2i <= n - 1
-    for A1, n the image length.  Every element has m's image lengths and
-    ``theta_decode`` takes no odd length, so A2 is searched only when both
-    are even.
+    for A1, n the image length, and only m's images and that element's,
+    cut from the chain's windows, are read.  Every element has m's image
+    lengths and ``theta_decode`` takes no odd length, so A2 is searched
+    only when both are even.
     """
     if kind is A2Witness and (len(m.image0) % 2 or len(m.image1) % 2):
         return None, None
     if chain.cyclic or kind is A2Witness:
         found = [enumerate_witnesses(element) for element in chain.chain]
-        own = next(iter(found[chain.chain.index(m)]), None)
+        own = next(iter(found[chain._own]), None)
         first = next((index for index, ws in enumerate(found) if ws), None)
         witness = None if first is None else found[first][0]
     elif _symmetric(chain, _SIGMA[kind]):
-        k = len(chain.chain) - 1
+        k = len(chain.q_full)
         first = max(0, (k - len(m.image0) + 2) // 2) if kind is A1Witness else (k + 1) // 2
-        own = _witness_at_cut(kind, m, 2 * chain.chain.index(m) - k)
-        witness = _witness_at_cut(kind, chain.chain[first], 2 * first - k)
+        own = _witness_at_cut(kind, (m.image0, m.image1), 2 * chain._own - k)
+        witness = _witness_at_cut(kind, chain._pair(first), 2 * first - k)
     else:
         return None, None
     if witness is None:

@@ -8,11 +8,10 @@ without synchronization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, sqrt
-from os.path import commonprefix
 
 from .errors import (
     NotPrimitive,
@@ -68,7 +67,7 @@ def parse_morphism(text: str) -> Morphism:
 
 def apply(m: Morphism, w: Word) -> Word:
     """Image of w: the concatenation of the letter images, built by one join."""
-    return "".join(map(m._images.__getitem__, w))
+    return _image(m._images, w)
 
 
 def compose(m1: Morphism, m2: Morphism) -> Morphism:
@@ -99,100 +98,120 @@ def is_primitive(m: Morphism) -> bool:
     return all(entry > 0 for entry in sq)
 
 
-def _immortal_letters(m: Morphism) -> set[str]:
-    """Letters whose iterated images never die out."""
-    mortal: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for letter in "01":
-            if letter not in mortal and all(ch in mortal for ch in m.image(letter)):
-                mortal.add(letter)
-                changed = True
-    return set("01") - mortal
-
-
 def prolongable_letters(m: Morphism) -> frozenset[str]:
-    """Letters a with image a·w, w nonempty, whose iterates grow without bound."""
-    immortal = _immortal_letters(m)
-    out = set()
-    for letter in "01":
-        img = m.image(letter)
-        if len(img) >= 2 and img[0] == letter and any(ch in immortal for ch in img[1:]):
-            out.add(letter)
-    return frozenset(out)
+    """Letters a with image a·w, w nonempty, whose iterates grow without bound.
+
+    A letter whose image contains itself never dies out, so a's iterates
+    grow unless every letter of w is the other letter b and b dies out;
+    b, whose image holds only a and b, dies out exactly when its image is
+    empty.  So a is prolongable unless w is a power of b and b -> eps.
+    """
+    u, v = m.image0, m.image1
+    zero = len(u) > 1 and u[0] == "0" and (v != "" or u.count("0") > 1)
+    one = len(v) > 1 and v[0] == "1" and (u != "" or v.count("1") > 1)
+    return frozenset("0" * zero + "1" * one)
 
 
-# fixed_point_prefix builds blocks by the least power of the morphism whose
-# image of the seed letter has _POWER_SEED_LEN letters, unless an image of
-# that power would pass _POWER_MAX_LEN letters (the other letter, which the
-# fixed point may not even use, can grow much faster than the seed).
-_POWER_SEED_LEN = 64
-_POWER_MAX_LEN = 4096
+def _image(images: dict[str, Word], w: Word) -> Word:
+    """Image of w under the morphism with these letter images, by one join."""
+    return "".join(map(images.__getitem__, w))
 
 
-def _block_power(m: Morphism, letter: str) -> tuple[int, Morphism]:
-    """(j, m^j) for the power that fixed_point_prefix builds blocks by, j >= 1."""
-    (a, b), (c, d) = incidence(m)
-    lengths, j = (len(m.image0), len(m.image1)), 1  # the image lengths of m^j
-    while lengths[letter == "1"] < _POWER_SEED_LEN:
-        longer = (a * lengths[0] + c * lengths[1], b * lengths[0] + d * lengths[1])
-        if max(longer) > _POWER_MAX_LEN:
+def _times(row: tuple[int, int], counts: IncidenceMatrix) -> tuple[int, int]:
+    """The row vector ``row`` times the matrix ``counts``.  With counts the
+    ``incidence`` of M, it maps the lengths of M^j(0) and M^j(1) to those of
+    M^(j+1)(0) and M^(j+1)(1), as M^(j+1)(a) = M^j(M(a)), and a row of the
+    incidence of M to that row of the incidence of M^2."""
+    (a, b), (c, d) = counts
+    return row[0] * a + row[1] * c, row[0] * b + row[1] * d
+
+
+def _head_for(lengths: tuple[int, int], w: Word, need: int) -> Word:
+    """The shortest head of w whose image has at least ``need`` > 0 letters
+    under letter images of ``lengths`` letters, or w.
+
+    The heads tried double from one letter, then halve the last gap, and
+    each try counts only the letters past a shorter head already counted:
+    about three times the head's letters are read, not all of w, which
+    matters as ``str.count`` reads an aperiodic word at several ns a
+    letter.
+    """
+    l0, l1 = lengths
+    lo = got = 0  # the image of w[:lo] has got < need letters
+    hi = 1
+    while True:
+        hi = min(hi, len(w))
+        more = l0 * (hi - lo) + (l1 - l0) * w.count("1", lo, hi)
+        if got + more >= need:
             break
-        lengths, j = longer, j + 1
-    power = m
-    for _ in range(j - 1):
-        power = compose(m, power)
-    return j, power
-
-
-def _head_for(m: Morphism, w: Word, need: int) -> Word:
-    """The shortest head of w whose image has at least ``need`` > 0 letters, or w."""
-    l0, l1 = len(m.image0), len(m.image1)
-
-    def image_len(k: int) -> int:
-        return l0 * k + (l1 - l0) * w.count("1", 0, k)
-
-    if image_len(len(w)) <= need:
-        return w
-    lo, hi = 0, len(w)  # image_len(lo) < need <= image_len(hi)
-    while hi - lo > 1:
+        if hi == len(w):
+            return w
+        lo, got, hi = hi, got + more, 2 * hi
+    while hi - lo > 1:  # the image of w[:hi] has at least need letters
         mid = (lo + hi) // 2
-        if image_len(mid) >= need:
+        more = l0 * (mid - lo) + (l1 - l0) * w.count("1", lo, mid)
+        if got + more >= need:
             hi = mid
         else:
-            lo = mid
+            lo, got = mid, got + more
     return w[:hi]
 
 
 def fixed_point_prefix(m: Morphism, letter: str, n: int) -> Word:
-    """Length-n prefix of the fixed point starting with a prolongable letter.
+    """Length-n prefix of the fixed point x starting with a prolongable letter.
 
-    The fixed point is letter + t + m(t) + m(m(t)) + ... with t the image
-    tail.  A tail that m fixes just repeats.  Otherwise block i is m^j
-    applied to block i - j, so building a block by a power m^j
-    reads about n / lambda^j input letters instead of about n (lambda the
-    growth rate of the blocks), and total work stays linear in n.  Of the
-    last block only the head that reaches n letters is mapped, so at
-    most n plus the longest image of the power used is built.
+    x = M(x) for every power M of m, so M maps each prefix of x onto a
+    prefix of x.  Two cases have a closed form, both a tail t =
+    m(letter)[1:] of one letter.  A tail without the other letter b gives
+    letter^inf.  A tail t = b^k with m(b) = b gives letter + b^inf; these
+    are the only tails that m fixes, as m(t) holds all of m(letter) =
+    letter + t when the letter occurs in t.  Otherwise both letters occur
+    in x and grow, and:
+
+    * **Squaring.**  The images of M = m^(2^k) are kept as plain strings,
+      with their letter counts, and squared, M^2(a) = M(M(a)), while
+      M^2(letter) has fewer than n letters and the two squared images,
+      whose lengths the counts give before they are built, hold at most
+      n / 2 letters.  Each squaring at least about doubles the images, so
+      all the powers built hold at most about n letters.
+    * **Heads.**  The counts give the lengths of M^j(0) and M^j(1), and so
+      the least J with |M^(J+1)(letter)| >= n.  From w = M(letter), for
+      j = J down to 1, w becomes M(h) for the shortest head h of w with
+      |M^j(h)| >= n; so |M^(j-1)(w)| >= n, and at j = 0 w has at least n
+      letters.  Each step makes progress, as j falls by one, and maps only
+      the head that reaches n: the last step builds fewer than n letters
+      plus one image of M, and step j a word whose image under M^(j-1),
+      less one image, is shorter than n.
+
+    So the work is linear in n, and a long M leaves few letters to map: at
+    100000 letters most hosts end with one join of a few dozen images.
     """
     if letter not in prolongable_letters(m):
         raise NotProlongable(f"{format_morphism(m)} is not prolongable on {letter}")
     if n <= 0:
         return ""
-    block = m.image(letter)[1:]
-    if apply(m, block) == block:
-        return (letter + block * (n // len(block) + 1))[:n]
-    j, power = _block_power(m, letter)
-    pieces = [letter, block]  # block i is pieces[i + 1]
-    total = 1 + len(block)
-    while total < n:
-        source = len(pieces) - j  # the piece holding block i - j, i the next block
-        host, piece = (power, pieces[source]) if source >= 1 else (m, pieces[-1])
-        block = apply(host, _head_for(host, piece, n - total))
-        pieces.append(block)
-        total += len(block)
-    return "".join(pieces)[:n]
+    tail, other = m.image(letter)[1:], "1" if letter == "0" else "0"
+    if tail == other * len(tail) and m.image(other) == other:
+        return letter + other * (n - 1)
+    if tail == letter * len(tail):
+        return letter * n
+    seed = letter == "1"
+    images, counts = {"0": m.image0, "1": m.image1}, incidence(m)  # of M = m^(2^k)
+    while True:
+        squared = _times(counts[0], counts), _times(counts[1], counts)
+        lengths = _times((1, 1), squared)
+        if lengths[seed] >= n or sum(lengths) > n // 2:
+            break
+        images = {a: _image(images, x) for a, x in images.items()}
+        counts = squared
+    powers, lengths = [], _times((1, 1), counts)  # the image lengths of M^j, j = 1 .. J
+    while lengths[seed] < n:  # |M^(j-1)(w)| < n for w = M(letter), so J >= j
+        powers.append(lengths)
+        lengths = _times(lengths, counts)
+    w = images[letter]
+    for lengths in reversed(powers):
+        w = _image(images, _head_for(lengths, w, n))
+    return w[:n]
 
 
 def fixed_point_source(
@@ -213,32 +232,61 @@ def fixed_point_source(
 class ConjugacyChain:
     """The finite chain of conjugates, leftmost first, rightmost last.
 
-    ``q_full`` links the two extremes, and the conjugacy word of
-    ``chain[i]`` against the leftmost element is its last i letters,
+    ``q_full`` links the two extremes, and the conjugacy word of element i
+    against the leftmost element is its last i letters,
     ``q = q_full[len(q_full) - i:]``: q + leftmost(w) == chain[i](w) + q
     for every w.  For a cyclic morphism the chain is the full rotation
     cycle starting at the queried morphism, the extremes are meaningless,
     and ``q_full`` is the primitive common root of the images (the period
-    of the unique fixed point).  The class deciders of ``membership`` read
-    a non-cyclic chain from its two extremes and build at most two of its
-    elements' witnesses; a cyclic one they search element by element.
+    of the unique fixed point).
+
+    The elements are not stored.  ``_words`` holds two words whose windows
+    of the image lengths are the elements' images: s+u+p and s+v+p (see
+    ``conjugacy_chain``), where element i starts at ``len(q_full) - i``,
+    or u and v followed by their first ``len(q_full)`` letters on a cyclic
+    chain, where element i starts at i.  ``_own`` is the queried
+    morphism's index.  ``_pair(i)`` cuts one element's images, ``_ends``
+    those of the two extremes once, and ``chain``, ``leftmost`` and
+    ``rightmost`` build Morphisms when read.  The class deciders of
+    ``membership`` read a non-cyclic chain at its two extremes, at the
+    queried morphism and at the first element with a witness.  A cyclic
+    chain they search element by element, as the A2 decider does any chain
+    whose image lengths are even.
     """
 
-    chain: tuple[Morphism, ...]
     q_full: Word
     cyclic: bool
+    _words: tuple[Word, Word]
+    _own: int = field(compare=False)
+
+    def _pair(self, i: int) -> tuple[Word, Word]:
+        """The images of element i."""
+        su, sv = self._words
+        top = len(self.q_full)
+        start = i if self.cyclic else top - i
+        return su[start : start + len(su) - top], sv[start : start + len(sv) - top]
+
+    @cached_property
+    def _ends(self) -> tuple[tuple[Word, Word], tuple[Word, Word]]:
+        """The images of the leftmost and of the rightmost element."""
+        return self._pair(0), self._pair(len(self.q_full) - self.cyclic)
+
+    @cached_property
+    def chain(self) -> tuple[Morphism, ...]:
+        size = len(self.q_full) + (not self.cyclic)
+        return tuple(Morphism(*self._pair(i)) for i in range(size))
 
     @property
     def leftmost(self) -> Morphism:
-        return self.chain[0]
+        return Morphism(*self._ends[0])
 
     @property
     def rightmost(self) -> Morphism:
-        return self.chain[-1]
+        return Morphism(*self._ends[1])
 
 
 def conjugacy_chain(m: Morphism) -> ConjugacyChain:
-    """The chain of conjugates of m, built in closed form.
+    """The chain of conjugates of m, in closed form.
 
     Rolling the shared first letter of both images to their ends gives a
     left conjugate.  With u, v the images and p the longest common prefix
@@ -247,26 +295,29 @@ def conjugacy_chain(m: Morphism) -> ConjugacyChain:
     ``(vu)[t]``; so exactly |p| forward rolls are possible, and by the
     mirror argument exactly |s| backward rolls, s the longest common
     suffix.  Element i of the chain, leftmost first, is the pair of
-    windows of s+u+p and s+v+p that start at |s|+|p|-i, and its
-    conjugacy word is the i letters of s+u+p just before the leftmost
-    window; ``q_full`` is all |s|+|p| of them.  Images that commute
-    (uv == vu) are powers of one primitive root r (Lyndon-Schutzenberger),
-    so rolling only rotates them and the chain is the cycle of |r|
-    rotations; an empty image blocks every roll.
+    windows of s+u+p and s+v+p that start at |s|+|p|-i, m is element |p|,
+    and the conjugacy word of element i is the i letters of s+u+p just
+    before the leftmost window; ``q_full`` is all |s|+|p| of them.  Images
+    that commute (uv == vu) are powers of one primitive root r
+    (Lyndon-Schutzenberger), so rolling only rotates them and the chain is
+    the cycle of |r| rotations, the windows of u + r and v + r; an empty
+    image blocks every roll.
     """
     u, v = m.image0, m.image1
     if not u or not v:
-        return ConjugacyChain((m,), "", False)
+        return ConjugacyChain("", False, (u, v), 0)
     uv, vu = u + v, v + u
     if uv == vu:
         root, _ = primitive_root(u)
-        rotations = tuple(Morphism(u[t:] + u[:t], v[t:] + v[:t]) for t in range(len(root)))
-        return ConjugacyChain(rotations, root, True)
-    p = commonprefix([uv, vu])
-    s = commonprefix([uv[::-1], vu[::-1]])[::-1]
-    su, sv, top = s + u + p, s + v + p, len(s) + len(p)
-    chain = tuple(Morphism(su[j : j + len(u)], sv[j : j + len(v)]) for j in range(top, -1, -1))
-    return ConjugacyChain(chain, su[:top], False)
+        return ConjugacyChain(root, True, (u + root, v + root), 0)
+    # uv and vu differ and have one length: read as big-endian integers, their
+    # xor's top set bit lies in the first letter they differ at, its lowest
+    # set bit in the last ('0' and '1' differ in bit 0 of a byte)
+    diff = int.from_bytes(uv.encode(), "big") ^ int.from_bytes(vu.encode(), "big")
+    p = uv[: len(uv) - (diff.bit_length() + 7) // 8]
+    s = uv[len(uv) - ((diff & -diff).bit_length() - 1) // 8 :]
+    su = s + u + p
+    return ConjugacyChain(su[: len(s) + len(p)], False, (su, s + v + p), len(p))
 
 
 @dataclass(frozen=True)

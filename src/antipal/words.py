@@ -86,14 +86,16 @@ def smallest_period(w: Word, bound: int | None = None) -> int | None:
 
     Without ``bound`` this is the border construction, linear time.  With
     ``0 <= bound <= len(w) // 2`` it answers only whether that period is at
-    most ``bound``: the period if so, else None, from one ``str.find``.  If
-    the smallest period p is at most ``bound``, the prefix of length
-    ``n - bound`` occurs at p, and its first occurrence j >= 1 is p itself:
-    were j < p, the prefix of length ``n - bound + j`` would have periods j
-    and p and be at least ``j + p`` letters long (``n - bound >= bound >=
-    p``), so by Fine and Wilf it would have period gcd(j, p) < p, which
-    divides p and so is a period of w too.  Hence the first occurrence is
-    the only candidate to check.
+    most ``bound``: the period if so, else None, from one ``str.find`` of
+    the first ``bound`` letters in the first ``2 * bound`` and one
+    comparison.  If the smallest period p is at most ``bound``, the needle
+    ``w[:bound]`` occurs at p, and its first occurrence j >= 1 is p itself:
+    were j < p, the prefix of length ``j + bound`` would have periods j
+    and p and be at least ``j + p`` letters long, so by Fine and Wilf it
+    would have period gcd(j, p) < p.  That divides p, and the prefix holds
+    w[:p], so w[:p] is a power of w[:gcd(j, p)] and w, of period p, has
+    the smaller period too.  Hence the first occurrence, which ends within
+    ``2 * bound`` letters, is the only candidate to check.
     """
     if not w:
         raise EmptyWordError("the empty word has no period")
@@ -101,8 +103,8 @@ def smallest_period(w: Word, bound: int | None = None) -> int | None:
     if bound is not None:
         if not 0 <= bound <= n // 2:
             raise PreconditionViolated(f"the period bound must be in 0 .. {n // 2}, got {bound}")
-        j = w.find(w[: n - bound], 1)
-        return j if 0 < j <= bound and w[j:] == w[: n - j] else None
+        j = w.find(w[:bound], 1, 2 * bound)
+        return j if j > 0 and w[j:] == w[: n - j] else None
     border = [0] * n
     k = 0
     for i in range(1, n):

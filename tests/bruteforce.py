@@ -208,6 +208,26 @@ def bf_apply(image0, image1, w):
     return "".join(image0 if c == "0" else image1 for c in w)
 
 
+def bf_prolongable_letters(image0, image1):
+    """Letters a with image a·w, w nonempty, some letter of which never dies
+    out: the mortal letters are grown to a fixpoint, a letter joining them
+    once every letter of its image is mortal."""
+    images = {"0": image0, "1": image1}
+    mortal = set()
+    changed = True
+    while changed:
+        changed = False
+        for letter, image in images.items():
+            if letter not in mortal and all(c in mortal for c in image):
+                mortal.add(letter)
+                changed = True
+    return {
+        letter
+        for letter, image in images.items()
+        if len(image) >= 2 and image[0] == letter and any(c not in mortal for c in image[1:])
+    }
+
+
 def bf_fixed_point_prefix(image0, image1, letter, n):
     """Iterate the morphism from one letter until n letters are fixed."""
     w = letter

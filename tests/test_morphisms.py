@@ -28,6 +28,7 @@ from bruteforce import (
     bf_factor_set,
     bf_fixed_point_letters,
     bf_fixed_point_prefix,
+    bf_prolongable_letters,
     words_up_to,
 )
 
@@ -106,6 +107,18 @@ def test_prolongable_letters():
     assert prolongable_letters(Morphism("01", "")) == frozenset()
 
 
+def test_prolongable_letters_match_the_mortality_loop():
+    """The closed form against the fixpoint of mortal letters on every image
+    pair of at most 5 letters, an empty image included."""
+    checked = 0
+    for i0 in words_up_to(5):
+        for i1 in words_up_to(5):
+            if i0 or i1:
+                assert prolongable_letters(Morphism(i0, i1)) == bf_prolongable_letters(i0, i1), (i0, i1)
+                checked += 1
+    assert checked == 3968
+
+
 def test_fixed_point_prefix_known_words():
     assert fixed_point_prefix(FIB, "0", 18) == "010010100100101001"
     assert fixed_point_prefix(THETA, "0", 16) == "0110100110010110"
@@ -152,28 +165,31 @@ def test_fixed_point_prefix_matches_bruteforce_on_the_scan_space():
             assert fixed_point_prefix(host, letter, n) == long[:n], (host, letter, n)
 
 
-def test_fixed_point_prefix_builds_at_most_one_image_past_n(monkeypatch):
-    """Only the head of the last block that reaches n letters is translated,
-    so the blocks built hold fewer than n plus the longest image used."""
-    built = []
+def test_fixed_point_prefix_builds_fewer_than_2n_letters_plus_one_image(monkeypatch):
+    """Every letter the builder makes, power images included, comes from
+    one join helper; together they are fewer than 2n plus the longest image
+    it used, so no step rebuilds the whole prefix.  Only a tail of one
+    letter has a closed form, so on any other the joins must have made the
+    100000 letters returned: the helper is read, not bypassed."""
+    made = []
+    build = morphisms._image
 
-    def counting_apply(m, w):
-        image = apply(m, w)
-        built.append(len(image))
+    def counting_image(images, w):
+        image = build(images, w)
+        made.append((len(image), max(map(len, images.values()))))
         return image
 
+    monkeypatch.setattr(morphisms, "_image", counting_image)
     pairs = _scan_fixed_points(4) + [(Morphism("01", "1"), "0"), (Morphism("0101", ""), "0")]
     for host, letter in pairs:
-        j, power = morphisms._block_power(host, letter)
-        longest = max(map(len, (host.image0, host.image1, power.image0, power.image1)))
-        tail_test = len(apply(host, host.image(letter)[1:]))  # the check that the tail is fixed
-        monkeypatch.setattr(morphisms, "_block_power", lambda m, a: (j, power))
-        monkeypatch.setattr(morphisms, "apply", counting_apply)
-        for n in (1, 2, 7, 1000, 100_000):
-            built.clear()
-            fixed_point_prefix(host, letter, n)
-            assert sum(built) - tail_test < n + longest, (host, letter, n, sum(built))
-        monkeypatch.undo()
+        closed_form = len(set(host.image(letter)[1:])) == 1
+        for n in (1, 2, 7, 1000, 25_000, 100_000):
+            made.clear()
+            assert len(fixed_point_prefix(host, letter, n)) == n
+            letters = sum(size for size, _ in made)
+            longest = max((size for _, size in made), default=0)
+            assert letters < 2 * n + longest, (host, letter, n, letters, longest)
+        assert closed_form or letters >= n, (host, letter)
 
 
 def test_conjugacy_chain_worked_example():
@@ -325,7 +341,9 @@ def test_conjugacy_chain_matches_walk():
     """The closed-form chain equals the letter-by-letter walk: every image
     pair of at most 5 letters (one may be empty), the square of each that
     has a nonempty image, and a seeded sample of long images with the
-    squares of the short ones and of the 0->0(110)^k family."""
+    squares of the short ones and of the 0->0(110)^k family.  The extremes
+    and the queried morphism's index, read without building the chain,
+    agree with the built chain."""
     morphisms = [Morphism(i0, i1) for i0 in words_up_to(5) for i1 in words_up_to(5) if i0 or i1]
     squares = [square(m) for m in morphisms if apply(m, m.image0) or apply(m, m.image1)]
     long_images = [Morphism(u, v) for u, v in _long_image_sample(random.Random(2024))]
@@ -335,5 +353,7 @@ def test_conjugacy_chain_matches_walk():
     for m in morphisms + squares + long_images:
         chain = conjugacy_chain(m)
         assert _as_walk(chain) == bf_conjugacy_chain(m.image0, m.image1), str(m)
+        assert (chain.leftmost, chain.rightmost) == (chain.chain[0], chain.chain[-1]), str(m)
+        assert chain.chain[chain._own] == m, str(m)
         cyclic += chain.cyclic
     assert cyclic > 500

@@ -269,6 +269,57 @@ def test_bounded_period_matches_bruteforce(w, data):
         assert smallest_period(w, bound) == (p if p <= bound else None), bound
 
 
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_bounded_period_at_the_bound_on_long_words(shift):
+    """Words of 25000 letters with smallest period bound - 1, bound and
+    bound + 1 for the evidence bound, and each with its last letter
+    changed, against the border construction (checked against the
+    brute-force oracle above)."""
+    rng = random.Random(6250 + shift)
+    n = 25_000
+    bound = n // 4
+    root = "".join(rng.choice("01") for _ in range(bound + shift))
+    w = (root * 5)[:n]
+    assert smallest_period(w) == bound + shift
+    assert smallest_period(w, bound) == (bound + shift if shift <= 0 else None)
+    flipped = w[:-1] + "10"[int(w[-1])]
+    p = smallest_period(flipped)
+    assert p > bound
+    assert smallest_period(flipped, bound) is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 3124])
+def test_bounded_period_when_the_needle_has_a_smaller_period(k):
+    """The Fine-Wilf edge: w = ((01)^k 0)^inf has smallest period p = 2k + 1,
+    while its first p letters have period 2.  The needle w[:p] occurs at p,
+    not at 2, and the bounded search must return p."""
+    p = 2 * k + 1
+    root = "01" * k + "0"
+    for n in (2 * p, 2 * p + 1, max(25_000, 2 * p)):
+        w = (root * (n // p + 1))[:n]
+        assert smallest_period(w[:p]) == 2
+        assert bf_smallest_period(w) == p
+        assert smallest_period(w, p) == p
+        assert smallest_period(w, p - 1) is None
+        assert smallest_period(w, n // 2) == p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.text(alphabet="01", min_size=1, max_size=12),
+    st.integers(1, 40),
+    st.text(alphabet="01", max_size=20),
+    st.data(),
+)
+def test_bounded_period_on_powers_with_a_tail(u, k, v, data):
+    """Words u^k v, whose smallest period is often near the bound."""
+    w = u * k + v
+    p = bf_smallest_period(w)
+    drawn = data.draw(st.integers(0, len(w) // 2))
+    for bound in {0, p - 1, p, p + 1, len(u), len(w) // 4, len(w) // 2, drawn} & set(range(len(w) // 2 + 1)):
+        assert smallest_period(w, bound) == (p if p <= bound else None), bound
+
+
 PERIODIC_PREFIXES = {
     "(01)^50000": "01" * 50_000,
     "(0011)^25000": "0011" * 25_000,
