@@ -1,4 +1,11 @@
-"""Binary morphisms and the antipalindromic structure of their fixed points."""
+"""Binary morphisms and the antipalindromic structure of their fixed points.
+
+numpy loads on first use.  No module that ``antipal.cli`` imports at load
+time imports numpy: the antipalindrome kernel in ``words`` imports it inside
+its functions, and the factor index (``language``, a numpy module) is
+imported by the commands that build one and by first access to its names
+here.
+"""
 
 from .errors import (
     AntipalError,
@@ -80,12 +87,20 @@ from .membership import (
     p_witnesses,
     witness_from_dict,
 )
-from .language import (
-    CensusRow,
-    FactorIndex,
-    bispecial_orbit,
-    bispecial_successor,
-    build_index,
-)
 
 __version__ = "0.1.0"
+
+# The factor index is a numpy module: its names resolve on first access.
+_LANGUAGE = ("CensusRow", "FactorIndex", "bispecial_orbit", "bispecial_successor", "build_index")
+
+
+def __getattr__(name: str):
+    if name in _LANGUAGE:
+        from . import language
+
+        return getattr(language, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LANGUAGE})

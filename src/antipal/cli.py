@@ -21,7 +21,6 @@ import json
 import os
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product, repeat
@@ -29,7 +28,6 @@ from pathlib import Path
 
 from . import equations
 from .errors import AntipalError, ConsistencyError, NoSolution, NotProlongable, ParseError
-from .language import build_index
 from .membership import EvidenceConfig, classify
 from .morphisms import (
     Morphism,
@@ -48,8 +46,24 @@ _SCAN_CHUNK = 8
 _IN_FLIGHT = 4
 
 
+def __getattr__(name: str):
+    """``build_index`` and ``ProcessPoolExecutor`` resolve on first access, so
+    importing this module loads neither numpy nor the process pool."""
+    if name == "build_index":
+        from .language import build_index
+
+        return build_index
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _index(args, m: Morphism, n_max: int | None):
     """Factor index on the fixed point read for m; ``n_max`` defaults to ``min(64, prefix_len // 4)``."""
+    from .language import build_index
+
     source = fixed_point_source(m, args.seed_letter)
     if source is None:
         raise NotProlongable(f"neither {format_morphism(m)} nor its square has a prolongable letter")
@@ -383,7 +397,12 @@ def cmd_scan(args) -> int:
     starts = range(resumed, len(space), _SCAN_CHUNK)
     chunks = (space[i : i + _SCAN_CHUNK] for i in starts)
     workers = min(args.parallelism, len(starts), os.cpu_count() or 1)
-    with out.open("a") as fh, ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    pool_type = None
+    if workers > 1:
+        import numpy  # noqa: F401  (imported once before the fork, not by every worker)
+
+        pool_type = sys.modules[__name__].ProcessPoolExecutor  # loaded by __getattr__, or a stand-in set here
+    with out.open("a") as fh, pool_type(workers) if pool_type else nullcontext() as pool:
         fh.truncate(size)
         results = _pooled(pool, workers, chunks, cfg) if pool else map(_classify_chunk, chunks, repeat(cfg))
         for lines in results:

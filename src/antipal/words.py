@@ -9,11 +9,12 @@ exchange map (``exchange``), which complements every letter and reverses
 the order.  A word fixed by ``reverse`` is a palindrome, a word fixed by
 ``exchange`` is an antipalindrome.  Antipalindromes have even length and
 the empty word is the only word that is both.
+
+The antipalindrome kernel imports numpy inside its functions, on first
+call, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import EmptyWordError, NotInThetaImage, ParseError, PreconditionViolated
 
@@ -133,6 +134,8 @@ def _packed_keys(bits: np.ndarray) -> np.ndarray:
     the end read as 0, so the top k bits of a key are the k-letter window
     at its start whenever that window lies inside the array.
     """
+    import numpy as np
+
     keys, b = bits.astype(np.uint16), 1
     while b < 16:
         wider = keys << np.uint16(b)
@@ -161,6 +164,8 @@ def _agree(keys: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> 
     the last key: every letter it stands for lies past the end, where the
     caller's cap (a centre's room, a run's edge) already holds.
     """
+    import numpy as np
+
     steps = np.arange(lo, hi, 16)
     last = keys.size - 1
     x = keys[np.minimum(a[:, None] + steps, last)] ^ keys[np.minimum(b[:, None] + steps, last)]
@@ -174,6 +179,8 @@ def _extension(keys: np.ndarray, a: np.ndarray, b: np.ndarray, cap: np.ndarray) 
     """For each pair of starts, the number of letters on which ``S[a..]`` and
     ``S[b..]`` agree, at most cap: ``_agree`` over windows that double from
     16 letters, so the keys read are proportional to the answer."""
+    import numpy as np
+
     out = np.zeros(len(a), dtype=np.int64)
     todo = np.flatnonzero(cap > 0)
     lo, hi = 0, 16
@@ -188,6 +195,8 @@ def _extension(keys: np.ndarray, a: np.ndarray, b: np.ndarray, cap: np.ndarray) 
 def _settle_runs(keys: np.ndarray, m: int, alive: np.ndarray, lo: int) -> tuple[int, np.ndarray]:
     """The largest radius among the centres of ``alive`` that lie in chains,
     and the centres that lie in none (see ``longest_antipalindrome``)."""
+    import numpy as np
+
     gaps = np.diff(alive)
     small = gaps <= lo
     if not small.any():
@@ -286,6 +295,8 @@ def longest_antipalindrome(w: Word) -> int:
     The centre indices are int32 and the window starts in S reach ``2|w|``,
     which fits below ``2**30`` letters; that is checked.
     """
+    import numpy as np
+
     n = len(w)
     if n < 2:
         return 0

@@ -420,3 +420,40 @@ def test_scan_bounds_the_chunks_in_flight(tmp_path, capsys, monkeypatch):
     assert len(_CountingPool.in_flight) == 14
     assert max(_CountingPool.in_flight) <= bound
     assert out.read_bytes() == serial.read_bytes()
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+import antipal
+import antipal.cli
+
+heavy = ("numpy", "antipal.language", "concurrent.futures.process")
+loaded = {"import": [name for name in heavy if name in sys.modules]}
+lazy_listed = {"CensusRow", "FactorIndex", "bispecial_orbit", "bispecial_successor", "build_index"} <= set(dir(antipal))
+for argv in (["--help"], ["equation", "pal-antipal", "010", "101"], ["fixedpoint", "0->01,1->0", "--length", "18"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert antipal.cli.main(argv) == 0, argv
+    loaded[argv[0]] = [name for name in heavy if name in sys.modules]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = antipal.cli.main(sys.argv[1:])
+json.dump({"loaded": loaded, "lazy_listed": lazy_listed, "code": code, "out": out.getvalue(),
+           "numpy": "numpy" in sys.modules,
+           "same_build_index": antipal.build_index is antipal.language.build_index}, sys.stdout)
+"""
+
+
+def test_cold_start_loads_numpy_on_first_use(capsys):
+    # a fresh interpreter: the commands that compute nothing with numpy load
+    # neither numpy, the factor index nor the process pool
+    classify = ["classify", "0->0101,1->1100", "--format", "json"]
+    src = str(Path(antipal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, *classify], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == {"import": [], "--help": [], "equation": [], "fixedpoint": []}
+    assert report["lazy_listed"]
+    assert report["numpy"] and report["same_build_index"]
+    assert (report["code"], report["out"]) == run(capsys, *classify)[:2]
