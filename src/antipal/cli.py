@@ -5,13 +5,17 @@ failed or the scan produced counterexample candidates (loudly reported;
 either a bug or a genuine discovery).
 
 The scan enumerates every morphism with image lengths up to a bound,
-deduplicated under the relabeling that swaps the two letters everywhere
-(a morphism and its relabeled mirror classify identically), classifies
-each one, and writes one JSON record per line.  The enumeration order is
-lexicographic in the morphism text; work is chunked and merged in order,
-so output files are byte-identical for every parallelism level.  A resume
-keeps the complete records on disk untouched, cuts a damaged tail in
-place, and refuses a file made under other evidence settings.
+deduplicated under the relabeling that swaps the two letters everywhere,
+classifies each one, and writes one JSON record per line.  A morphism and
+its relabeling agree on the primitive, uniform and cyclic flags, on the
+hits of each class, on a proven-infinite verdict and, when primitive, on
+the palindromic status; the rest can differ, since each reads the fixed
+point of its own least prolongable letter and its periodicity from a
+prefix.  The enumeration order is lexicographic in the morphism text;
+work is chunked and merged in order, so output files are byte-identical
+for every parallelism level.  A resume keeps the complete records on disk
+untouched, cuts a damaged tail in place, and refuses a file made under
+other evidence settings.
 """
 
 from __future__ import annotations
@@ -47,16 +51,12 @@ _IN_FLIGHT = 4
 
 
 def __getattr__(name: str):
-    """``build_index`` and ``ProcessPoolExecutor`` resolve on first access, so
-    importing this module loads neither numpy nor the process pool."""
+    """``build_index`` resolves on first access, so importing this module
+    loads no numpy."""
     if name == "build_index":
         from .language import build_index
 
         return build_index
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -306,15 +306,12 @@ def cmd_equation(args) -> int:
 # ---------------------------------------------------------------------- scan
 
 
-def _mirror(m: Morphism) -> Morphism:
-    """Relabel both letters: 0 and 1 swap everywhere."""
-    return Morphism(complement(m.image1), complement(m.image0))
-
-
 def scan_space(max_image_len: int) -> list[str]:
     """Canonical morphism texts, lexicographically sorted.
 
-    Of each mirror pair only the lexicographically smaller text survives.
+    Of each text ``0->a,1->b`` and its letter swap ``0->b',1->a'`` (each
+    letter of the images flipped, see ``complement``) only the
+    lexicographically smaller survives.
     """
     images = [
         "".join(bits)
@@ -324,9 +321,8 @@ def scan_space(max_image_len: int) -> list[str]:
     texts = []
     for i0 in images:
         for i1 in images:
-            m = Morphism(i0, i1)
-            t = format_morphism(m)
-            if t <= format_morphism(_mirror(m)):
+            t = f"0->{i0},1->{i1}"
+            if t <= f"0->{complement(i1)},1->{complement(i0)}":
                 texts.append(t)
     texts.sort()
     return texts
@@ -397,12 +393,11 @@ def cmd_scan(args) -> int:
     starts = range(resumed, len(space), _SCAN_CHUNK)
     chunks = (space[i : i + _SCAN_CHUNK] for i in starts)
     workers = min(args.parallelism, len(starts), os.cpu_count() or 1)
-    pool_type = None
     if workers > 1:
-        import numpy  # noqa: F401  (imported once before the fork, not by every worker)
+        from concurrent.futures import ProcessPoolExecutor
 
-        pool_type = sys.modules[__name__].ProcessPoolExecutor  # loaded by __getattr__, or a stand-in set here
-    with out.open("a") as fh, pool_type(workers) if pool_type else nullcontext() as pool:
+        import numpy  # noqa: F401  (imported once before the fork, not by every worker)
+    with out.open("a") as fh, ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         fh.truncate(size)
         results = _pooled(pool, workers, chunks, cfg) if pool else map(_classify_chunk, chunks, repeat(cfg))
         for lines in results:

@@ -276,7 +276,6 @@ class FactorIndex:
         self._keys = _window_keys(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
         self._levels: list[np.ndarray] = []  # level k: dense ranks of the (64 * 2**k)-windows
         self._maps: list[tuple[np.ndarray, np.ndarray]] = []  # level k: its mirror and exchange maps
-        self._windows = _sorted_windows(self._keys, prefix_len)
         self.stable_up_to = self._certify()
 
     def _ranks(self, level: int) -> np.ndarray:
@@ -427,7 +426,7 @@ class FactorIndex:
         length``, the first entry of each group.  One mask over every n
         gives them all.
         """
-        lengths, lcp, starts = self._windows
+        lengths, lcp, starts = _sorted_windows(self._keys, self.prefix_len)
         n = np.arange(1, _KEY_LETTERS + 1)[:, None]
         row, entry = np.nonzero((lcp < n) & (n <= lengths))
         return row + 1, starts[entry]
@@ -556,19 +555,6 @@ class FactorIndex:
         """The length-n words of the prefix at the given starts."""
         return frozenset(self.prefix[i : i + n] for i in starts.tolist())
 
-    def _extensions(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One start for each distinct certified (n+1)-factor, and the
-        n-ids of its head and of its tail.
-
-        The (n+1)-factors are the heads of the distinct top windows (see
-        ``_top_starts``), so their ids are gathered at those starts only.  A
-        head id that occurs twice is a right special n-factor, a tail id
-        that occurs twice a left special one.
-        """
-        starts = self._top_starts
-        longer = starts[np.unique(self._ids_at(n + 1, starts), return_index=True)[1]]
-        return longer, self._ids_at(n, longer), self._ids_at(n, longer + 1)
-
     def bispecials(self) -> tuple[str, ...]:
         """All bispecial factors within the certified range, shortest first.
 
@@ -579,7 +565,11 @@ class FactorIndex:
         ids of different lengths stay apart and sort by length first, then
         lexicographically.  The heads are sorted already, as the factors
         are, so a binary search finds a start for each bispecial id.
-        Longer lengths go one at a time through ``_extensions``.  Only the
+        A longer length k goes alone: as k < ``stable_up_to`` the
+        (k+1)-factors of the prefix are all certified, and the first starts
+        of the distinct ones (``_starts``) give the k-ids of their heads and
+        of their tails.  A head id that occurs twice is a right special
+        k-factor, a tail id that occurs twice a left special one.  Only the
         bispecial factors are cut from the prefix.
         """
         top = self.stable_up_to
@@ -592,7 +582,8 @@ class FactorIndex:
         at = np.searchsorted(heads, both)
         found = [self.prefix[i : i + k] for i, k in zip(longer[at].tolist(), n[at].tolist())]
         for k in range(_KEY_LETTERS, top):
-            longer, heads, tails = self._extensions(k)
+            longer = self._starts(k + 1)
+            heads, tails = self._ids_at(k, longer), self._ids_at(k, longer + 1)
             found.extend(sorted(self._cut(longer[np.isin(heads, _bispecial_ids(heads, tails))], k)))
         return tuple(found)
 

@@ -2,7 +2,9 @@
 
 Everything here is written directly from the definitions, with no code
 shared with the package: plain scans, split enumerations, and divisor
-loops.  Slow on purpose; meant for small inputs.
+loops.  Slow on purpose; meant for small inputs.  The one exception is
+``bf_scan_space``, which names each morphism through the package's own
+``Morphism`` and ``format_morphism``, as the scan's records do.
 """
 
 from itertools import product
@@ -21,6 +23,26 @@ def words_up_to(n, include_empty=True):
 
 def bf_exchange(w):
     return "".join("1" if c == "0" else "0" for c in reversed(w))
+
+
+def bf_letter_swap(w):
+    """Each letter flipped in place: 0 <-> 1, the order kept."""
+    return "".join("1" if c == "0" else "0" for c in w)
+
+
+def bf_scan_space(max_image_len):
+    """The sorted canonical scan texts: a ``Morphism`` for every pair of
+    nonempty images of up to ``max_image_len`` letters, kept when its text
+    is no larger than that of its letter swap 0->swap(b),1->swap(a)."""
+    from antipal.morphisms import Morphism, format_morphism
+
+    texts = []
+    for i0 in words_up_to(max_image_len, include_empty=False):
+        for i1 in words_up_to(max_image_len, include_empty=False):
+            text = format_morphism(Morphism(i0, i1))
+            if text <= format_morphism(Morphism(bf_letter_swap(i1), bf_letter_swap(i0))):
+                texts.append(text)
+    return sorted(texts)
 
 
 def bf_is_palindrome(w):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import signal
@@ -14,6 +15,7 @@ from antipal import cli
 from antipal.cli import main, scan_space
 from antipal.membership import witness_from_dict
 from antipal.morphisms import conjugacy_chain, parse_morphism, square
+from bruteforce import bf_scan_space
 
 
 def run(capsys, *argv):
@@ -122,10 +124,12 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_scan_space_counts():
-    # 36 raw pairs at image length <= 2 collapse to 21 under relabeling
-    space = scan_space(2)
-    assert len(space) == 21
-    assert space == sorted(space)
+    # one text of each letter-swap pair: the 36 raw pairs at image length
+    # <= 2 collapse to 21; the list is the one a Morphism per pair gives
+    for bound, count in zip(range(1, 7), (3, 21, 105, 465, 1953, 8001)):
+        space = scan_space(bound)
+        assert len(space) == count
+        assert space == bf_scan_space(bound)
 
 
 def _recount(path):
@@ -391,7 +395,7 @@ class _CountingPool:
 
 def test_scan_pool_is_capped(tmp_path, capsys, monkeypatch):
     # 21 records make 3 chunks; nothing is spawned, the pool is a stand-in
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(_CountingPool, "workers", [])
     for cores, expected in ((2, 2), (8, 3)):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
@@ -407,7 +411,7 @@ def test_scan_bounds_the_chunks_in_flight(tmp_path, capsys, monkeypatch):
     out, serial = tmp_path / "p2.jsonl", tmp_path / "p1.jsonl"
     bound = cli._IN_FLIGHT * 2
     assert bound < 14
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(_CountingPool, "workers", [])
     monkeypatch.setattr(_CountingPool, "in_flight", [])
     monkeypatch.setattr(_CountingPool, "out", out)

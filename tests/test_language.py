@@ -42,7 +42,9 @@ def test_build_index_basics():
 
 # Thue-Morse 256/64 certifies fewer than n_max lengths, so factors() also
 # takes its direct-slice path there; 0->000001 at 8 letters certifies none,
-# and Fibonacci at n_max 2 stops just where E-closure first fails.
+# and Fibonacci at n_max 2 stops just where E-closure first fails.  Thue-Morse
+# and Fibonacci at (1200, 300) certify past 64 letters, where the bispecial
+# factors come from the rank levels one length at a time.
 EXACT_SET_INDEXES = (
     (THETA, 512, 16),
     (THETA, 256, 64),
@@ -51,6 +53,8 @@ EXACT_SET_INDEXES = (
     (FIB, 2000, 2),
     (Morphism("01", "01"), 4000, 64),
     (Morphism("000001", "1"), 8, 2),
+    (THETA, 1200, 300),
+    (FIB, 1200, 300),
 )
 
 
@@ -65,6 +69,10 @@ def test_exact_set_indexes_reach_each_case():
     assert 0 < build_index(THETA, "0", 256, 64).stable_up_to < 64
     assert build_index(FIB, "0", 2000, 2).stable_up_to == 2
     assert build_index(Morphism("000001", "1"), "0", 8, 2).stable_up_to == 0
+    for m in (THETA, FIB):
+        long = build_index(m, "0", 1200, 300)
+        assert long.stable_up_to > 64
+        assert any(len(w) >= 64 for w in long.bispecials())
 
 
 def test_bispecials_and_e_closure_match_bruteforce():
@@ -125,7 +133,7 @@ def test_index_is_freed_without_the_cycle_collector():
         idx.bispecials()
         idx.e_closure_check()
         idx.antipal_center(16)
-        # certified past 64 letters: the rank levels and _extensions
+        # certified past 64 letters: the rank levels and the long bispecials
         long = build_index(THETA, "0", 1200, 300)
         long.bispecials()
         long.e_closure_check()

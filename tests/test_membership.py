@@ -26,6 +26,7 @@ from antipal.morphisms import (
     compose,
     conjugacy_chain,
     fixed_point_prefix,
+    format_morphism,
     is_primitive,
     is_uniform,
     parse_morphism,
@@ -39,6 +40,7 @@ from bruteforce import (
     bf_fixed_point_prefix,
     bf_is_antipalindrome,
     bf_is_palindrome,
+    bf_letter_swap,
     bf_proven_period,
     bf_split_witnesses,
     bf_theta,
@@ -511,3 +513,40 @@ def test_relabeled_mirror_gets_identical_flags():
             assert mem_a.any_hit == mem_b.any_hit
         assert a.antipal_verdict == b.antipal_verdict
         assert a.palindromic_status == b.palindromic_status
+
+
+def _letter_swap(m):
+    return Morphism(bf_letter_swap(m.image1), bf_letter_swap(m.image0))
+
+
+def _invariants(report):
+    """The fields of a record that reversing both images and swapping the
+    letters keep: the primitive, uniform and cyclic flags, a hit in each
+    class, a proof of unbounded antipalindromes, and the palindromic status
+    of a primitive morphism."""
+    classes = (report.class_p, report.class_ep, report.class_a1, report.class_a2)
+    return (
+        report.primitive,
+        report.uniform,
+        report.cyclic,
+        *(c.any_hit for c in classes),
+        report.antipal_verdict == "proven-infinite",
+        report.palindromic_status if report.primitive else None,
+    )
+
+
+def test_classify_commutes_with_reversal_and_the_letter_swap():
+    # Each record of the <= 6 scan space agrees on its invariant fields with
+    # its reversal twin, read from the same run under the swap, and with its
+    # letter swap, classified here.  The verdict is not compared, nor the
+    # palindromic status of a non-primitive morphism: the swap can change the
+    # fixed point read (0->00,1->10 reads 0^w, a proven period; its swap
+    # 0->01,1->11 reads 01^w), which moves both on 285 records, and it moves
+    # 88 primitive verdicts between proven-finite and empirical-bounded
+    # through the two "likely" periodicity labels.
+    records = {text: _invariants(classify(parse_morphism(text))) for text in scan_space(6)}
+    for text, fields in records.items():
+        m = parse_morphism(text)
+        twin = Morphism(reverse(m.image0), reverse(m.image1))
+        assert records[min(format_morphism(twin), format_morphism(_letter_swap(twin)))] == fields, text
+        assert _invariants(classify(_letter_swap(m))) == fields, text
