@@ -14,7 +14,12 @@ longer window pairs the dense ranks of two overlapping windows of
 64 * 2**k letters, built by prefix doubling.  When ``n_max`` passes 64 the
 text runs C letters past the prefix, C = 64 * 2**K the least such width
 >= n_max, so that every start of the prefix has a window at every level
-up to C.
+up to C.  The pair of two ranks below d is an exact id below d**2,
+ordered as the words are.  When d <= 1024 (d**2 <= 2**20) a table of all
+d**2 ids marks those that occur and reads their dense ranks off in
+increasing order, which is exactly the rank a sort would give, with no
+sort; it takes at most 1 MB of bool and 4 MB of int32 while the level is
+built.  A level below more ranks sorts its ids.
 
 A window's mirror image and its exchange get ids too, so that one
 comparison of ids tells a palindrome or an antipalindrome.  Up to 64
@@ -49,6 +54,9 @@ from .words import Word
 from .words import longest_antipalindrome
 
 _KEY_LETTERS = 64
+# A rank level whose pair ids number at most _TABLE is ranked through a
+# table of every id, not sorted; tests set _TABLE to 0 to sort every level.
+_TABLE = 2**20
 _ALL = np.uint64(2**64 - 1)
 _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
@@ -135,7 +143,8 @@ def _sort_order(keys: np.ndarray) -> np.ndarray:
 def _dense_rank(keys: np.ndarray) -> np.ndarray:
     """Rank of each key among the distinct keys, as int32 (equal keys, equal ranks).
 
-    int64 keys, such as the pairs of a rank level, are sorted in place by
+    int64 keys, such as the pairs of a rank level too wide for a table
+    (``_level_ranks``), are sorted in place by
     ``_sort_order`` (one packed sort when they leave room for a start below
     them), so the caller passes a temporary.  Other keys, such as the
     uint64 words of level 0 (a view of the index's keys), are left as they
@@ -152,6 +161,31 @@ def _dense_rank(keys: np.ndarray) -> np.ndarray:
     rank = np.empty(keys.size, dtype=np.int32)
     rank[order] = step
     return rank
+
+
+def _level_ranks(keys: np.ndarray, count: int | None = None) -> np.ndarray:
+    """Dense ranks of a rank level's keys, as int32 in the order of the
+    words: the uint64 64-letter keys of level 0, or the pair ids ``rank *
+    count + next`` of a level above it, all below ``count**2``.
+
+    When ``count**2 <= _TABLE`` the pairs are ranked through a table of
+    every possible id: each id is marked in a bool array, ``np.flatnonzero``
+    reads the distinct ids in increasing order, which is the order of the
+    words, their index among those is written into an int32 table at them,
+    and each pair's rank is gathered from it.  That is exactly the dense
+    rank a sort gives.  The bool and the int32 table take at most
+    ``_TABLE`` and ``4 * _TABLE`` bytes, touched only at the pairs' ids.
+    Other keys are ranked by ``_dense_rank``, which sorts the pairs in
+    place.
+    """
+    if count is not None and count * count <= _TABLE:
+        seen = np.zeros(count * count, dtype=bool)
+        seen[keys] = True
+        ids = np.flatnonzero(seen)
+        table = np.empty(seen.size, dtype=np.int32)
+        table[ids] = np.arange(ids.size, dtype=np.int32)
+        return table[keys]
+    return _dense_rank(keys)
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
@@ -190,47 +224,29 @@ def _with_tails(distinct: np.ndarray, keys: np.ndarray, size: int):
 
 
 def _first_starts(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """A start of each of the sorted ``distinct`` keys, every one of which
-    occurs in ``keys``: the keys are searched among the distinct ones in
-    runs that double, from the first ``max(1024, 4 * distinct.size)``
+    """The least start of each of the sorted ``distinct`` keys, every one
+    of which occurs in ``keys``: the keys are searched among the distinct
+    ones in runs that double, from the first ``max(1024, 4 * distinct.size)``
     on, until every distinct key has been met.  So a prefix whose every
     64-letter window recurs early is read once at its head, and no run is
-    searched twice."""
-    starts = np.full(distinct.size, -1, dtype=np.int64)
+    searched twice.  ``np.minimum.at`` keeps the least start a run meets
+    for each key, and every start of a later run is greater, so the first
+    run to meet a key gives its least start."""
+    starts = np.full(distinct.size, keys.size, dtype=np.int64)
     lo, hi = 0, max(1024, 4 * distinct.size)
-    while (starts < 0).any():
-        starts[np.searchsorted(distinct, keys[lo:hi])] = np.arange(lo, min(hi, keys.size))
+    while (starts == keys.size).any():
+        np.minimum.at(starts, np.searchsorted(distinct, keys[lo:hi]), np.arange(lo, min(hi, keys.size)))
         lo, hi = hi, 2 * hi
     return starts
 
 
-def _sorted_windows(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The windows of up to 64 letters at every start of ``text[:size]``,
-    given the packed 64-letter keys of text, in lexicographic order with
-    each distinct 64-letter window once: (lengths, lcp, starts) as in
-    ``_with_tails``, with ``starts[j]`` where one occurrence of entry j
-    starts.
-
-    The keys are sorted, not argsorted: the runs of the sorted copy give
-    the distinct windows, and ``_first_starts`` one start of each.  Any
-    occurrence will do, because every answer is cut from the prefix by
-    its word or compared by its id.
-    """
-    full = max(size - _KEY_LETTERS + 1, 0)
-    ordered = np.sort(keys[:full])
-    distinct = ordered[_run_starts(ordered)]
-    lengths, lcp, at, tail_starts = _with_tails(distinct, keys, size)
-    return lengths, lcp, np.insert(_first_starts(distinct, keys[:full]), at, tail_starts)
-
-
-def _factor_counts(keys: np.ndarray, size: int) -> np.ndarray:
+def _factor_counts(distinct: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
     """Number of distinct n-letter windows of ``text[:size]`` for n = 0..64
-    (index n): the entries of the sorted windows with ``lcp < n <= length``
-    (see ``FactorIndex._short_factors``), that is ``#{length >= n} -
-    #{lcp >= n}`` (an lcp is at most its length).  No start is read, so
-    the keys are sorted, not argsorted."""
-    ordered = np.sort(keys[: max(size - _KEY_LETTERS + 1, 0)])
-    lengths, lcp = _with_tails(ordered[_run_starts(ordered)], keys, size)[:2]
+    (index n), given its sorted distinct 64-letter windows and the packed
+    keys of text: the entries of the sorted windows (``_with_tails``) with
+    ``lcp < n <= length`` (see ``FactorIndex._short_factors``), that is
+    ``#{length >= n} - #{lcp >= n}`` (an lcp is at most its length)."""
+    lengths, lcp = _with_tails(distinct, keys, size)[:2]
     spread = np.bincount(lengths, minlength=_KEY_LETTERS + 1) - np.bincount(lcp, minlength=_KEY_LETTERS + 1)
     return spread[::-1].cumsum()[::-1]
 
@@ -284,20 +300,29 @@ class FactorIndex:
 
         The 2b-window at i is the b-window at i followed by the one at
         i + b, so the pair of their ranks ranks it.  With d distinct ranks
-        the pair is read as ``rank * d + next``, below d**2 <= T**2 for a
-        text of T letters, so up to T < 2**21 it leaves ``_dense_rank``
-        room to pack each start beside it for one plain sort (it falls back
-        to an argsort past that); the rank fits an int32 (T < 2**31).  Ranks follow the order of the words.  Every
-        level is built once and kept.
+        the pair is read as ``rank * d + next``, an exact id below d**2
+        ordered as the 2b-windows are.  When d**2 <= ``_TABLE`` = 2**20
+        (d <= 1024) the ids are ranked through a table of all d**2 of them
+        (``_level_ranks``): a primitive fixed point has linear factor
+        complexity (Pansiot, ICALP 1984), so the short levels have few
+        distinct ranks (190, 382 and 766 below the 128-, 256- and
+        512-letter levels of ``0->0110,1->1001`` at 100000 letters), and the
+        transient tables take at most 1 MB of bool and 4 MB of int32.
+        Otherwise the ids, below d**2 <= T**2 for a text of T letters, are
+        sorted: up to T < 2**21 they leave ``_dense_rank`` room to pack each
+        start beside them for one plain sort (it falls back to an argsort
+        past that).  The rank fits an int32 (T < 2**31).  Ranks follow the
+        order of the words.  Every level is built once and kept.
         """
         levels, size = self._levels, self._keys.size
         if not levels:
-            levels.append(_dense_rank(self._keys[: size - _KEY_LETTERS + 1]))
+            levels.append(_level_ranks(self._keys[: size - _KEY_LETTERS + 1]))
         while len(levels) <= level:
             b, rank = _KEY_LETTERS << (len(levels) - 1), levels[-1]
+            count = int(rank.max()) + 1
             # the pairs are a temporary, which _dense_rank overwrites in place
-            pairs = _pair_ids(rank[: size - 2 * b + 1], rank[b:], int(rank.max()) + 1)
-            levels.append(_dense_rank(pairs))
+            pairs = _pair_ids(rank[: size - 2 * b + 1], rank[b:], count)
+            levels.append(_level_ranks(pairs, count))
         return levels[level]
 
     def _level_maps(self, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -414,19 +439,34 @@ class FactorIndex:
         return rho[tail] == head, psi[tail] == head
 
     @cached_property
+    def _windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct 64-letter windows of the prefix and the least
+        start of each.  The keys are sorted, not argsorted: the runs of the
+        sorted copy give the distinct windows, and ``_first_starts`` their
+        least starts."""
+        full = max(self.prefix_len - _KEY_LETTERS + 1, 0)
+        ordered = np.sort(self._keys[:full])
+        distinct = ordered[_run_starts(ordered)]
+        return distinct, _first_starts(distinct, self._keys[:full])
+
+    @cached_property
     def _short_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """One start for each distinct factor of every length 1..64, with
         its length: by length, and in lexicographic order within a length.
 
-        In the sorted windows (``_sorted_windows``) the windows that share
-        an n-letter head h are contiguous: a word that lies between two
-        words with head h starts with h, so it is no shorter than n.  The
-        common head of two neighbours is at most the shorter one's length,
-        so the distinct n-factors are the entries with ``lcp < n <=
-        length``, the first entry of each group.  One mask over every n
-        gives them all.
+        The windows of up to 64 letters at every start of the prefix, each
+        distinct 64-letter window once (``_windows``) with the shorter
+        windows at its end (``_with_tails``), are in lexicographic order,
+        each entry with a start.  There the windows that share an n-letter
+        head h are contiguous: a word that lies between two words with head
+        h starts with h, so it is no shorter than n.  The common head of two
+        neighbours is at most the shorter one's length, so the distinct
+        n-factors are the entries with ``lcp < n <= length``, the first
+        entry of each group.  One mask over every n gives them all.
         """
-        lengths, lcp, starts = _sorted_windows(self._keys, self.prefix_len)
+        distinct, first = self._windows
+        lengths, lcp, at, tail_starts = _with_tails(distinct, self._keys, self.prefix_len)
+        starts = np.insert(first, at, tail_starts)
         n = np.arange(1, _KEY_LETTERS + 1)[:, None]
         row, entry = np.nonzero((lcp < n) & (n <= lengths))
         return row + 1, starts[entry]
@@ -487,7 +527,10 @@ class FactorIndex:
         the two sets agree exactly when they are as large (the half
         prefix's windows are among the full prefix's), and both sizes come
         for every n at once from the sorted windows of the half and the
-        full prefix.  Past 64 letters, when 64 is stable, ``n_max`` is
+        full prefix.  The half prefix's distinct 64-letter windows are the
+        full prefix's whose least start leaves room for 64 letters in it, so
+        no key is sorted again; ``_with_tails`` adds its shorter end windows.
+        Past 64 letters, when 64 is stable, ``n_max`` is
         probed first: a stable ``n_max`` is the threshold at once, with one
         probe.  Otherwise one binary search on ``_stable_at`` between 64
         and ``n_max`` finds it, which costs at most two probes more than a
@@ -497,7 +540,9 @@ class FactorIndex:
         """
         top = min(self.n_max, _KEY_LETTERS)
         full = np.bincount(self._short_factors[0], minlength=_KEY_LETTERS + 1)
-        agree = (full == _factor_counts(self._keys, self.prefix_len // 2))[1 : top + 1]
+        distinct, first = self._windows
+        half = self.prefix_len // 2
+        agree = (full == _factor_counts(distinct[first <= half - _KEY_LETTERS], self._keys, half))[1 : top + 1]
         if not agree.all():
             return int(agree.argmin())
         if top == self.n_max or self._stable_at(self.n_max):

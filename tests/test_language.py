@@ -175,8 +175,8 @@ def test_each_rank_level_is_built_once(monkeypatch):
     that one probe, which climbs to the 1024-letter level; the census then
     reads the levels from 64 up again and must find them kept."""
     built, probes = [], []
-    dense_rank, stable_at = language._dense_rank, language.FactorIndex._stable_at
-    monkeypatch.setattr(language, "_dense_rank", lambda keys: built.append(1) or dense_rank(keys))
+    level_ranks, stable_at = language._level_ranks, language.FactorIndex._stable_at
+    monkeypatch.setattr(language, "_level_ranks", lambda *args: built.append(1) or level_ranks(*args))
     monkeypatch.setattr(
         language.FactorIndex, "_stable_at", lambda self, n: probes.append(n) or stable_at(self, n)
     )
@@ -186,11 +186,45 @@ def test_each_rank_level_is_built_once(monkeypatch):
     assert len(built) == 5  # the levels of 64, 128, 256, 512 and 1024 letters
 
 
+def test_rank_levels_by_table_and_by_sort(monkeypatch):
+    """A level whose pair ids number at most ``_TABLE`` is ranked through a
+    table, a wider one by a sort; both give the same dense ranks, so every
+    level and every answer must be the same whichever path each level takes.
+    At (20000, 1250) the default tables the 128- to 512-letter levels and
+    sorts the 1024-letter one."""
+    counts = {"0->0110,1->1001": [190, 382, 766, 1534], "0->0101,1->1100": [222, 476, 894, 1916]}
+    for m in (Morphism("0110", "1001"), Morphism("0101", "1100")):
+
+        def answers():
+            idx = build_index(m, "0", 20000, 1250)
+            queries = (idx.census(), idx.stable_up_to, idx.bispecials(), idx.antipal_center(64))
+            return [level.tolist() for level in idx._levels], queries
+
+        tabled = []
+        level_ranks = language._level_ranks
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                language,
+                "_level_ranks",
+                lambda keys, count=None: tabled.append(count is not None and count**2 <= language._TABLE)
+                or level_ranks(keys, count),
+            )
+            expected = answers()
+        levels = expected[0]
+        assert [max(level) + 1 for level in levels[:4]] == counts[str(m)], str(m)
+        assert tabled == [False, True, True, True, False], str(m)
+        for table in (0, 2**24):
+            with monkeypatch.context() as patch:
+                patch.setattr(language, "_TABLE", table)
+                assert answers() == expected, (str(m), table)
+
+
 def test_dense_rank_by_packed_sort_and_by_argsort():
     """Keys that leave room for a start in an int64 (the pairs of every
-    rank level) are ranked by one packed sort, others by a sorted copy and
-    a binary search, which leaves them as they are; both must give the
-    ranks of the sorted distinct keys."""
+    rank level, which a level too wide for a table sorts) are ranked by one
+    packed sort, others by a sorted copy and a binary search, which leaves
+    them as they are; both must give the ranks of the sorted distinct
+    keys."""
 
     def check(keys):
         expected = np.unique(keys, return_inverse=True)[1]
@@ -354,14 +388,14 @@ def test_factors_past_the_census_lengths_match_bruteforce():
 
 def test_first_starts_search_reaches_the_last_key():
     """Distinct keys met only at the end of the keys: the doubling runs must
-    reach it, and every start returned must hold its key."""
+    reach it, and the start returned for each key must be its least."""
     rng = np.random.default_rng(27)
     for size, fresh in ((10_000, 5), (10_000, 1), (700, 300)):
         keys = rng.integers(0, 8, size).astype(np.uint64)
         keys[size - fresh :] = np.arange(100, 100 + fresh, dtype=np.uint64)
         distinct = np.unique(keys)
         starts = language._first_starts(distinct, keys)
-        assert keys[starts].tolist() == distinct.tolist(), (size, fresh)
+        assert starts.tolist() == np.unique(keys, return_index=True)[1].tolist(), (size, fresh)
         assert starts.max() == size - 1, (size, fresh)
 
 

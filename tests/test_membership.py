@@ -494,25 +494,28 @@ def test_report_serialization_round_trip():
 
 
 def test_relabeled_mirror_gets_identical_flags():
-    rng = random.Random(46)
-    cfg = EvidenceConfig(prefix_len=1500)
-    for _ in range(25):
-        m = random_morphism(rng, max_len=4)
-        mirror = Morphism(
-            m.image1.translate(str.maketrans("01", "10")),
-            m.image0.translate(str.maketrans("01", "10")),
-        )
-        a, b = classify(m, cfg), classify(mirror, cfg)
-        assert (a.primitive, a.uniform, a.cyclic) == (b.primitive, b.uniform, b.cyclic)
+    """A morphism and its letter swap, read from the swap of the letter the
+    first one's evidence read, agree on every record of the <= 4 space.  The
+    swap maps that fixed point to its letter swap, which keeps every
+    antipalindrome, palindrome and period, so the flags, the class hits,
+    the verdict, the palindromic status and the periodicity all agree."""
+    swap = str.maketrans("01", "10")
+    for text in scan_space(4):
+        m = parse_morphism(text)
+        a = classify(m, EvidenceConfig(prefix_len=1500))
+        letter = a.evidence.letter.translate(swap) if a.evidence else None
+        b = classify(_letter_swap(m), EvidenceConfig(prefix_len=1500, seed_letter=letter))
+        assert (a.primitive, a.uniform, a.cyclic) == (b.primitive, b.uniform, b.cyclic), text
         for mem_a, mem_b in (
             (a.class_p, b.class_p),
             (a.class_ep, b.class_ep),
             (a.class_a1, b.class_a1),
             (a.class_a2, b.class_a2),
         ):
-            assert mem_a.any_hit == mem_b.any_hit
-        assert a.antipal_verdict == b.antipal_verdict
-        assert a.palindromic_status == b.palindromic_status
+            assert mem_a.any_hit == mem_b.any_hit, text
+        assert a.antipal_verdict == b.antipal_verdict, text
+        assert a.palindromic_status == b.palindromic_status, text
+        assert a.periodicity == b.periodicity, text
 
 
 def _letter_swap(m):
