@@ -2,21 +2,23 @@
 
 The index is built over the length-N prefix of a fixed point.  Because a
 prefix only approximates the infinite language, a length n is trusted only
-when the n-factors of the half prefix and of the full prefix agree.  That
-property is downward closed, so ``stable_up_to`` is an exact threshold.
-The bispecial, closure and centre queries stay inside the certified
-range, and census rows past it are flagged as uncertified.
+when the n-factors of the half prefix and of the full prefix agree, that is
+when every distinct n-factor of the prefix first occurs in the half prefix.
+That property is downward closed, so ``stable_up_to`` is an exact
+threshold, which one binary search finds.  The bispecial, closure and
+centre queries stay inside the certified range, and census rows past it
+are flagged as uncertified.
 
 Every window of the prefix gets an exact integer id, ordered as the words
 are.  Up to 64 letters the id is read from the packed 64-letter key at the
 window's start, and the keys come from the packed bytes of the text.  A
 longer window pairs the dense ranks of two overlapping windows of
-64 * 2**k letters, built by prefix doubling.  When ``n_max`` passes 64 the
-text runs C letters past the prefix, C = 64 * 2**K the least such width
->= n_max, so that every start of the prefix has a window at every level
-up to C.  The pair of two ranks below d is an exact id below d**2,
-ordered as the words are.  When d <= 1024 (d**2 <= 2**20) a table of all
-d**2 ids marks those that occur and reads their dense ranks off in
+64 * 2**k letters, built by prefix doubling.  The text runs C letters of
+the fixed point past the prefix, C = 64 * 2**K the least such width
+>= n_max (so C >= 64), so that every start of the prefix has a window at
+every level up to C.  The pair of two ranks below d is an exact id below
+d**2, ordered as the words are.  When d <= 1024 (d**2 <= 2**20) a table of
+all d**2 ids marks those that occur and reads their dense ranks off in
 increasing order, which is exactly the rank a sort would give, with no
 sort; it takes at most 1 MB of bool and 4 MB of int32 while the level is
 built.  A level below more ranks sorts its ids.
@@ -28,15 +30,19 @@ level keeps two maps on its distinct ranks, to the rank of the reversed
 window and of its exchange, or -1 when that image is no factor of the
 prefix; each level's maps come from the level below.
 
-No query sorts every window.  Up to 64 letters one sort of the keys gives
-the distinct windows, and one batched pass over them one start for each
-distinct factor of every length at once, and from it every census row,
-the bispecial factors and the antipalindromic centres.  Past 64 letters
-one order of the prefix's starts by their C-letter windows, with the
-length of the common head of neighbours (an LCP array, Manber & Myers,
-SIAM J. Comput. 1993), gives the first start of each distinct factor of
-any length up to C, so a long census row or a certification probe tests
-those starts only.  Strings are cut only for answers.
+Every length is read by one rule, from the first start of each distinct
+factor.  The prefix's starts are put in the order of their windows, with
+the length of the common head of neighbours (an LCP array, Manber & Myers,
+SIAM J. Comput. 1993).  The windows that share an n-letter head are then
+the runs of neighbours whose lcp is at least n, the least start of a run is
+the first occurrence of its head, and the heads whose first start leaves
+room for n letters in the prefix are its n-factors.  Up to 64 letters one
+sort of the keys at the N starts gives that order, and one batched pass the
+first starts of every length at once, and from them every census row, the
+bispecial factors and the antipalindromic centres.  Past 64 letters one
+order of the starts by their C-letter windows serves every length up to C,
+so a long census row or a certification probe tests those starts only.  No
+query sorts every window, and strings are cut only for answers.
 """
 
 from __future__ import annotations
@@ -196,59 +202,22 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.where(high > 0, high + 32, low)
 
 
-def _with_tails(distinct: np.ndarray, keys: np.ndarray, size: int):
-    """Insert into ``distinct``, the sorted distinct 64-letter windows of
-    ``text[:size]`` (given the packed keys of text), its shorter windows,
-    which end at ``size``: (lengths, lcp, at, tail_starts), where the tail
-    window at ``tail_starts[i]`` goes before entry ``at[i]`` of distinct.
-
-    A tail window's key has the bits past the end zeroed.  The zeros put
-    such a window before every window it heads, and among equal keys the
-    shorter window goes first, so the order is the true lexicographic one
-    with a proper prefix before its extensions.  ``lcp[j]`` is the length
-    of the common head of the entries j - 1 and j, at most either length
-    (0 for the first entry).
-    """
-    full = max(size - _KEY_LETTERS + 1, 0)
-    lengths = np.arange(size - full, 0, -1)
-    tail = keys[full:size] & ~(_ALL >> lengths.astype(np.uint64))
-    order = np.lexsort((lengths, tail))
-    tail, lengths = tail[order], lengths[order]
-    at = np.searchsorted(distinct, tail, "left")
-    words = np.insert(distinct, at, tail)
-    lengths = np.insert(np.full(distinct.size, _KEY_LETTERS), at, lengths)
-    lcp = np.zeros(words.size, dtype=np.int64)
-    common = _KEY_LETTERS - _bit_length(words[1:] ^ words[:-1])
-    lcp[1:] = np.minimum(common, np.minimum(lengths[1:], lengths[:-1]))
-    return lengths, lcp, at, full + order
-
-
 def _first_starts(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The least start of each of the sorted ``distinct`` keys, every one
-    of which occurs in ``keys``: the keys are searched among the distinct
-    ones in runs that double, from the first ``max(1024, 4 * distinct.size)``
-    on, until every distinct key has been met.  So a prefix whose every
-    64-letter window recurs early is read once at its head, and no run is
-    searched twice.  ``np.minimum.at`` keeps the least start a run meets
-    for each key, and every start of a later run is greater, so the first
-    run to meet a key gives its least start."""
+    of which occurs in ``keys`` (the 64-letter keys at the prefix's N
+    starts): the keys are searched among the distinct ones in runs that
+    double, from the first ``max(1024, 4 * distinct.size)`` on, until every
+    distinct key has been met.  So a prefix whose every 64-letter window,
+    those that run past its end too, recurs early is read once at its
+    head, and no run is searched twice.  ``np.minimum.at`` keeps the least
+    start a run meets for each key, and every start of a later run is
+    greater, so the first run to meet a key gives its least start."""
     starts = np.full(distinct.size, keys.size, dtype=np.int64)
     lo, hi = 0, max(1024, 4 * distinct.size)
     while (starts == keys.size).any():
         np.minimum.at(starts, np.searchsorted(distinct, keys[lo:hi]), np.arange(lo, min(hi, keys.size)))
         lo, hi = hi, 2 * hi
     return starts
-
-
-def _factor_counts(distinct: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
-    """Number of distinct n-letter windows of ``text[:size]`` for n = 0..64
-    (index n), given its sorted distinct 64-letter windows and the packed
-    keys of text: the entries of the sorted windows (``_with_tails``) with
-    ``lcp < n <= length`` (see ``FactorIndex._short_factors``), that is
-    ``#{length >= n} - #{lcp >= n}`` (an lcp is at most its length)."""
-    lengths, lcp = _with_tails(distinct, keys, size)[:2]
-    spread = np.bincount(lengths, minlength=_KEY_LETTERS + 1) - np.bincount(lcp, minlength=_KEY_LETTERS + 1)
-    return spread[::-1].cumsum()[::-1]
 
 
 def _repeated(ids: np.ndarray) -> np.ndarray:
@@ -283,10 +252,17 @@ class FactorIndex:
         self.letter = letter
         self.prefix_len = prefix_len
         self.n_max = n_max
-        # past 64 letters, C = 64 * 2**K, the least such width >= n_max: the
-        # keys and rank levels run C letters past the prefix, so that every
-        # start of the prefix has a C-letter window (see _suffixes)
-        self._reach = _KEY_LETTERS << ((n_max - 1) // _KEY_LETTERS).bit_length() if n_max > _KEY_LETTERS else 0
+        # C = 64 * 2**K, the least such width >= n_max (64 when n_max <= 64):
+        # the keys and rank levels run C letters of the fixed point past the
+        # prefix, so that every start of the prefix has a C-letter window
+        # (see _short_factors and _suffixes).  Real letters, not zeros: the
+        # prefix's end windows are then factors of the fixed point, which in
+        # a recurrent one occur earlier, so _first_starts stops at the head
+        # of the keys.  Zeros past the prefix give the same answers, but
+        # make the end windows new keys, and _first_starts then reads them
+        # all (a 100000-letter, n_max 64 index takes 2-3 times as long to
+        # build).
+        self._reach = _KEY_LETTERS << ((n_max - 1) // _KEY_LETTERS).bit_length()
         text = fixed_point_prefix(morphism, letter, prefix_len + self._reach)
         self.prefix = text[:prefix_len]
         self._keys = _window_keys(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
@@ -439,37 +415,35 @@ class FactorIndex:
         return rho[tail] == head, psi[tail] == head
 
     @cached_property
-    def _windows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted distinct 64-letter windows of the prefix and the least
-        start of each.  The keys are sorted, not argsorted: the runs of the
-        sorted copy give the distinct windows, and ``_first_starts`` their
-        least starts."""
-        full = max(self.prefix_len - _KEY_LETTERS + 1, 0)
-        ordered = np.sort(self._keys[:full])
-        distinct = ordered[_run_starts(ordered)]
-        return distinct, _first_starts(distinct, self._keys[:full])
-
-    @cached_property
     def _short_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """One start for each distinct factor of every length 1..64, with
-        its length: by length, and in lexicographic order within a length.
+        """The first start of each distinct factor of every length 1..64,
+        with its length: by length, and in lexicographic order within a
+        length.
 
-        The windows of up to 64 letters at every start of the prefix, each
-        distinct 64-letter window once (``_windows``) with the shorter
-        windows at its end (``_with_tails``), are in lexicographic order,
-        each entry with a start.  There the windows that share an n-letter
-        head h are contiguous: a word that lies between two words with head
-        h starts with h, so it is no shorter than n.  The common head of two
-        neighbours is at most the shorter one's length, so the distinct
-        n-factors are the entries with ``lcp < n <= length``, the first
-        entry of each group.  One mask over every n gives them all.
+        The keys at the N starts of the prefix are sorted, not argsorted:
+        the runs of the sorted copy give the distinct 64-letter windows, and
+        ``_first_starts`` the least start of each.  Every start has a full
+        window, as the keys run C >= 64 letters past the prefix.  In that
+        order the windows that share an n-letter head are contiguous, and
+        the common head of two neighbours is ``64 - bit_length(xor)`` of
+        their keys, so for every n at once the entries with ``lcp < n``
+        open the groups, and the least start of a group (one
+        ``np.minimum.reduceat`` over the 64 rows) is the first occurrence of
+        its head.  The heads whose first start leaves room for n letters in
+        the prefix are its n-factors.
         """
-        distinct, first = self._windows
-        lengths, lcp, at, tail_starts = _with_tails(distinct, self._keys, self.prefix_len)
-        starts = np.insert(first, at, tail_starts)
-        n = np.arange(1, _KEY_LETTERS + 1)[:, None]
-        row, entry = np.nonzero((lcp < n) & (n <= lengths))
-        return row + 1, starts[entry]
+        keys = self._keys[: self.prefix_len]
+        ordered = np.sort(keys)
+        distinct = ordered[_run_starts(ordered)]
+        first = _first_starts(distinct, keys)
+        lcp = np.zeros(distinct.size, dtype=np.int64)
+        lcp[1:] = _KEY_LETTERS - _bit_length(distinct[1:] ^ distinct[:-1])
+        row, entry = np.nonzero(lcp < np.arange(1, _KEY_LETTERS + 1)[:, None])
+        # entry 0 (lcp 0) opens a group in every row, so no group runs into the next row
+        least = np.minimum.reduceat(np.tile(first, _KEY_LETTERS), row * distinct.size + entry)
+        lengths = row + 1
+        keep = least <= self.prefix_len - lengths
+        return lengths[keep], least[keep]
 
     def _shorter(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``_short_factors`` of up to n letters (n <= 64)."""
@@ -511,9 +485,10 @@ class FactorIndex:
         return order, lcp
 
     def _stable_at(self, n: int) -> bool:
-        """Factor set of length 64 < n <= n_max agrees between the half and
-        full prefix: each distinct n-factor first occurs at a start of the
-        half prefix (at most N // 2 - n)."""
+        """Factor set of length n agrees between the half and the full
+        prefix: each distinct n-factor first occurs at a start of the half
+        prefix (at most N // 2 - n), as the half prefix's factors are among
+        the full prefix's."""
         return bool((self._starts(n) <= self.prefix_len // 2 - n).all())
 
     def _certify(self) -> int:
@@ -522,34 +497,17 @@ class FactorIndex:
         Stability is downward closed: when the n-factors of the half and
         the full prefix agree, every (n-1)-factor of the full prefix is the
         head or the tail of one of its n-factors, hence a factor of the half
-        prefix.  So the threshold is the last length of the first run of
-        agreements, and every length up to it is stable.  Up to 64 letters
-        the two sets agree exactly when they are as large (the half
-        prefix's windows are among the full prefix's), and both sizes come
-        for every n at once from the sorted windows of the half and the
-        full prefix.  The half prefix's distinct 64-letter windows are the
-        full prefix's whose least start leaves room for 64 letters in it, so
-        no key is sorted again; ``_with_tails`` adds its shorter end windows.
-        Past 64 letters, when 64 is stable, ``n_max`` is
-        probed first: a stable ``n_max`` is the threshold at once, with one
-        probe.  Otherwise one binary search on ``_stable_at`` between 64
-        and ``n_max`` finds it, which costs at most two probes more than a
-        search over (64, n_max] would.  Each probe reads the first starts
-        of the distinct windows from ``_suffixes``, which the first probe
-        builds, so no probe sorts.
+        prefix.  So one binary search on ``_stable_at`` finds the threshold.
+        It probes ``min(n_max, 64)`` first and then ``n_max``, so a stable
+        ``n_max`` costs one probe up to 64 letters and two past them, and no
+        probe passes 64 letters (which builds ``_suffixes``) before 64 is
+        stable.  A probe reads the first starts (``_starts``) and sorts
+        nothing that it does not build once for every later probe.
         """
-        top = min(self.n_max, _KEY_LETTERS)
-        full = np.bincount(self._short_factors[0], minlength=_KEY_LETTERS + 1)
-        distinct, first = self._windows
-        half = self.prefix_len // 2
-        agree = (full == _factor_counts(distinct[first <= half - _KEY_LETTERS], self._keys, half))[1 : top + 1]
-        if not agree.all():
-            return int(agree.argmin())
-        if top == self.n_max or self._stable_at(self.n_max):
-            return self.n_max
-        lo, hi = top, self.n_max  # length lo is stable; hi is not
+        guesses = (min(self.n_max, _KEY_LETTERS), self.n_max)
+        lo, hi = 0, self.n_max + 1  # length lo is stable; hi is not, or is past n_max
         while hi - lo > 1:
-            mid = (lo + hi) // 2
+            mid = next((n for n in guesses if lo < n < hi), (lo + hi) // 2)
             if self._stable_at(mid):
                 lo = mid
             else:
@@ -557,16 +515,15 @@ class FactorIndex:
         return lo
 
     def _starts(self, n: int) -> np.ndarray:
-        """One start for each distinct length-n window of the prefix, in the
-        order of the words: up to 64 letters from ``_short_factors``.
+        """The first start of each distinct length-n window of the prefix,
+        in the order of the words.
 
-        Up to C letters, the first starts: in the order of ``_suffixes`` the
-        windows with a common n-letter head are the runs of neighbours whose
-        lcp is at least n, so the least start of each run is the first
-        occurrence of a distinct n-window at the prefix's starts, and those
-        that leave room for n letters in the prefix are its n-factors.  No
-        id is formed or sorted.  Longer windows, which only ``factors`` asks
-        for, take the first start of each distinct id among every start's.
+        Up to 64 letters they come from ``_short_factors``, up to C from
+        ``_suffixes`` by the same rule: the least start of each run of
+        neighbours whose lcp is at least n, kept when it leaves room for n
+        letters in the prefix.  No id is formed or sorted.  Longer windows,
+        which only ``factors`` asks for, take the first start of each
+        distinct id among every start's.
         """
         if n <= _KEY_LETTERS:
             lengths, starts = self._shorter(n)
@@ -580,7 +537,7 @@ class FactorIndex:
 
     @cached_property
     def _top_starts(self) -> np.ndarray:
-        """One start for each distinct window of length ``stable_up_to``.
+        """The first start of each distinct window of length ``stable_up_to``.
 
         Every certified factor heads one of these windows: it lies inside
         such a window, which also occurs in the half prefix, and a window
@@ -638,8 +595,8 @@ class FactorIndex:
         ``lengths`` defaults to every length up to n_max; pass a sparser
         grid when n_max is large.
 
-        The rows up to 64 letters come at once from one start per distinct
-        factor of every length (``_short_factors``): the ids of those
+        The rows up to 64 letters come at once from the first start of each
+        distinct factor of every length (``_short_factors``): the ids of those
         windows, of their mirror images and of their exchanges (from the
         bit reversal of the keys), compared and counted by length.  A
         longer row takes the first start of each distinct factor from one

@@ -171,9 +171,10 @@ def test_closure_and_bispecials_keep_no_per_length_sets():
 
 
 def test_each_rank_level_is_built_once(monkeypatch):
-    """Certification probes n_max first and, finding it stable, stops after
-    that one probe, which climbs to the 1024-letter level; the census then
-    reads the levels from 64 up again and must find them kept."""
+    """Certification probes 64 and then n_max and, finding it stable, stops
+    after those two probes, the second of which climbs to the 1024-letter
+    level; the census then reads the levels from 64 up again and must find
+    them kept."""
     built, probes = [], []
     level_ranks, stable_at = language._level_ranks, language.FactorIndex._stable_at
     monkeypatch.setattr(language, "_level_ranks", lambda *args: built.append(1) or level_ranks(*args))
@@ -181,7 +182,7 @@ def test_each_rank_level_is_built_once(monkeypatch):
         language.FactorIndex, "_stable_at", lambda self, n: probes.append(n) or stable_at(self, n)
     )
     idx = build_index(Morphism("0110", "1001"), "0", 20000, 1250)
-    assert probes == [1250] and idx.stable_up_to == 1250
+    assert probes == [64, 1250] and idx.stable_up_to == 1250
     idx.census([*range(1, 65), 96, 128, 192, 256, 384, 512, 768, 1024])
     assert len(built) == 5  # the levels of 64, 128, 256, 512 and 1024 letters
 
@@ -348,13 +349,13 @@ def test_mirror_and_exchange_ids_past_the_packed_keys():
 
 
 def test_long_rows_and_first_starts_match_bruteforce():
-    """Every row of 65..300 letters, certified or not, of the indexes with
+    """Every row of 1..300 letters, certified or not, of the indexes with
     images of up to 2 letters at (1200, 300), and one start per distinct
-    factor, the first, in the order of the words.  The growing runs of
+    factor, the first, in the order of the words, at every length.  The growing runs of
     0 -> 001, 1 -> 1 put first occurrences of long factors within the last
     C = 512 letters, where their windows run past the prefix."""
     size, n_max, reach = 1200, 300, 512
-    lengths = range(65, n_max + 1)
+    lengths = range(1, n_max + 1)
     expected = {}  # by prefix: many hosts share a prefix such as 0^1200
     late = 0
     for m, letter in [*_prolongable_indexes(2), (Morphism("001", "1"), "0")]:
@@ -497,20 +498,21 @@ def test_antipalindromic_bispecials_at_several_lengths():
 
 def test_short_census_reads_no_ids_and_no_search(monkeypatch):
     """Certification and every row up to 64 letters come from the sorted
-    windows: no rank level is built and no probe of ``_stable_at`` made."""
-    calls = {"_ranks": 0, "_stable_at": 0}
+    windows: no rank level is built, and certification makes one probe of
+    ``_stable_at``, at 64."""
+    calls = {"_ranks": [], "_stable_at": []}
     for name in calls:
         method = getattr(language.FactorIndex, name)
 
         def counted(self, n, name=name, method=method):
-            calls[name] += 1
+            calls[name].append(n)
             return method(self, n)
 
         monkeypatch.setattr(language.FactorIndex, name, counted)
     idx = build_index(THETA, "0", 100000, 64)
     idx.census()
     assert idx.stable_up_to == 64
-    assert calls == {"_ranks": 0, "_stable_at": 0}
+    assert calls == {"_ranks": [], "_stable_at": [64]}
 
 
 def test_window_keys_match_bruteforce_windows():
