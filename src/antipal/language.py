@@ -1,48 +1,52 @@
 """Factor language of a fixed-point prefix.
 
-The index is built over the length-N prefix of a fixed point.  Because a
-prefix only approximates the infinite language, a length n is trusted only
-when the n-factors of the half prefix and of the full prefix agree, that is
-when every distinct n-factor of the prefix first occurs in the half prefix.
-That property is downward closed, so ``stable_up_to`` is an exact
-threshold, which one binary search finds.  The bispecial, closure and
-centre queries stay inside the certified range, and census rows past it
-are flagged as uncertified.
+A length n is certified when the indexed letters provably hold L_n, every
+n-factor of the infinite fixed point: ``morphisms.proven_prefix_len`` gives
+such a prefix length N(n).  When N(n_max) fits in the prefix, every length
+up to n_max is certified and the index reads only the first S = N(n_max)
+letters, which hold every certified factor (each word of L_n heads one of
+L_(n_max)), so every answer is that of the whole prefix.  Otherwise S is
+the whole prefix and ``stable_up_to`` the largest n with N(n) <= S, found
+by one binary search (N is nondecreasing).  A host with a letter that never
+grows (``0->0,1->1w``) has no bound and certifies nothing.  The queries
+stay inside the certified range, and census rows past it are flagged as
+uncertified.  ``prefix`` is the whole prefix, and ``factors(n)`` past
+n_max reads an index built for n over it.
 
-Every window of the prefix gets an exact integer id, ordered as the words
-are.  Up to 64 letters the id is read from the packed 64-letter key at the
-window's start, and the keys come from the packed bytes of the text.  A
-longer window pairs the dense ranks of two overlapping windows of
+Every window of the S indexed letters gets an exact integer id, ordered as
+the words are.  Up to 64 letters the id is read from the packed 64-letter
+key at the window's start, and the keys come from the packed bytes of the
+text.  A longer window pairs the dense ranks of two overlapping windows of
 64 * 2**k letters, built by prefix doubling.  The text runs C letters of
-the fixed point past the prefix, C = 64 * 2**K the least such width
->= n_max (so C >= 64), so that every start of the prefix has a window at
-every level up to C.  The pair of two ranks below d is an exact id below
-d**2, ordered as the words are.  When d <= 1024 (d**2 <= 2**20) a table of
-all d**2 ids marks those that occur and reads their dense ranks off in
-increasing order, which is exactly the rank a sort would give, with no
-sort; it takes at most 1 MB of bool and 4 MB of int32 while the level is
-built.  A level below more ranks sorts its ids.
+the fixed point past the S, C = 64 * 2**K the least such width >= n_max
+(so C >= 64), so that each of their starts has a window at every level up
+to C.  The pair of two ranks below d is an exact id below d**2, ordered as
+the words are.  When d <= 1024 (d**2 <= 2**20) a table of all d**2 ids
+marks those that occur and reads their dense ranks off in increasing
+order, which is exactly the rank a sort would give, with no sort; it takes
+at most 1 MB of bool and 4 MB of int32 while the level is built.  A level
+below more ranks sorts its ids.
 
 A window's mirror image and its exchange get ids too, so that one
 comparison of ids tells a palindrome or an antipalindrome.  Up to 64
 letters they come from the bit reversal of the key.  Past that each rank
 level keeps two maps on its distinct ranks, to the rank of the reversed
 window and of its exchange, or -1 when that image is no factor of the
-prefix; each level's maps come from the level below.
+indexed letters; each level's maps come from the level below.
 
 Every length is read by one rule, from the first start of each distinct
-factor.  The prefix's starts are put in the order of their windows, with
-the length of the common head of neighbours (an LCP array, Manber & Myers,
+factor.  The S starts are put in the order of their windows, with the
+length of the common head of neighbours (an LCP array, Manber & Myers,
 SIAM J. Comput. 1993).  The windows that share an n-letter head are then
 the runs of neighbours whose lcp is at least n, the least start of a run is
 the first occurrence of its head, and the heads whose first start leaves
-room for n letters in the prefix are its n-factors.  Up to 64 letters one
-sort of the keys at the N starts gives that order, and one batched pass the
-first starts of every length at once, and from them every census row, the
-bispecial factors and the antipalindromic centres.  Past 64 letters one
-order of the starts by their C-letter windows serves every length up to C,
-so a long census row or a certification probe tests those starts only.  No
-query sorts every window, and strings are cut only for answers.
+room for n letters in the S indexed ones are their n-factors.  Up to 64
+letters one sort of the keys at the S starts gives that order, and one
+batched pass the first starts of every length at once, and from them every
+census row, the bispecial factors and the antipalindromic centres.  Past
+64 letters one order of the starts by their C-letter windows serves every
+length up to C, so a long census row tests those starts only.  No query
+sorts every window, and strings are cut only for answers.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadBounds, CyclicMorphism
-from .morphisms import Morphism, apply, conjugacy_chain, fixed_point_prefix
+from .morphisms import Morphism, apply, conjugacy_chain, fixed_point_prefix, proven_prefix_len
 from .words import Word
 # unused here, but perfbench/spans.py traces longest_antipalindrome at this binding
 from .words import longest_antipalindrome
@@ -204,12 +208,12 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
 
 def _first_starts(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The least start of each of the sorted ``distinct`` keys, every one
-    of which occurs in ``keys`` (the 64-letter keys at the prefix's N
-    starts): the keys are searched among the distinct ones in runs that
-    double, from the first ``max(1024, 4 * distinct.size)`` on, until every
-    distinct key has been met.  So a prefix whose every 64-letter window,
-    those that run past its end too, recurs early is read once at its
-    head, and no run is searched twice.  ``np.minimum.at`` keeps the least
+    of which occurs in ``keys`` (the 64-letter keys at the indexed starts):
+    the keys are searched among the distinct ones in runs that double, from
+    the first ``max(1024, 4 * distinct.size)`` on, until every distinct key
+    has been met.  So a text whose every 64-letter window, those that run
+    past the indexed starts too, recurs early is read once at its head, and
+    no run is searched twice.  ``np.minimum.at`` keeps the least
     start a run meets for each key, and every start of a later run is
     greater, so the first run to meet a key gives its least start."""
     starts = np.full(distinct.size, keys.size, dtype=np.int64)
@@ -246,33 +250,51 @@ class FactorIndex:
     """Factors of a fixed-point prefix, organized by length."""
 
     def __init__(self, morphism: Morphism, letter: str, prefix_len: int, n_max: int):
-        if n_max < 1 or n_max > prefix_len // 4:
-            raise BadBounds(f"need 1 <= n_max <= prefix_len // 4, got {n_max} / {prefix_len}")
+        if not 1 <= n_max <= prefix_len:
+            raise BadBounds(f"need 1 <= n_max <= prefix_len, got {n_max} / {prefix_len}")
         self.morphism = morphism
         self.letter = letter
         self.prefix_len = prefix_len
         self.n_max = n_max
         # C = 64 * 2**K, the least such width >= n_max (64 when n_max <= 64):
         # the keys and rank levels run C letters of the fixed point past the
-        # prefix, so that every start of the prefix has a C-letter window
+        # indexed letters, so that each of their starts has a C-letter window
         # (see _short_factors and _suffixes).  Real letters, not zeros: the
-        # prefix's end windows are then factors of the fixed point, which in
-        # a recurrent one occur earlier, so _first_starts stops at the head
-        # of the keys.  Zeros past the prefix give the same answers, but
-        # make the end windows new keys, and _first_starts then reads them
-        # all (a 100000-letter, n_max 64 index takes 2-3 times as long to
-        # build).
+        # end windows are then factors of the fixed point, which in a
+        # recurrent one occur earlier, so _first_starts stops at the head of
+        # the keys.  Zeros past the end give the same answers, but make the
+        # end windows new keys, and _first_starts then reads them all (a
+        # 100000-letter, n_max 64 index takes 2-3 times as long to build).
         self._reach = _KEY_LETTERS << ((n_max - 1) // _KEY_LETTERS).bit_length()
         text = fixed_point_prefix(morphism, letter, prefix_len + self._reach)
         self.prefix = text[:prefix_len]
+        bound = proven_prefix_len(morphism, letter, n_max, self.prefix)
+        if bound is not None and bound <= prefix_len:
+            self.stable_up_to, self._size = n_max, bound
+        else:
+            self.stable_up_to, self._size = self._proven_below(n_max), prefix_len
+        text = text[: self._size + self._reach]
         self._keys = _window_keys(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
         self._levels: list[np.ndarray] = []  # level k: dense ranks of the (64 * 2**k)-windows
         self._maps: list[tuple[np.ndarray, np.ndarray]] = []  # level k: its mirror and exchange maps
-        self.stable_up_to = self._certify()
+
+    def _proven_below(self, n_max: int) -> int:
+        """Largest n < n_max whose proven prefix length N(n) fits in the
+        prefix, or 0, when N(n_max) does not: N is nondecreasing
+        (``proven_prefix_len``), so one binary search finds it."""
+        lo, hi = 0, n_max  # lo is proven (0 trivially), hi is not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            bound = proven_prefix_len(self.morphism, self.letter, mid, self.prefix)
+            if bound is not None and bound <= self.prefix_len:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def _ranks(self, level: int) -> np.ndarray:
         """Dense ranks of the length-(64 * 2**level) windows of the keyed
-        text (the prefix and the C letters after it), by prefix doubling.
+        text (the indexed letters and the C after them), by prefix doubling.
 
         The 2b-window at i is the b-window at i followed by the one at
         i + b, so the pair of their ranks ranks it.  With d distinct ranks
@@ -304,17 +326,17 @@ class FactorIndex:
     def _level_maps(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """(mirror, exchange) maps of a rank level: int32 arrays on its
         distinct ranks, giving the rank of the reversed window and of its
-        exchange, or -1 where that image is no factor of the prefix (and
-        at every rank of a window that is none).
+        exchange, or -1 where that image is no factor of the indexed letters
+        (and at every rank of a window that is none).
 
-        The maps are built from the prefix's windows only, read at the
+        The maps are built from the indexed windows only, read at the
         first start of each distinct one (``_starts``, in the order of the
         words and so of the ranks).  At level 0 they are the distinct keys,
         whose images are their bit reversals and the complements of those,
         found by a binary search.  The 2b-window xy of ranks (x, y) at level
         k + 1 reverses to R(y)R(x), so its mirror is the pair (rho(y),
         rho(x)) of level k's mirror map rho, found among the sorted distinct
-        pairs of the level's windows in the prefix; the exchange E(y)E(x)
+        pairs of the level's indexed windows; the exchange E(y)E(x)
         goes the same way through level k's exchange map.  Every level's
         maps are built once and kept.
         """
@@ -391,7 +413,7 @@ class FactorIndex:
         Past 64 letters a window with ranks (x, y) reverses to the window of
         ranks (rho(y), rho(x)) and exchanges to (psi(y), psi(x)), by the
         maps of its level (``_level_maps``); the image id is -1, equal to
-        no id, when that image is no factor of the prefix.
+        no id, when that image is no factor of the indexed letters.
         """
         if n <= _KEY_LETTERS:
             return self._key_images(n, starts)
@@ -420,19 +442,19 @@ class FactorIndex:
         with its length: by length, and in lexicographic order within a
         length.
 
-        The keys at the N starts of the prefix are sorted, not argsorted:
-        the runs of the sorted copy give the distinct 64-letter windows, and
+        The keys at the S indexed starts are sorted, not argsorted: the
+        runs of the sorted copy give the distinct 64-letter windows, and
         ``_first_starts`` the least start of each.  Every start has a full
-        window, as the keys run C >= 64 letters past the prefix.  In that
+        window, as the keys run C >= 64 letters past the S.  In that
         order the windows that share an n-letter head are contiguous, and
         the common head of two neighbours is ``64 - bit_length(xor)`` of
         their keys, so for every n at once the entries with ``lcp < n``
         open the groups, and the least start of a group (one
         ``np.minimum.reduceat`` over the 64 rows) is the first occurrence of
         its head.  The heads whose first start leaves room for n letters in
-        the prefix are its n-factors.
+        the S indexed ones are their n-factors.
         """
-        keys = self._keys[: self.prefix_len]
+        keys = self._keys[: self._size]
         ordered = np.sort(keys)
         distinct = ordered[_run_starts(ordered)]
         first = _first_starts(distinct, keys)
@@ -442,7 +464,7 @@ class FactorIndex:
         # entry 0 (lcp 0) opens a group in every row, so no group runs into the next row
         least = np.minimum.reduceat(np.tile(first, _KEY_LETTERS), row * distinct.size + entry)
         lengths = row + 1
-        keep = least <= self.prefix_len - lengths
+        keep = least <= self._size - lengths
         return lengths[keep], least[keep]
 
     def _shorter(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -453,7 +475,7 @@ class FactorIndex:
 
     @cached_property
     def _suffixes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The N starts of the prefix in the order of their C-letter windows
+        """The S indexed starts in the order of their C-letter windows
         (C = 64 * 2**K >= n_max, whose windows all fit in the keyed text),
         and ``lcp[j]``, the length of the common head of the windows at
         ``order[j - 1]`` and ``order[j]``, at most C (0 for j = 0), both
@@ -467,7 +489,7 @@ class FactorIndex:
         windows there agree, and the first differing bit of the keys past
         it gives the last letters.
         """
-        cap, size = self._reach, self.prefix_len
+        cap, size = self._reach, self._size
         top = (cap // _KEY_LETTERS).bit_length() - 1
         below, half = self._ranks(top - 1), cap // 2
         pairs = _pair_ids(below[:size], below[half : half + size], int(below.max()) + 1)
@@ -484,73 +506,49 @@ class FactorIndex:
         lcp[differ + 1] = common
         return order, lcp
 
-    def _stable_at(self, n: int) -> bool:
-        """Factor set of length n agrees between the half and the full
-        prefix: each distinct n-factor first occurs at a start of the half
-        prefix (at most N // 2 - n), as the half prefix's factors are among
-        the full prefix's."""
-        return bool((self._starts(n) <= self.prefix_len // 2 - n).all())
-
-    def _certify(self) -> int:
-        """Largest n <= n_max with the length-n factor sets stable.
-
-        Stability is downward closed: when the n-factors of the half and
-        the full prefix agree, every (n-1)-factor of the full prefix is the
-        head or the tail of one of its n-factors, hence a factor of the half
-        prefix.  So one binary search on ``_stable_at`` finds the threshold.
-        It probes ``min(n_max, 64)`` first and then ``n_max``, so a stable
-        ``n_max`` costs one probe up to 64 letters and two past them, and no
-        probe passes 64 letters (which builds ``_suffixes``) before 64 is
-        stable.  A probe reads the first starts (``_starts``) and sorts
-        nothing that it does not build once for every later probe.
-        """
-        guesses = (min(self.n_max, _KEY_LETTERS), self.n_max)
-        lo, hi = 0, self.n_max + 1  # length lo is stable; hi is not, or is past n_max
-        while hi - lo > 1:
-            mid = next((n for n in guesses if lo < n < hi), (lo + hi) // 2)
-            if self._stable_at(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
     def _starts(self, n: int) -> np.ndarray:
-        """The first start of each distinct length-n window of the prefix,
-        in the order of the words.
+        """The first start of each distinct length-n window (n <= n_max) of
+        the indexed letters, in the order of the words.
 
-        Up to 64 letters they come from ``_short_factors``, up to C from
+        Up to 64 letters they come from ``_short_factors``, past that from
         ``_suffixes`` by the same rule: the least start of each run of
         neighbours whose lcp is at least n, kept when it leaves room for n
-        letters in the prefix.  No id is formed or sorted.  Longer windows,
-        which only ``factors`` asks for, take the first start of each
-        distinct id among every start's.
+        letters in the indexed ones.  No id is formed or sorted.
         """
         if n <= _KEY_LETTERS:
             lengths, starts = self._shorter(n)
             return starts[np.searchsorted(lengths, n) :]
-        if n <= self._reach:
-            order, lcp = self._suffixes
-            first = np.minimum.reduceat(order, np.flatnonzero(lcp < n))
-            # int64, as numpy gathers more slowly by int32 indices
-            return first[first <= self.prefix_len - n].astype(np.int64)
-        return np.unique(self._ids_at(n, np.arange(self.prefix_len - n + 1)), return_index=True)[1]
+        order, lcp = self._suffixes
+        first = np.minimum.reduceat(order, np.flatnonzero(lcp < n))
+        # int64, as numpy gathers more slowly by int32 indices
+        return first[first <= self._size - n].astype(np.int64)
 
     @cached_property
     def _top_starts(self) -> np.ndarray:
         """The first start of each distinct window of length ``stable_up_to``.
 
-        Every certified factor heads one of these windows: it lies inside
-        such a window, which also occurs in the half prefix, and a window
-        starting inside the half prefix fits in the prefix.
+        Every certified factor w heads one of these windows: w is a factor
+        of the fixed point u, so it extends to the right in u to a word of
+        L_T, T = ``stable_up_to``, and the indexed letters hold all of L_T
+        (the first N(n_max) letters, or the whole prefix when N(T) fits in
+        it).
         """
         return self._starts(self.stable_up_to)
 
     def factors(self, n: int) -> frozenset[str]:
-        """Exact set of length-n factors of the prefix (not certification-gated)."""
+        """Exact set of length-n factors of the prefix (not certification-gated).
+
+        Up to n_max they are those of the indexed letters: on a certified
+        length both are L_n, and an uncertified one indexes the whole prefix.
+        Past n_max an index built for n over the same prefix gives them by
+        the same rule.
+        """
         if n < 0 or n > self.prefix_len:
             return frozenset()
         if n == 0:
             return frozenset({""})
+        if n > self.n_max:
+            return FactorIndex(self.morphism, self.letter, self.prefix_len, n).factors(n)
         return self._cut(self._starts(n), n)
 
     def _cut(self, starts: np.ndarray, n: int) -> frozenset[str]:
@@ -567,8 +565,8 @@ class FactorIndex:
         ids of different lengths stay apart and sort by length first, then
         lexicographically.  The heads are sorted already, as the factors
         are, so a binary search finds a start for each bispecial id.
-        A longer length k goes alone: as k < ``stable_up_to`` the
-        (k+1)-factors of the prefix are all certified, and the first starts
+        A longer length k goes alone: as k < ``stable_up_to`` the indexed
+        (k+1)-factors are all of L_(k+1), and the first starts
         of the distinct ones (``_starts``) give the k-ids of their heads and
         of their tails.  A head id that occurs twice is a right special
         k-factor, a tail id that occurs twice a left special one.  Only the
@@ -600,7 +598,7 @@ class FactorIndex:
         windows, of their mirror images and of their exchanges (from the
         bit reversal of the keys), compared and counted by length.  A
         longer row takes the first start of each distinct factor from one
-        order of the prefix's starts (``_starts``), with no sort, and tests
+        order of the indexed starts (``_starts``), with no sort, and tests
         only the windows there against their mirror images and exchanges
         (from the maps of a rank level).  Either way a factor is a
         palindrome or an antipalindrome when one id comparison says so.
@@ -629,11 +627,12 @@ class FactorIndex:
         """True iff the certified factor sets are closed under the exchange map.
 
         Closure at the top certified length T implies it below: a certified
-        w heads a T-factor wx (w occurs in the half prefix, and T <= N/4), so
-        E(w) is the tail of the factor E(wx) = E(x)E(w).  So the ids of the
-        exchanges of the distinct T-windows (-1 past 64 letters for an
-        exchange that is no factor of the prefix) must all be ids of
-        T-windows.
+        w heads a word wx of L_T (it extends to the right in the fixed
+        point), so E(w) is the tail of E(wx) = E(x)E(w), which is in L_T
+        when the T-factors are closed.  The indexed letters hold all of L_T
+        (``_top_starts``), so the ids of the exchanges of the distinct
+        T-windows (-1 past 64 letters for an exchange that is no indexed
+        factor) must all be ids of T-windows.
         """
         if self.stable_up_to == 0:
             return True
@@ -680,6 +679,9 @@ class FactorIndex:
 def build_index(
     morphism: Morphism, letter: str, prefix_len: int = 100_000, n_max: int = 64
 ) -> FactorIndex:
+    # the public bound; the index itself needs n_max <= prefix_len only
+    if n_max < 1 or n_max > prefix_len // 4:
+        raise BadBounds(f"need 1 <= n_max <= prefix_len // 4, got {n_max} / {prefix_len}")
     return FactorIndex(morphism, letter, prefix_len, n_max)
 
 

@@ -214,6 +214,91 @@ def fixed_point_prefix(m: Morphism, letter: str, n: int) -> Word:
     return w[:n]
 
 
+# The widest block count r that proven_prefix_len reads: L_r grows with r,
+# and r = 16 already lets one level j serve n up to 15 * min_c |h^j(c)| + 1.
+_BLOCKS = 16
+
+
+def _pairs(m: Morphism, letter: str) -> set[Word]:
+    """L_2 of the fixed point read from ``letter``: the 2-factors of m(letter),
+    closed under taking the 2-factors of m(xy) for each xy met.  Every
+    2-factor of m^(k+1)(letter) lies in m(xy) for a 2-factor xy of
+    m^k(letter), when no image is empty, so the closure is all of L_2."""
+    found, blocks = set(), [m.image(letter)]
+    while blocks:
+        met = {w[i : i + 2] for w in blocks for i in range(len(w) - 1)} - found
+        found |= met
+        blocks = [apply(m, xy) for xy in met]
+    return found
+
+
+def _factors(m: Morphism, letter: str, r: int) -> set[Word]:
+    """L_r: the r-factors of the blocks m^k(x)m^k(y), xy in L_2 (``_pairs``),
+    with min_c |m^k(c)| >= r - 1, as an r-window of the fixed point m^k(u)
+    covers at most two of its blocks m^k(u_i).  They are the windows inside
+    each m^k(x) and those across each seam."""
+    pairs = _pairs(m, letter)
+    if r <= 2:
+        return {w[:r] for w in pairs}
+    images = {"0": "0", "1": "1"}
+    while min(map(len, images.values())) < r - 1:
+        images = {c: apply(m, w) for c, w in images.items()}
+    words = set()
+    for w in {images[x] for x, _ in pairs}:
+        words.update(w[i : i + r] for i in range(len(w) - r + 1))
+    for x, y in pairs:
+        seam = images[x][1 - r :] + images[y][: r - 1]
+        words.update(seam[i : i + r] for i in range(r - 1))
+    return words
+
+
+def proven_prefix_len(m: Morphism, letter: str, n: int, text: Word) -> int | None:
+    """A length N(n) whose prefix of the fixed point u = m(u) read from the
+    prolongable ``letter`` holds every n-factor of u, from ``text``, a prefix
+    of u; None when m has a letter that never grows (m(b) is b or empty).
+
+    Cut u = m^j(u) into the blocks m^j(u_i), each of at least l_j =
+    min_c |m^j(c)| letters.  An n-factor that starts in block i ends within
+    r - 1 more blocks, r = ceil((n - 1) / l_j) + 1, so it lies in m^j(v),
+    starting in its first block, for v = u[i : i + r] in L_r.  At the first
+    start f_v of v it occurs again, before |m^j(u[:f_v + 1])|.  So
+
+        N_j(n) = max over v in L_r of |m^j(u[:f_v + 1])| + n - 1
+
+    holds all of L_n, and N(n) is the least N_j(n) over the j whose r is at
+    most 16 and whose every v occurs in ``text``.  L_r is exact, by closure
+    from the 2-factors of m(letter) (``_factors``).  The block lengths never
+    shrink as j grows, so r only falls, and past the first j with r <= 2
+    the bound only grows: the levels stop there.  The first r met is the
+    widest, and every word of a shorter L_r heads one of its words, as each
+    factor of u extends to the right.  Each N_j is nondecreasing in n, and a
+    larger n leaves no more levels with r <= 16, so N is nondecreasing too.
+    j = 0 reads L_n itself, which makes N(n) exact for n <= 16.  The
+    argument needs only that both letters grow, not primitivity; for a
+    primitive m, u is linearly recurrent and N(n) = O(n) (Durand, Discrete
+    Math. 179, 1998; Durand, Host & Skau, ETDS 19, 1999).
+    """
+    other = "1" if letter == "0" else "0"
+    if m.image(other) in ("", other):
+        return None
+    counts, widest = incidence(m), None
+    lengths, best, lasts = (1, 1), None, {}  # lengths: |m^j(0)|, |m^j(1)|
+    while True:
+        r = -(-(n - 1) // min(lengths)) + 1
+        if r <= _BLOCKS:
+            widest = widest or _factors(m, letter, r)
+            if r not in lasts:
+                firsts = [text.find(w) for w in {w[:r] for w in widest}]
+                lasts[r] = max(firsts) if min(firsts) >= 0 else None
+            if (f := lasts[r]) is not None:
+                ones = text.count("1", 0, f + 1)
+                bound = lengths[0] * (f + 1 - ones) + lengths[1] * ones + n - 1
+                best = bound if best is None else min(best, bound)
+        if r <= 2:
+            return best
+        lengths = _times(lengths, counts)
+
+
 def fixed_point_source(
     m: Morphism, letter: str | None = None, m2: Morphism | None = None
 ) -> tuple[str, Morphism, str] | None:

@@ -289,16 +289,29 @@ def bf_proven_period(image0, image1, prefix):
     return r
 
 
-def bf_stable_up_to(prefix, n_max):
-    """Largest n <= n_max such that every length 1..n has the same factor
-    set on the half prefix as on the whole prefix, by a sequential scan."""
-    half = prefix[: len(prefix) // 2]
-    stable = 0
-    for n in range(1, n_max + 1):
-        if bf_factor_set(half, n) != bf_factor_set(prefix, n):
-            break
-        stable = n
-    return stable
+def bf_language(m, letter, n):
+    """L_n, the set of n-factors of the fixed point u of the Morphism m read
+    from ``letter``, by block closure: L_2 is the least set that holds the
+    2-factors of m(letter) and those of m(xy) for each of its xy, and L_n is
+    the n-factors of the blocks m^k(x)m^k(y), xy in L_2, where every m^k(c)
+    has at least n - 1 letters (an n-window of u = m^k(u) then covers at
+    most two blocks).  Both images must grow under iteration."""
+    image = lambda w: bf_apply(m.image0, m.image1, w)
+    pairs, more = set(), {image(letter)}
+    while more:
+        found = {w[i : i + 2] for w in more for i in range(len(w) - 1)} - pairs
+        pairs |= found
+        more = {image(xy) for xy in found}
+    if n <= 2:
+        return {w[:n] for w in pairs}
+    blocks = {"0": "0", "1": "1"}
+    while min(len(w) for w in blocks.values()) < n - 1:
+        grown = {c: image(w) for c, w in blocks.items()}
+        assert grown != blocks, "a letter never grows"
+        blocks = grown
+    return {
+        w[i : i + n] for x, y in pairs for w in [blocks[x] + blocks[y]] for i in range(len(w) - n + 1)
+    }
 
 
 def bf_bispecials(u, top):

@@ -8,7 +8,8 @@ each of its prolongable letters in order, and one line is printed:
 ``[morphism, letter, prefix length, n_max, stable_up_to, rows]`` with a row
 ``[length, factor_count, palindrome_count, antipalindrome_count, certified]``
 for every length 1..n_max.  The sha256 of the output is a regression oracle
-for the census and its certification (pytest does not collect this file).
+for the census and its certification (pytest does not collect this file;
+``census_diff.py`` compares two sets of these outputs).
 
     PYTHONPATH=src python tests/census_oracle.py --queries > queries.jsonl
 
@@ -21,8 +22,8 @@ oracle for the queries that read the certified factors.
 prints the same lines as the first mode for the family ``0->0(110)^k,
 1->1(001)^k``, k = 1, 2, 3, at prefix lengths 25000 and 100000 with n_max
 6250, over the census lengths ``GRID``: an oracle for certification past 64
-letters (by one probe at n_max or by a binary search) and for the long rows
-of every rank level up to 4096 letters.
+letters (by the proven prefix length at n_max or by a binary search on it)
+and for the long rows of every rank level up to 4096 letters.
 
     PYTHONPATH=src python tests/census_oracle.py --grid-queries > grid-queries.jsonl
 

@@ -12,19 +12,52 @@ from antipal.language import (
     bispecial_successor,
     build_index,
 )
-from antipal.morphisms import Morphism, prolongable_letters
+from antipal.morphisms import (
+    Morphism,
+    fixed_point_prefix,
+    fixed_point_source,
+    is_primitive,
+    parse_morphism,
+    prolongable_letters,
+    proven_prefix_len,
+)
 from antipal.words import exchange, is_antipalindrome, is_palindrome
 from bruteforce import (
     bf_antipal_center,
     bf_bispecials,
     bf_e_closed,
     bf_factor_set,
-    bf_stable_up_to,
+    bf_language,
+    bf_scan_space,
     words_up_to,
 )
 
 FIB = Morphism("01", "0")
 THETA = Morphism("01", "10")
+
+_LANGUAGES = {}
+
+
+def _language(m, letter, n):
+    """``bf_language``, kept: several tests read the same languages."""
+    if (m, letter, n) not in _LANGUAGES:
+        _LANGUAGES[m, letter, n] = frozenset(bf_language(m, letter, n))
+    return _LANGUAGES[m, letter, n]
+
+
+def _primitive_records(max_image_len):
+    """(host, letter) of the fixed point read for each primitive morphism
+    of the scan space with images of up to ``max_image_len`` letters."""
+    for text in bf_scan_space(max_image_len):
+        m = parse_morphism(text)
+        if is_primitive(m) and (source := fixed_point_source(m)):
+            yield source[1:]
+
+
+def _proven_scan(m, letter, prefix, n_max):
+    """The lengths n <= n_max whose proven prefix length fits in ``prefix``, one by one."""
+    bounds = [proven_prefix_len(m, letter, n, prefix) for n in range(1, n_max + 1)]
+    return [n for n, bound in enumerate(bounds, 1) if bound is not None and bound <= len(prefix)]
 
 
 def test_build_index_basics():
@@ -40,14 +73,16 @@ def test_build_index_basics():
         build_index(FIB, "1", 64, 2)
 
 
-# Thue-Morse 256/64 certifies fewer than n_max lengths, so factors() also
-# takes its direct-slice path there; 0->000001 at 8 letters certifies none,
-# and Fibonacci at n_max 2 stops just where E-closure first fails.  Thue-Morse
+# Thue-Morse at 256 letters certifies 64, as N(64) = 255; 0->0101,1->1100
+# there certifies fewer than n_max lengths, as N(64) = 479, so factors() also
+# reads uncertified rows; 0->000001 at 8 letters certifies none, and
+# Fibonacci at n_max 2 stops just where E-closure first fails.  Thue-Morse
 # and Fibonacci at (1200, 300) certify past 64 letters, where the bispecial
 # factors come from the rank levels one length at a time.
 EXACT_SET_INDEXES = (
     (THETA, 512, 16),
     (THETA, 256, 64),
+    (Morphism("0101", "1100"), 256, 64),
     (THETA, 4000, 64),
     (FIB, 4000, 64),
     (FIB, 2000, 2),
@@ -58,6 +93,101 @@ EXACT_SET_INDEXES = (
 )
 
 
+def _language_row(m, letter, n):
+    """(factors, palindromes, antipalindromes) of L_n."""
+    words = _language(m, letter, n)
+    return len(words), sum(map(is_palindrome, words)), sum(map(is_antipalindrome, words))
+
+
+@pytest.mark.parametrize("prefix_len", [200, 1000, 25000])
+def test_certified_rows_are_the_block_closure(prefix_len):
+    """Every certified row of every primitive record with images of up to 4
+    letters counts L_n, by the block closure of the fixed point, and the
+    top certified length's factors are L_n itself.  Certifying by the half
+    prefix instead leaves wrong certified rows at 200 and 1000 letters."""
+    n_max = min(64, prefix_len // 4)
+    tops = []
+    for host, letter in _primitive_records(4):
+        idx = build_index(host, letter, prefix_len, n_max)
+        top = idx.stable_up_to
+        for row in idx.census()[:top]:
+            counts = row.factor_count, row.palindrome_count, row.antipalindrome_count
+            assert counts == _language_row(host, letter, row.length), (str(host), letter, row.length)
+        assert top == 0 or idx.factors(top) == _language(host, letter, top), (str(host), letter)
+        tops.append(top)
+    assert len(tops) == 341 and 0 < min(tops)
+    assert (max(tops) == n_max) and (prefix_len == 25000 or min(tops) < n_max)
+
+
+def test_a_short_prefix_does_not_certify_a_missing_word():
+    """The 200-letter prefix of 0->0001,1->0011 has 33 of the 34 words of
+    L_17 (the last first occurs at letter 234), so 17 is not certified."""
+    m = Morphism("0001", "0011")
+    idx = build_index(m, "0", 200, 50)
+    assert len(_language(m, "0", 17)) == 34 and len(idx.factors(17)) == 33
+    assert idx.stable_up_to < 17
+
+
+# Records whose half and full 25000-letter prefixes share every n-factor up
+# to 64 letters, while both miss words of L_n from the length given.
+HALF_PREFIX_MISSES = (
+    ("0->11110,1->0000000", 41),
+    ("0->111110,1->000000", 45),
+    ("0->111110,1->0000000", 50),
+    ("0->1111110,1->0000000", 59),
+)
+
+
+@pytest.mark.parametrize("text, wrong", HALF_PREFIX_MISSES, ids=[t for t, _ in HALF_PREFIX_MISSES])
+def test_no_wrong_certified_row_where_the_half_prefix_misses_words(text, wrong):
+    _, host, letter = fixed_point_source(parse_morphism(text))
+    idx = build_index(host, letter, 25000, 64)
+    assert len(idx.factors(wrong)) < len(_language(host, letter, wrong))
+    assert idx.stable_up_to < wrong
+    for row in idx.census()[: idx.stable_up_to]:
+        counts = row.factor_count, row.palindrome_count, row.antipalindrome_count
+        assert counts == _language_row(host, letter, row.length), row.length
+
+
+def _first_occurrence_ends(text, size):
+    """For n = 1..64, the end of the last first occurrence of an n-letter
+    word at the first ``size`` starts of ``text`` (which runs 63 letters
+    past them): the 64-letter windows there (``_window_keys``, checked
+    against string windows below) are matched against the distinct ones of
+    a head that grows until it holds them all, and the first start of a
+    word is the least of those of the distinct windows it heads."""
+    keys = language._window_keys(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))[:size]
+    head = 4096
+    while True:
+        distinct, first = np.unique(keys[:head], return_index=True)
+        at = np.searchsorted(distinct, keys).clip(max=distinct.size - 1)
+        if (distinct[at] == keys).all():
+            break
+        head *= 4
+    ends = []
+    for n in range(1, 65):
+        heads = distinct >> np.uint64(64 - n)
+        groups = np.flatnonzero(np.concatenate(([True], heads[1:] != heads[:-1])))
+        ends.append(int(np.minimum.reduceat(first, groups).max()) + n)
+    return ends
+
+
+def test_proven_prefix_len_holds_every_first_occurrence():
+    """On every primitive record with images of up to 5 letters, N(n) for
+    n <= 64 is at least the end of the last first occurrence of an n-letter
+    word in a 10**5-letter prefix: the bound read against the fixed point,
+    not against the block closure it is built from."""
+    size, records = 10**5, 0
+    for host, letter in _primitive_records(5):
+        text = fixed_point_prefix(host, letter, size + 63)
+        ends = _first_occurrence_ends(text, size)
+        for n, end in enumerate(ends, 1):
+            bound = proven_prefix_len(host, letter, n, text[:size])
+            assert bound is not None and bound >= end, (str(host), letter, n, bound, end)
+        records += 1
+    assert records == 1638
+
+
 def test_factor_sets_match_bruteforce():
     for m, prefix_len, n_max in EXACT_SET_INDEXES:
         idx = build_index(m, "0", prefix_len, n_max)
@@ -66,7 +196,8 @@ def test_factor_sets_match_bruteforce():
 
 
 def test_exact_set_indexes_reach_each_case():
-    assert 0 < build_index(THETA, "0", 256, 64).stable_up_to < 64
+    assert build_index(THETA, "0", 256, 64).stable_up_to == 64
+    assert 0 < build_index(Morphism("0101", "1100"), "0", 256, 64).stable_up_to < 64
     assert build_index(FIB, "0", 2000, 2).stable_up_to == 2
     assert build_index(Morphism("000001", "1"), "0", 8, 2).stable_up_to == 0
     for m in (THETA, FIB):
@@ -78,7 +209,8 @@ def test_exact_set_indexes_reach_each_case():
 def test_bispecials_and_e_closure_match_bruteforce():
     for m, prefix_len, n_max in EXACT_SET_INDEXES:
         idx = build_index(m, "0", prefix_len, n_max)
-        top = bf_stable_up_to(idx.prefix, n_max)
+        top = idx.stable_up_to
+        assert top == 0 or idx.factors(top) == _language(m, "0", top), (str(m), prefix_len)
         assert idx.bispecials() == tuple(bf_bispecials(idx.prefix, top)), (str(m), prefix_len)
         assert idx.e_closure_check() is bf_e_closed(idx.prefix, top), (str(m), prefix_len)
 
@@ -94,14 +226,17 @@ def _prolongable_indexes(max_image_len):
 
 @pytest.mark.parametrize("prefix_len, n_max", [(64, 16), (300, 64), (2000, 64)])
 def test_certification_matches_sequential_scan(prefix_len, n_max):
+    """``stable_up_to`` is the largest n whose proven prefix length fits, and
+    the lengths that fit are downward closed (N is nondecreasing), by a
+    scan of every length; each certified length holds all of L_n, by the
+    block closure of the fixed point."""
     checked = 0
     for m, letter in _prolongable_indexes(3):
         idx = build_index(m, letter, prefix_len, n_max)
-        assert idx.stable_up_to == bf_stable_up_to(idx.prefix, n_max), (str(m), letter)
-        # the stable lengths are downward closed: none above stable_up_to
-        half = idx.prefix[: prefix_len // 2]
-        for n in range(idx.stable_up_to + 1, n_max + 1):
-            assert bf_factor_set(half, n) != bf_factor_set(idx.prefix, n), (str(m), letter, n)
+        top = idx.stable_up_to
+        assert _proven_scan(m, letter, idx.prefix, n_max) == list(range(1, top + 1)), (str(m), letter)
+        for n in range(1, top + 1):
+            assert idx.factors(n) == _language(m, letter, n), (str(m), letter, n)
         checked += 1
     assert checked > 100
 
@@ -171,20 +306,21 @@ def test_closure_and_bispecials_keep_no_per_length_sets():
 
 
 def test_each_rank_level_is_built_once(monkeypatch):
-    """Certification probes 64 and then n_max and, finding it stable, stops
-    after those two probes, the second of which climbs to the 1024-letter
-    level; the census then reads the levels from 64 up again and must find
-    them kept."""
-    built, probes = [], []
-    level_ranks, stable_at = language._level_ranks, language.FactorIndex._stable_at
+    """Certification reads the proven prefix length alone and builds no
+    rank level; the census climbs to the 1024-letter level, and the
+    queries after it read the levels from 64 up again and must find them
+    kept."""
+    built = []
+    level_ranks = language._level_ranks
     monkeypatch.setattr(language, "_level_ranks", lambda *args: built.append(1) or level_ranks(*args))
-    monkeypatch.setattr(
-        language.FactorIndex, "_stable_at", lambda self, n: probes.append(n) or stable_at(self, n)
-    )
     idx = build_index(Morphism("0110", "1001"), "0", 20000, 1250)
-    assert probes == [64, 1250] and idx.stable_up_to == 1250
-    idx.census([*range(1, 65), 96, 128, 192, 256, 384, 512, 768, 1024])
+    assert idx.stable_up_to == 1250 and built == []
+    lengths = [*range(1, 65), 96, 128, 192, 256, 384, 512, 768, 1024]
+    idx.census(lengths)
     assert len(built) == 5  # the levels of 64, 128, 256, 512 and 1024 letters
+    idx.census(lengths)
+    idx.e_closure_check()
+    assert len(built) == 5
 
 
 def test_rank_levels_by_table_and_by_sort(monkeypatch):
@@ -314,7 +450,9 @@ def test_certification_matches_sequential_scan_past_the_packed_keys():
     expected = {}  # by (prefix, stable_up_to): many hosts share a prefix such as 0^1200
     for m, letter in _prolongable_indexes(2):
         idx = build_index(m, letter, 1200, 300)
-        assert idx.stable_up_to == bf_stable_up_to(idx.prefix, 300), (str(m), letter)
+        top = idx.stable_up_to
+        assert _proven_scan(m, letter, idx.prefix, 300) == list(range(1, top + 1)), (str(m), letter)
+        assert top == 0 or idx.factors(top) == _language(m, letter, top), (str(m), letter)
         if idx.stable_up_to > 64:  # the queries past 64 letters compare rank pairs
             key = (idx.prefix, idx.stable_up_to)
             if key not in expected:
@@ -323,7 +461,7 @@ def test_certification_matches_sequential_scan_past_the_packed_keys():
             assert idx.bispecials() == bispecials, (str(m), letter)
             assert idx.e_closure_check() is closed, (str(m), letter)
         tops.add(idx.stable_up_to)
-    assert {129, 217, 232, 300} <= tops
+    assert {0, 257, 300} == tops
     assert sorted(closed for _, closed in expected.values()) == [False] * 8 + [True] * 4
 
 
@@ -401,16 +539,18 @@ def test_first_starts_search_reaches_the_last_key():
 
 
 def test_rank_levels_cover_the_prefix_only():
-    """Level k ranks the (64 * 2**k)-letter windows of the prefix and of the
-    C = 2048 letters after it (the least 64 * 2**k >= n_max), so that every
-    start of the prefix has a window at every level: N + C - 64 * 2**k + 1
-    of them, with a mirror and an exchange map on its distinct ranks."""
-    idx = build_index(Morphism("0110", "1001"), "0", 20000, 1250)
+    """Level k ranks the (64 * 2**k)-letter windows of the indexed letters,
+    the first N = N(n_max) of the prefix, and of the C = 2048 letters after
+    them (the least 64 * 2**k >= n_max), so that every start of the indexed
+    letters has a window at every level: N + C - 64 * 2**k + 1 of them, with
+    a mirror and an exchange map on its distinct ranks."""
+    m = Morphism("0110", "1001")
+    idx = build_index(m, "0", 20000, 1250)
     idx._level_maps(4)
-    reach = 2048
-    assert idx._keys.size == idx.prefix_len + reach
+    reach, size = 2048, proven_prefix_len(m, "0", 1250, idx.prefix)
+    assert size < idx.prefix_len and idx._keys.size == size + reach
     for k, rank in enumerate(idx._levels):
-        assert rank.size == idx.prefix_len + reach - (64 << k) + 1, k
+        assert rank.size == size + reach - (64 << k) + 1, k
         assert [f.size for f in idx._maps[k]] == [int(rank.max()) + 1] * 2, k
     assert len(idx._levels) == len(idx._maps) == 5
 
@@ -427,9 +567,12 @@ def test_census_monotone_under_longer_prefix():
 def test_stability_certification():
     idx = build_index(THETA, "0", 4000, 64)
     assert idx.stable_up_to == 64
+    # the 255-letter prefix holds every word of L_64, and no shorter one does
+    assert build_index(THETA, "0", 256, 64).stable_up_to == 64
+    assert _language(THETA, "0", 64) - bf_factor_set(idx.prefix[:254], 64)
     # a short prefix cannot certify long factors
-    idx = build_index(THETA, "0", 256, 64)
-    assert 0 < idx.stable_up_to < 64
+    idx = build_index(THETA, "0", 1000, 250)
+    assert 0 < idx.stable_up_to < 250
     # downward consistency of the certified sets
     idx = build_index(FIB, "0", 2000, 32)
     for n in range(1, idx.stable_up_to + 1):
@@ -497,22 +640,20 @@ def test_antipalindromic_bispecials_at_several_lengths():
 
 
 def test_short_census_reads_no_ids_and_no_search(monkeypatch):
-    """Certification and every row up to 64 letters come from the sorted
-    windows: no rank level is built, and certification makes one probe of
-    ``_stable_at``, at 64."""
-    calls = {"_ranks": [], "_stable_at": []}
-    for name in calls:
-        method = getattr(language.FactorIndex, name)
-
-        def counted(self, n, name=name, method=method):
-            calls[name].append(n)
-            return method(self, n)
-
-        monkeypatch.setattr(language.FactorIndex, name, counted)
+    """Certification reads the proven prefix length once, at n_max, and
+    every row up to 64 letters comes from the sorted windows of the N(64) =
+    255 letters that hold all of L_64: no rank level is built, and no
+    search for a shorter certified length is made."""
+    calls = {"_ranks": [], "proven_prefix_len": []}
+    ranks, proven = language.FactorIndex._ranks, language.proven_prefix_len
+    monkeypatch.setattr(language.FactorIndex, "_ranks", lambda self, k: calls["_ranks"].append(k) or ranks(self, k))
+    monkeypatch.setattr(
+        language, "proven_prefix_len", lambda *args: calls["proven_prefix_len"].append(args[2]) or proven(*args)
+    )
     idx = build_index(THETA, "0", 100000, 64)
     idx.census()
-    assert idx.stable_up_to == 64
-    assert calls == {"_ranks": [], "_stable_at": [64]}
+    assert idx.stable_up_to == 64 and idx._keys.size == 255 + 64
+    assert calls == {"_ranks": [], "proven_prefix_len": [64]}
 
 
 def test_window_keys_match_bruteforce_windows():
@@ -526,16 +667,21 @@ def test_window_keys_match_bruteforce_windows():
         assert keys.dtype == np.uint64 and keys.tolist() == expected, size
 
 
-# stable_up_to 64 (the census indexes' shape), 33, 129 and 257 (past the
-# packed keys, so rank-pair ids, and for 257 centres longer than 64), 1 and 0
+# stable_up_to 64 (the census indexes' shape, and Thue-Morse at N(64) =
+# 255 letters), 33, 129, 257 and 513 (past the packed keys, so rank-pair
+# ids, and from 257 on centres longer than 64), 2, 1 (N(2) = 10 > 8
+# letters) and 0 (a letter that never grows)
 BATCHED_INDEXES = (
     (THETA, 4000, 64),
     (FIB, 4000, 64),
     (Morphism("0110", "1001"), 4000, 64),
     (THETA, 256, 64),
+    (Morphism("0101", "1100"), 256, 64),
+    (THETA, 600, 150),
     (THETA, 1200, 300),
     (THETA, 2400, 600),
     (THETA, 8, 2),
+    (Morphism("011", "10"), 8, 2),
     (Morphism("000001", "1"), 8, 2),
 )
 
@@ -546,7 +692,7 @@ BATCHED_INDEXES = (
 def test_batched_queries_match_bruteforce_sets(m, prefix_len, n_max):
     idx = build_index(m, "0", prefix_len, n_max)
     p, top = idx.prefix, idx.stable_up_to
-    assert top == bf_stable_up_to(p, n_max)
+    assert top == 0 or idx.factors(top) == _language(m, "0", top)
     lengths = range(1, min(n_max, 130) + 1)
     rows = [(r.factor_count, r.palindrome_count, r.antipalindrome_count) for r in idx.census(lengths)]
     assert rows == [_bf_row(p, n) for n in lengths]
@@ -557,8 +703,8 @@ def test_batched_queries_match_bruteforce_sets(m, prefix_len, n_max):
 
 def test_batched_indexes_reach_each_case():
     tops = [build_index(m, "0", prefix_len, n_max).stable_up_to for m, prefix_len, n_max in BATCHED_INDEXES]
-    assert tops == [64, 64, 64, 33, 129, 257, 1, 0]
-    assert build_index(THETA, "0", 8, 2).bispecials() == ("",)
+    assert tops == [64, 64, 64, 64, 33, 129, 257, 513, 2, 1, 0]
+    assert build_index(Morphism("011", "10"), "0", 8, 2).bispecials() == ("",)
     assert len(build_index(THETA, "0", 2400, 600).antipal_center(100)) == 100
 
 
