@@ -40,13 +40,14 @@ length of the common head of neighbours (an LCP array, Manber & Myers,
 SIAM J. Comput. 1993).  The windows that share an n-letter head are then
 the runs of neighbours whose lcp is at least n, the least start of a run is
 the first occurrence of its head, and the heads whose first start leaves
-room for n letters in the S indexed ones are their n-factors.  Up to 64
-letters one sort of the keys at the S starts gives that order, and one
-batched pass the first starts of every length at once, and from them every
-census row, the bispecial factors and the antipalindromic centres.  Past
-64 letters one order of the starts by their C-letter windows serves every
-length up to C, so a long census row tests those starts only.  No query
-sorts every window, and strings are cut only for answers.
+room for n letters in the S indexed ones are their n-factors.  One order
+of the S starts by their C-letter windows serves every length up to C: one
+argsort of the keys when C = 64, one sort of pairs of ranks past that.
+Up to 64 letters one batched pass over it gives the first starts of every
+length at once, and from them every census row, the bispecial factors and
+the antipalindromic centres; a longer census row tests the first starts
+of its length only.  No query sorts every window, and strings are cut
+only for answers.
 """
 
 from __future__ import annotations
@@ -206,24 +207,6 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.where(high > 0, high + 32, low)
 
 
-def _first_starts(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The least start of each of the sorted ``distinct`` keys, every one
-    of which occurs in ``keys`` (the 64-letter keys at the indexed starts):
-    the keys are searched among the distinct ones in runs that double, from
-    the first ``max(1024, 4 * distinct.size)`` on, until every distinct key
-    has been met.  So a text whose every 64-letter window, those that run
-    past the indexed starts too, recurs early is read once at its head, and
-    no run is searched twice.  ``np.minimum.at`` keeps the least
-    start a run meets for each key, and every start of a later run is
-    greater, so the first run to meet a key gives its least start."""
-    starts = np.full(distinct.size, keys.size, dtype=np.int64)
-    lo, hi = 0, max(1024, 4 * distinct.size)
-    while (starts == keys.size).any():
-        np.minimum.at(starts, np.searchsorted(distinct, keys[lo:hi]), np.arange(lo, min(hi, keys.size)))
-        lo, hi = hi, 2 * hi
-    return starts
-
-
 def _repeated(ids: np.ndarray) -> np.ndarray:
     """The values that occur twice, where none occurs more often (as for
     the heads or the tails of distinct binary words one letter longer)."""
@@ -259,12 +242,7 @@ class FactorIndex:
         # C = 64 * 2**K, the least such width >= n_max (64 when n_max <= 64):
         # the keys and rank levels run C letters of the fixed point past the
         # indexed letters, so that each of their starts has a C-letter window
-        # (see _short_factors and _suffixes).  Real letters, not zeros: the
-        # end windows are then factors of the fixed point, which in a
-        # recurrent one occur earlier, so _first_starts stops at the head of
-        # the keys.  Zeros past the end give the same answers, but make the
-        # end windows new keys, and _first_starts then reads them all (a
-        # 100000-letter, n_max 64 index takes 2-3 times as long to build).
+        # (see _suffixes).
         self._reach = _KEY_LETTERS << ((n_max - 1) // _KEY_LETTERS).bit_length()
         text = fixed_point_prefix(morphism, letter, prefix_len + self._reach)
         self.prefix = text[:prefix_len]
@@ -442,30 +420,31 @@ class FactorIndex:
         with its length: by length, and in lexicographic order within a
         length.
 
-        The keys at the S indexed starts are sorted, not argsorted: the
-        runs of the sorted copy give the distinct 64-letter windows, and
-        ``_first_starts`` the least start of each.  Every start has a full
-        window, as the keys run C >= 64 letters past the S.  In that
-        order the windows that share an n-letter head are contiguous, and
-        the common head of two neighbours is ``64 - bit_length(xor)`` of
-        their keys, so for every n at once the entries with ``lcp < n``
-        open the groups, and the least start of a group (one
-        ``np.minimum.reduceat`` over the 64 rows) is the first occurrence of
-        its head.  The heads whose first start leaves room for n letters in
-        the S indexed ones are their n-factors.
+        In the order of ``_suffixes`` the neighbours with ``lcp < 64`` open
+        the runs of the distinct 64-letter windows, and the least start of
+        a run is the first occurrence of its window.  The lcp at the head of
+        a run is the common head of that window and the one before it, so
+        for every n at once the distinct windows with ``lcp < n`` open the
+        groups that share an n-letter head, and the least start of a group
+        (one ``np.minimum.reduceat`` over the 64 rows) is the first
+        occurrence of its head.  The heads whose first start leaves room for
+        n letters in the S indexed ones are their n-factors.
         """
-        keys = self._keys[: self._size]
-        ordered = np.sort(keys)
-        distinct = ordered[_run_starts(ordered)]
-        first = _first_starts(distinct, keys)
-        lcp = np.zeros(distinct.size, dtype=np.int64)
-        lcp[1:] = _KEY_LETTERS - _bit_length(distinct[1:] ^ distinct[:-1])
+        order, lcp = self._suffixes
+        heads = np.flatnonzero(lcp < _KEY_LETTERS)
+        first, lcp = np.minimum.reduceat(order, heads).astype(np.int64), lcp[heads]
         row, entry = np.nonzero(lcp < np.arange(1, _KEY_LETTERS + 1)[:, None])
         # entry 0 (lcp 0) opens a group in every row, so no group runs into the next row
-        least = np.minimum.reduceat(np.tile(first, _KEY_LETTERS), row * distinct.size + entry)
+        least = np.minimum.reduceat(np.tile(first, _KEY_LETTERS), row * first.size + entry)
         lengths = row + 1
         keep = least <= self._size - lengths
         return lengths[keep], least[keep]
+
+    @cached_property
+    def _short_images(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_key_images`` of ``_short_factors``: the ids of the short
+        factors, of their mirror images and of their exchanges."""
+        return self._key_images(*self._short_factors)
 
     def _shorter(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``_short_factors`` of up to n letters (n <= 64)."""
@@ -481,22 +460,30 @@ class FactorIndex:
         ``order[j - 1]`` and ``order[j]``, at most C (0 for j = 0), both
         int32.
 
-        The C-window at s is the two (C/2)-windows at s and s + C/2, so
-        one sort of the pairs of their ranks (``_sort_order``) gives the
-        order, and level K itself is not built.  Neighbours with equal
-        pairs share C letters; for the others the levels below K, from the
-        widest down, each add their width to the common head while the
-        windows there agree, and the first differing bit of the keys past
-        it gives the last letters.
+        When C = 64 the windows are the keys at the S starts, so one stable
+        argsort of the keys gives the order, and no rank level is built.
+        Past that the C-window at s is the two (C/2)-windows at s and
+        s + C/2, so one sort of the pairs of their ranks (``_sort_order``)
+        gives the order, and level K itself is not built.  Neighbours with
+        equal keys or pairs share C letters; for the others the levels below
+        K, from the widest down, each add their width to the common head
+        while the windows there agree, and the first differing bit of the
+        keys past it, ``64 - bit_length(xor)``, gives the last letters.
         """
         cap, size = self._reach, self._size
         top = (cap // _KEY_LETTERS).bit_length() - 1
-        below, half = self._ranks(top - 1), cap // 2
-        pairs = _pair_ids(below[:size], below[half : half + size], int(below.max()) + 1)
-        order = _sort_order(pairs).astype(np.int32)  # leaves the pairs sorted
+        if top == 0:
+            keys = self._keys[:size]
+            order = np.argsort(keys, kind="stable")
+            ordered = keys[order]
+        else:
+            below, half = self._ranks(top - 1), cap // 2
+            ordered = _pair_ids(below[:size], below[half : half + size], int(below.max()) + 1)
+            order = _sort_order(ordered)  # leaves the pairs sorted
+        order = order.astype(np.int32)
         lcp = np.full(size, cap, dtype=np.int32)
         lcp[0] = 0
-        differ = np.flatnonzero(pairs[1:] != pairs[:-1])
+        differ = np.flatnonzero(ordered[1:] != ordered[:-1])
         p, q = order[differ], order[differ + 1]
         common = np.zeros(differ.size, dtype=np.int64)
         for k in range(top - 1, -1, -1):
@@ -508,16 +495,11 @@ class FactorIndex:
 
     def _starts(self, n: int) -> np.ndarray:
         """The first start of each distinct length-n window (n <= n_max) of
-        the indexed letters, in the order of the words.
-
-        Up to 64 letters they come from ``_short_factors``, past that from
-        ``_suffixes`` by the same rule: the least start of each run of
-        neighbours whose lcp is at least n, kept when it leaves room for n
-        letters in the indexed ones.  No id is formed or sorted.
+        the indexed letters, in the order of the words: the least start of
+        each run of neighbours in ``_suffixes`` whose lcp is at least n,
+        kept when it leaves room for n letters in the indexed ones.  No id
+        is formed or sorted.
         """
-        if n <= _KEY_LETTERS:
-            lengths, starts = self._shorter(n)
-            return starts[np.searchsorted(lengths, n) :]
         order, lcp = self._suffixes
         first = np.minimum.reduceat(order, np.flatnonzero(lcp < n))
         # int64, as numpy gathers more slowly by int32 indices
@@ -613,8 +595,8 @@ class FactorIndex:
 
     def _short_rows(self) -> list[tuple[int, int, int]]:
         """(factors, palindromes, antipalindromes) of every length 0..64, by length."""
-        lengths, starts = self._short_factors
-        forward, mirror, image = self._key_images(lengths, starts)
+        lengths, _ = self._short_factors
+        forward, mirror, image = self._short_images
         masks = (slice(None), forward == mirror, forward == image)
         return list(zip(*(np.bincount(lengths[m], minlength=_KEY_LETTERS + 1).tolist() for m in masks)))
 
@@ -661,8 +643,8 @@ class FactorIndex:
             if anti.any():
                 return self._least_half(starts[anti], k)
         lengths, starts = self._shorter(2 * min(half, _KEY_LETTERS // 2))
-        ids, _, image = self._key_images(lengths, starts)
-        anti = ids == image
+        ids, _, image = self._short_images
+        anti = ids[: lengths.size] == image[: lengths.size]
         if not anti.any():
             return ""
         longest = int(lengths[anti][-1])
@@ -679,9 +661,6 @@ class FactorIndex:
 def build_index(
     morphism: Morphism, letter: str, prefix_len: int = 100_000, n_max: int = 64
 ) -> FactorIndex:
-    # the public bound; the index itself needs n_max <= prefix_len only
-    if n_max < 1 or n_max > prefix_len // 4:
-        raise BadBounds(f"need 1 <= n_max <= prefix_len // 4, got {n_max} / {prefix_len}")
     return FactorIndex(morphism, letter, prefix_len, n_max)
 
 

@@ -68,7 +68,10 @@ def test_build_index_basics():
     assert idx.factors(1) == {"0", "1"}
     assert idx.factors(0) == {""}
     with pytest.raises(BadBounds):
-        build_index(THETA, "0", 64, 32)
+        build_index(THETA, "0", 64, 65)
+    idx = build_index(THETA, "0", 64, 32)  # n_max past prefix_len // 4
+    rows = [(r.factor_count, r.palindrome_count, r.antipalindrome_count) for r in idx.census()]
+    assert rows == [_bf_row(idx.prefix, n) for n in range(1, 33)]
     with pytest.raises(NotProlongable):
         build_index(FIB, "1", 64, 2)
 
@@ -395,9 +398,10 @@ def _bf_row(prefix, n):
 
 def test_census_matches_bruteforce():
     """Every row, certified or not, of every prolongable index with images
-    of up to 3 letters: rows up to 64 letters come from the sorted windows,
-    whose short tail windows must be masked at the prefix end, placed
-    before the windows they head, and cut short in the common heads."""
+    of up to 3 letters: rows up to 64 letters come from the indexed starts
+    in the order of their windows, whose first starts must leave room for
+    the length in the prefix and whose common heads must end where the
+    windows first differ."""
     cases = [(m, "0", 512, 16) for m in (THETA, FIB, Morphism("01", "01"))]
     for prefix_len, n_max in ((64, 16), (257, 64), (300, 64)):
         cases += [(m, letter, prefix_len, n_max) for m, letter in _prolongable_indexes(3)]
@@ -525,17 +529,21 @@ def test_factors_past_the_census_lengths_match_bruteforce():
             assert idx.factors(n) == bf_factor_set(idx.prefix, n), (str(m), n)
 
 
-def test_first_starts_search_reaches_the_last_key():
-    """Distinct keys met only at the end of the keys: the doubling runs must
-    reach it, and the start returned for each key must be its least."""
-    rng = np.random.default_rng(27)
-    for size, fresh in ((10_000, 5), (10_000, 1), (700, 300)):
-        keys = rng.integers(0, 8, size).astype(np.uint64)
-        keys[size - fresh :] = np.arange(100, 100 + fresh, dtype=np.uint64)
-        distinct = np.unique(keys)
-        starts = language._first_starts(distinct, keys)
-        assert starts.tolist() == np.unique(keys, return_index=True)[1].tolist(), (size, fresh)
-        assert starts.max() == size - 1, (size, fresh)
+def test_first_starts_of_an_uncertified_index_match_bruteforce():
+    """``0->0,1->1111110`` has no proven prefix length, so its index keys
+    all 100000 letters, and the runs of 1s grow: distinct windows first
+    occur far into the text, the last of them at 55981, and every first
+    start must still be the least start of its window."""
+    m, size = Morphism("0", "1111110"), 100000
+    idx = language.FactorIndex(m, "1", size, 64)
+    assert idx.stable_up_to == 0 and idx._size == size
+    p = idx.prefix
+    for n in (6, 7, 16, 64):
+        first = {}
+        for i in range(size - n + 1):
+            first.setdefault(p[i : i + n], i)
+        assert idx._starts(n).tolist() == [first[w] for w in sorted(first)], n
+        assert max(first.values()) == 55981, n
 
 
 def test_rank_levels_cover_the_prefix_only():
@@ -641,9 +649,9 @@ def test_antipalindromic_bispecials_at_several_lengths():
 
 def test_short_census_reads_no_ids_and_no_search(monkeypatch):
     """Certification reads the proven prefix length once, at n_max, and
-    every row up to 64 letters comes from the sorted windows of the N(64) =
-    255 letters that hold all of L_64: no rank level is built, and no
-    search for a shorter certified length is made."""
+    every row up to 64 letters comes from the order of the 64-letter keys
+    at the N(64) = 255 letters that hold all of L_64: no rank level is
+    built, and no search for a shorter certified length is made."""
     calls = {"_ranks": [], "proven_prefix_len": []}
     ranks, proven = language.FactorIndex._ranks, language.proven_prefix_len
     monkeypatch.setattr(language.FactorIndex, "_ranks", lambda self, k: calls["_ranks"].append(k) or ranks(self, k))
@@ -654,6 +662,21 @@ def test_short_census_reads_no_ids_and_no_search(monkeypatch):
     idx.census()
     assert idx.stable_up_to == 64 and idx._keys.size == 255 + 64
     assert calls == {"_ranks": [], "proven_prefix_len": [64]}
+
+
+def test_short_queries_reverse_the_short_keys_once(monkeypatch):
+    """The census and antipal_center read one set of bit-reversed keys of
+    the short factors, and e_closure_check one more of the top windows:
+    no other query reverses keys."""
+    calls = []
+    reversed_bits = language._reversed_bits
+    monkeypatch.setattr(language, "_reversed_bits", lambda keys: calls.append(keys.size) or reversed_bits(keys))
+    idx = build_index(THETA, "0", 100000, 64)
+    idx.census()
+    idx.bispecials()
+    idx.e_closure_check()
+    idx.antipal_center(32)
+    assert len(calls) <= 2, calls
 
 
 def test_window_keys_match_bruteforce_windows():
