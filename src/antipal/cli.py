@@ -31,7 +31,7 @@ from itertools import product, repeat
 from pathlib import Path
 
 from . import equations
-from .errors import AntipalError, ConsistencyError, NoSolution, NotProlongable, ParseError
+from .errors import AntipalError, BadBounds, ConsistencyError, NoSolution, NotProlongable, ParseError
 from .membership import EvidenceConfig, classify
 from .morphisms import (
     Morphism,
@@ -70,6 +70,11 @@ def _index(args, m: Morphism, n_max: int | None):
     _, host, letter = source
     if n_max is None:
         n_max = min(64, args.prefix_len // 4)
+        if n_max < 1:
+            raise BadBounds(
+                f"--max-len defaults to min(64, --prefix-len // 4), which needs --prefix-len >= 4, "
+                f"got --prefix-len {args.prefix_len}; give a larger --prefix-len or a --max-len"
+            )
     return build_index(host, letter, args.prefix_len, n_max)
 
 

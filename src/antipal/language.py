@@ -27,12 +27,16 @@ order, which is exactly the rank a sort would give, with no sort; it takes
 at most 1 MB of bool and 4 MB of int32 while the level is built.  A level
 below more ranks sorts its ids.
 
-A window's mirror image and its exchange get ids too, so that one
-comparison of ids tells a palindrome or an antipalindrome.  Up to 64
-letters they come from the bit reversal of the key.  Past that each rank
-level keeps two maps on its distinct ranks, to the rank of the reversed
-window and of its exchange, or -1 when that image is no factor of the
-indexed letters; each level's maps come from the level below.
+A second packed array, ``_back``, holds the 64 letters before each end,
+last letter first (the keys of the reversed text).  The top n bits of
+``_back[i + n]`` are the id of the mirror image of the n-window at i, and
+their complement that of its exchange, so up to 64 letters one comparison
+of ids tells a palindrome or an antipalindrome; past that the first half of
+a window is compared with them 64 letters at a time.  Only the exchange
+closure looks up the id of an image, which need not occur in the text:
+each rank level keeps one map on its distinct ranks, to the rank of the
+exchanged window or -1 when that is no indexed factor, built from the
+level below.
 
 Every length is read by one rule, from the first start of each distinct
 factor.  The S starts are put in the order of their windows, with the
@@ -69,7 +73,6 @@ _KEY_LETTERS = 64
 # table of every id, not sorted; tests set _TABLE to 0 to sort every level.
 _TABLE = 2**20
 _ALL = np.uint64(2**64 - 1)
-_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 def _window_keys(bits: np.ndarray) -> np.ndarray:
@@ -88,12 +91,6 @@ def _window_keys(bits: np.ndarray) -> np.ndarray:
     rows = np.packbits(sliding_window_view(padded, width)[:8], axis=1)
     words = np.ndarray((count, 8), dtype=">u8", buffer=rows, strides=(1, rows.strides[0]))
     return words.astype(np.uint64, order="C").reshape(-1)[:size]
-
-
-def _reversed_bits(keys: np.ndarray) -> np.ndarray:
-    """Each uint64 with its 64 bits in reverse order: every byte reversed
-    by a table, then the byte order swapped."""
-    return _REVERSED_BYTES[np.ascontiguousarray(keys).view(np.uint8)].view(np.uint64).byteswap()
 
 
 def _lookup(distinct: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -252,9 +249,10 @@ class FactorIndex:
         else:
             self.stable_up_to, self._size = self._proven_below(n_max), prefix_len
         text = text[: self._size + self._reach]
-        self._keys = _window_keys(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
+        self._bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+        self._keys = _window_keys(self._bits)
         self._levels: list[np.ndarray] = []  # level k: dense ranks of the (64 * 2**k)-windows
-        self._maps: list[tuple[np.ndarray, np.ndarray]] = []  # level k: its mirror and exchange maps
+        self._maps: list[np.ndarray] = []  # level k: its exchange map
 
     def _proven_below(self, n_max: int) -> int:
         """Largest n < n_max whose proven prefix length N(n) fits in the
@@ -301,46 +299,48 @@ class FactorIndex:
             levels.append(_level_ranks(pairs, count))
         return levels[level]
 
-    def _level_maps(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """(mirror, exchange) maps of a rank level: int32 arrays on its
-        distinct ranks, giving the rank of the reversed window and of its
-        exchange, or -1 where that image is no factor of the indexed letters
-        (and at every rank of a window that is none).
+    @cached_property
+    def _back(self) -> np.ndarray:
+        """The packed 64 letters before every end e = 0..S + C of the keyed
+        text, last letter first and letters before 0 read as 0: the keys of
+        the reversed text, with one 0 after it for e = 0, read backwards.
+        The top n bits of ``_back[i + n]`` are the id of the mirror image of
+        the n-window at i."""
+        return _window_keys(np.append(self._bits[::-1], 0))[::-1]
 
-        The maps are built from the indexed windows only, read at the
-        first start of each distinct one (``_starts``, in the order of the
-        words and so of the ranks).  At level 0 they are the distinct keys,
-        whose images are their bit reversals and the complements of those,
-        found by a binary search.  The 2b-window xy of ranks (x, y) at level
-        k + 1 reverses to R(y)R(x), so its mirror is the pair (rho(y),
-        rho(x)) of level k's mirror map rho, found among the sorted distinct
-        pairs of the level's indexed windows; the exchange E(y)E(x)
-        goes the same way through level k's exchange map.  Every level's
-        maps are built once and kept.
+    def _level_maps(self, level: int) -> np.ndarray:
+        """The exchange map of a rank level: an int32 array on its distinct
+        ranks, giving the rank of the exchange of the window, or -1 where
+        that is no factor of the indexed letters (and at every rank of a
+        window that is none).
+
+        The map is built from the indexed windows only, read at the first
+        start of each distinct one (``_starts``, in the order of the words
+        and so of the ranks).  At level 0 they are the distinct keys, and
+        the exchange of the window at s is the complement of ``_back[s +
+        64]``, found among them by a binary search.  The 2b-window xy of
+        ranks (x, y) at level k + 1 exchanges to E(y)E(x), the pair (psi(y),
+        psi(x)) of level k's map psi, found among the sorted distinct pairs
+        of the level's indexed windows.  Every level's map is built once
+        and kept.
         """
         maps, width = self._maps, self._keys.size
         while len(maps) <= level:
             k = len(maps)
             rank = self._ranks(k)
-            count = int(rank.max()) + 1
             starts = self._starts(_KEY_LETTERS << k)
             ranks = rank[starts]
             if k == 0:
-                distinct = self._keys[starts]
-                mirror = _reversed_bits(distinct)
-                images = (mirror, ~mirror)
+                distinct, image = self._keys[starts], ~self._back[starts + _KEY_LETTERS]
             else:
                 below, b = self._levels[k - 1], _KEY_LETTERS << (k - 1)
                 head, tail = below[starts], below[starts + b]
                 distinct = _pair_ids(head, tail, width)
-                images = [_image_ids(f[tail], f[head], width) for f in maps[k - 1]]
-            level_maps = []
-            for image in images:
-                at = _lookup(distinct, image)
-                mapped = np.full(count, -1, dtype=np.int32)
-                mapped[ranks] = np.where(at >= 0, ranks[at], -1)
-                level_maps.append(mapped)
-            maps.append(tuple(level_maps))
+                image = _image_ids(maps[k - 1][tail], maps[k - 1][head], width)
+            at = _lookup(distinct, image)
+            psi = np.full(int(rank.max()) + 1, -1, dtype=np.int32)
+            psi[ranks] = np.where(at >= 0, ranks[at], -1)
+            maps.append(psi)
         return maps[level]
 
     def _halves(self, n: int, starts: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -376,43 +376,53 @@ class FactorIndex:
     def _key_images(self, n, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ids of the windows of n <= 64 letters at the given starts, of
         their mirror images and of their exchanges (n may be an array, as in
-        ``_key_ids``).  Bit reversal puts a window's letter j at bit j of its
-        key, so the low n bits are the id of its mirror image, and their
-        complement that of its exchange."""
-        keys = self._keys[starts]
-        mirror = _reversed_bits(keys)
-        low = _ALL >> np.uint64(_KEY_LETTERS - n)
-        return keys >> np.uint64(_KEY_LETTERS - n), mirror & low, ~mirror & low
+        ``_key_ids``): the top n bits of the keys at the starts, of
+        ``_back`` at the ends, and the complement of the latter."""
+        shift = np.uint64(_KEY_LETTERS - n)
+        back = self._back[starts + n]
+        return self._keys[starts] >> shift, back >> shift, ~back >> shift
 
-    def _images(self, n: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ids of the length-n windows at the given starts, of their mirror
-        images and of their exchanges.
+    def _images(self, n: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the length-n windows at the given starts and of their
+        exchanges.
 
-        Past 64 letters a window with ranks (x, y) reverses to the window of
-        ranks (rho(y), rho(x)) and exchanges to (psi(y), psi(x)), by the
-        maps of its level (``_level_maps``); the image id is -1, equal to
-        no id, when that image is no factor of the indexed letters.
+        Up to 64 letters they are read from the keys and ``_back``
+        (``_key_images``).  Past that a window with ranks (x, y) exchanges
+        to the window of ranks (psi(y), psi(x)), by the map of its level
+        (``_level_maps``): the exchange need not occur in the text, so its
+        id is looked up, and it is -1, equal to no id, when that word is no
+        factor of the indexed letters.
         """
         if n <= _KEY_LETTERS:
-            return self._key_images(n, starts)
+            ids, _, image = self._key_images(n, starts)
+            return ids, image
         level, head, tail = self._halves(n, starts)
-        width = self._keys.size
-        images = (_image_ids(f[tail], f[head], width) for f in self._level_maps(level))
-        return (_pair_ids(head, tail, width), *images)
+        psi, width = self._level_maps(level), self._keys.size
+        return _pair_ids(head, tail, width), _image_ids(psi[tail], psi[head], width)
 
-    def _aligned(self, n: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Masks of the palindromes and of the antipalindromes among the
-        length-n windows (n > 64) at the given starts.
+    def _aligned(self, n: int, starts: np.ndarray, flip: np.uint64) -> np.ndarray:
+        """Mask of the length-n windows (n > 64) at the given starts that
+        equal their mirror image (``flip`` 0) or their exchange (``flip``
+        all ones).
 
-        A window with ranks (x, y) is a palindrome when its mirror image,
-        of ranks (rho(y), rho(x)), is itself, that is when rho(y) == x:
-        then R(Y) = X, so R(X) = Y and rho(x) == y follows.  Likewise with
-        psi for an antipalindrome.  One gather and one comparison per map,
-        and no image id is formed.
+        The window w at i equals R(w) when its first n // 2 letters do, and
+        R(w) from letter 64j on is ``_back[i + n - 64j]``: block j compares
+        it with the key at i + 64j on the top min(64, n // 2 - 64j) bits,
+        and E(w) is R(w) complemented.  No odd window is an antipalindrome
+        (its middle letter would be its own exchange).  The first block is
+        compared at every start, the others in one 2-D gather at the few
+        starts that pass it.
         """
-        level, head, tail = self._halves(n, starts)
-        rho, psi = self._level_maps(level)
-        return rho[tail] == head, psi[tail] == head
+        if flip and n % 2:
+            return np.zeros(starts.size, dtype=bool)
+        blocks = np.arange(0, n // 2, _KEY_LETTERS)
+        shift = (_KEY_LETTERS - np.minimum(n // 2 - blocks, _KEY_LETTERS)).astype(np.uint64)
+        hit = ((self._keys[starts] ^ self._back[starts + n] ^ flip) >> shift[0]) == 0
+        if blocks.size > 1:
+            live, blocks = starts[hit][:, None], blocks[1:]
+            rest = self._keys[live + blocks] ^ self._back[live + (n - blocks)] ^ flip
+            hit[hit] = ((rest >> shift[1:]) == 0).all(axis=1)
+        return hit
 
     @cached_property
     def _short_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -578,12 +588,11 @@ class FactorIndex:
         The rows up to 64 letters come at once from the first start of each
         distinct factor of every length (``_short_factors``): the ids of those
         windows, of their mirror images and of their exchanges (from the
-        bit reversal of the keys), compared and counted by length.  A
-        longer row takes the first start of each distinct factor from one
-        order of the indexed starts (``_starts``), with no sort, and tests
-        only the windows there against their mirror images and exchanges
-        (from the maps of a rank level).  Either way a factor is a
-        palindrome or an antipalindrome when one id comparison says so.
+        keys and ``_back``), compared and counted by length.  A longer row
+        takes the first start of each distinct factor from one order of the
+        indexed starts (``_starts``), with no sort, and tests only the
+        windows there against their mirror images and exchanges, 64 letters
+        at a time (``_aligned``).  No id of an image is looked up.
         """
         short, rows = self._short_rows(), []
         for n in lengths if lengths is not None else range(1, self.n_max + 1):
@@ -602,7 +611,7 @@ class FactorIndex:
 
     def _long_row(self, n: int) -> tuple[int, int, int]:
         starts = self._starts(n)
-        masks = self._aligned(n, starts)
+        masks = (self._aligned(n, starts, flip) for flip in (np.uint64(0), _ALL))
         return (starts.size, *(int(np.count_nonzero(m)) for m in masks))
 
     def e_closure_check(self) -> bool:
@@ -618,7 +627,7 @@ class FactorIndex:
         """
         if self.stable_up_to == 0:
             return True
-        ids, _, image = self._images(self.stable_up_to, self._top_starts)
+        ids, image = self._images(self.stable_up_to, self._top_starts)
         return set(image.tolist()) <= set(ids.tolist())
 
     def antipal_center(self, limit: int) -> str:
@@ -631,15 +640,15 @@ class FactorIndex:
         meets is the lexicographically least.  So the answer is the least
         right half among the antipalindromic factors of the greatest even
         certified length that has one.  Past 64 letters each even length,
-        from the longest down, compares the ids of the top windows' heads
-        with those of their exchanges (from the maps of a rank level); up
-        to 64 one comparison over the distinct factors of every length
-        finds the antipalindromic ones (an odd length has none).
+        from the longest down, tests the heads of the top windows against
+        their exchanges (``_aligned``); up to 64 one comparison of ids over
+        the distinct factors of every length finds the antipalindromic ones
+        (an odd length has none).
         """
         half = min(limit, self.stable_up_to // 2)
         for k in range(half, _KEY_LETTERS // 2, -1):
             starts = self._top_starts
-            anti = self._aligned(2 * k, starts)[1]
+            anti = self._aligned(2 * k, starts, _ALL)
             if anti.any():
                 return self._least_half(starts[anti], k)
         lengths, starts = self._shorter(2 * min(half, _KEY_LETTERS // 2))

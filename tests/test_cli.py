@@ -205,6 +205,20 @@ def test_bad_numeric_arguments_rejected(capsys):
     assert code == 1 and err.startswith("error: BadBounds")
 
 
+def test_short_prefix_without_max_len_names_the_options(capsys):
+    """Below 4 letters the default --max-len, a quarter of --prefix-len, is
+    0: the error names the two options the user can change, not an n_max
+    they never gave, and a --max-len that fits is answered."""
+    for command in ("factors", "bispecials"):
+        for prefix_len in ("1", "2", "3"):
+            code, out, err = run(capsys, command, "0->01,1->10", "--prefix-len", prefix_len)
+            assert code == 1 and out == "", (command, prefix_len)
+            assert err.startswith("error: BadBounds") and "--prefix-len" in err and "--max-len" in err, err
+            assert "n_max" not in err, err
+            code, _, err = run(capsys, command, "0->01,1->10", "--prefix-len", prefix_len, "--max-len", "1")
+            assert code == 0 and err == "", (command, prefix_len)
+
+
 @pytest.mark.parametrize("command", ["classify", "analyze", "factors", "bispecials", "bispecials-orbit", "fixedpoint"])
 def test_unusable_seed_letter_rejected(capsys, command):
     # 1 is prolongable neither on the Fibonacci morphism nor on its square

@@ -469,25 +469,63 @@ def test_certification_matches_sequential_scan_past_the_packed_keys():
     assert sorted(closed for _, closed in expected.values()) == [False] * 8 + [True] * 4
 
 
-def test_mirror_and_exchange_ids_past_the_packed_keys():
-    """Past 64 letters the mirror and exchange ids come from the maps of a
-    rank level: each must be the id of the reversed or exchanged factor
-    when that word is a factor of the prefix, and -1 when it is not."""
-    found = {"mirror": [0, 0], "exchange": [0, 0]}  # [images that are factors, images that are not]
+def test_exchange_ids_past_the_packed_keys():
+    """Past 64 letters the exchange ids come from the maps of a rank level:
+    each must be the id of the exchanged factor when that word is a factor
+    of the prefix, and -1 when it is not."""
+    found = [0, 0]  # [images that are factors, images that are not]
     for m, letter in _prolongable_indexes(2):
         idx = build_index(m, letter, 1200, 300)
         for n in range(65, idx.stable_up_to + 1):
             starts = idx._starts(n)
-            ids, mirror, image = idx._images(n, starts)
+            ids, image = idx._images(n, starts)
             words = [idx.prefix[i : i + n] for i in starts.tolist()]
             id_of = dict(zip(words, ids.tolist()))
             assert set(id_of) == idx.factors(n), (str(m), letter, n)
-            for name, got, move in (("mirror", mirror, lambda w: w[::-1]), ("exchange", image, exchange)):
-                expected = [id_of.get(move(w), -1) for w in words]
-                assert got.tolist() == expected, (str(m), letter, n, name)
-                found[name][0] += sum(e >= 0 for e in expected)
-                found[name][1] += expected.count(-1)
-    assert all(present and absent for present, absent in found.values()), found
+            expected = [id_of.get(exchange(w), -1) for w in words]
+            assert image.tolist() == expected, (str(m), letter, n)
+            found[0] += sum(e >= 0 for e in expected)
+            found[1] += expected.count(-1)
+    assert all(found), found
+
+
+def test_aligned_masks_match_bruteforce_at_every_start():
+    """Past 64 letters a window is compared with its mirror image and its
+    exchange where it stands, 64 letters of its first half at a time: at
+    every start of the indexed letters, not only first starts, and at every
+    length 65..300, odd or even, the masks must be those of the strings.
+    The lengths whose half is no multiple of 64 check the last, partial
+    block, and the halves past 64 letters the blocks after the first.
+    ``0->001,1->011`` has odd windows x a E(x), whose first half matches
+    their exchange although no odd word is an antipalindrome."""
+    size, n_max = 1200, 300
+    expected = {}  # by indexed text: many hosts share a prefix such as 0^1200
+    hits = {"palindrome": set(), "antipalindrome": set()}
+    odd_halves = 0
+    for m, letter in [*_prolongable_indexes(2), (Morphism("001", "1"), "0"), (Morphism("001", "011"), "0")]:
+        idx = build_index(m, letter, size, n_max)
+        text = idx.prefix[: idx._size]
+        if text not in expected:
+            expected[text] = {}
+            for n in range(65, n_max + 1):
+                words = [text[i : i + n] for i in range(len(text) - n + 1)]
+                expected[text][n] = [w == w[::-1] for w in words], [w == exchange(w) for w in words]
+                odd_halves += n % 2 and sum(w[: n // 2] == exchange(w)[: n // 2] for w in words)
+        for n, (palindromes, antipalindromes) in expected[text].items():
+            starts = np.arange(idx._size - n + 1)
+            got = idx._aligned(n, starts, np.uint64(0)), idx._aligned(n, starts, language._ALL)
+            assert got[0].tolist() == palindromes, (str(m), letter, n)
+            assert got[1].tolist() == antipalindromes, (str(m), letter, n)
+            for name, mask in zip(hits, got):
+                if mask.any() and not mask.all():
+                    hits[name].add((n % 2, n // 2 > 64, n // 2 % 64 > 0))
+    # each mask is seen both set and clear at even and odd lengths (even
+    # only for antipalindromes), with one block and with several, and with
+    # a partial last block
+    assert {(0, True, True), (0, False, True), (1, True, True), (1, False, True)} <= hits["palindrome"]
+    assert {(0, True, True), (0, False, True)} <= hits["antipalindrome"]
+    assert all(parity == 0 for parity, _, _ in hits["antipalindrome"])
+    assert odd_halves > 0
 
 
 def test_long_rows_and_first_starts_match_bruteforce():
@@ -551,7 +589,7 @@ def test_rank_levels_cover_the_prefix_only():
     the first N = N(n_max) of the prefix, and of the C = 2048 letters after
     them (the least 64 * 2**k >= n_max), so that every start of the indexed
     letters has a window at every level: N + C - 64 * 2**k + 1 of them, with
-    a mirror and an exchange map on its distinct ranks."""
+    an exchange map on its distinct ranks."""
     m = Morphism("0110", "1001")
     idx = build_index(m, "0", 20000, 1250)
     idx._level_maps(4)
@@ -559,7 +597,7 @@ def test_rank_levels_cover_the_prefix_only():
     assert size < idx.prefix_len and idx._keys.size == size + reach
     for k, rank in enumerate(idx._levels):
         assert rank.size == size + reach - (64 << k) + 1, k
-        assert [f.size for f in idx._maps[k]] == [int(rank.max()) + 1] * 2, k
+        assert [idx._maps[k].size] == [int(rank.max()) + 1], k
     assert len(idx._levels) == len(idx._maps) == 5
 
 
@@ -664,19 +702,21 @@ def test_short_census_reads_no_ids_and_no_search(monkeypatch):
     assert calls == {"_ranks": [], "proven_prefix_len": [64]}
 
 
-def test_short_queries_reverse_the_short_keys_once(monkeypatch):
-    """The census and antipal_center read one set of bit-reversed keys of
-    the short factors, and e_closure_check one more of the top windows:
-    no other query reverses keys."""
-    calls = []
-    reversed_bits = language._reversed_bits
-    monkeypatch.setattr(language, "_reversed_bits", lambda keys: calls.append(keys.size) or reversed_bits(keys))
-    idx = build_index(THETA, "0", 100000, 64)
-    idx.census()
+def test_only_the_exchange_closure_builds_exchange_maps():
+    """The census, antipal_center and bispecials read the keys, ``_back``
+    and the rank levels only: past 64 letters they test each window where
+    it stands and build no exchange map.  e_closure_check looks up the
+    exchanges of the top windows, which need not occur in the text, so it
+    builds one exchange map on each rank level up to the top one."""
+    idx = build_index(Morphism("0110", "1001"), "0", 20000, 1250)
+    idx.census([*range(1, 65), 96, 128, 192, 256, 384, 512, 768, 1024, 1250])
+    assert len(idx.antipal_center(625)) > 64
     idx.bispecials()
-    idx.e_closure_check()
-    idx.antipal_center(32)
-    assert len(calls) <= 2, calls
+    assert idx._maps == []
+    assert idx.e_closure_check() is True
+    assert len(idx._maps) == len(idx._levels) == 5  # the top windows' level, 1024 letters, and those below
+    for psi, rank in zip(idx._maps, idx._levels):
+        assert psi.dtype == np.int32 and psi.size == int(rank.max()) + 1
 
 
 def test_window_keys_match_bruteforce_windows():
@@ -688,6 +728,19 @@ def test_window_keys_match_bruteforce_windows():
         keys = language._window_keys(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
         expected = [int(text[i : i + 64].ljust(64, "0"), 2) for i in range(size)]
         assert keys.dtype == np.uint64 and keys.tolist() == expected, size
+
+
+def test_back_keys_match_bruteforce_windows():
+    """``_back[e]`` packs the 64 letters before every end e = 0..L of the
+    keyed text, last letter first and letters before 0 read as 0, at every
+    size up to 130 letters and at 1001."""
+    rng = np.random.default_rng(22)
+    for size in (*range(1, 131), 1001):
+        text = "".join(rng.choice(["0", "1"], size))
+        idx = object.__new__(language.FactorIndex)  # _back reads the keyed text alone
+        idx._bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+        expected = [int(text[max(0, e - 64) : e][::-1].ljust(64, "0"), 2) for e in range(size + 1)]
+        assert idx._back.dtype == np.uint64 and idx._back.tolist() == expected, size
 
 
 # stable_up_to 64 (the census indexes' shape, and Thue-Morse at N(64) =
