@@ -75,6 +75,10 @@ def _index(args, m: Morphism, n_max: int | None):
                 f"--max-len defaults to min(64, --prefix-len // 4), which needs --prefix-len >= 4, "
                 f"got --prefix-len {args.prefix_len}; give a larger --prefix-len or a --max-len"
             )
+    elif n_max > args.prefix_len:
+        raise BadBounds(
+            f"--max-len must be at most --prefix-len, got --max-len {n_max} and --prefix-len {args.prefix_len}"
+        )
     return build_index(host, letter, args.prefix_len, n_max)
 
 
@@ -481,12 +485,12 @@ def _parser() -> argparse.ArgumentParser:
     p = command("factors", cmd_factors, "per-length factor census of a fixed-point prefix", (prefix, seed),
                 formats=("text", "json", "csv"))
     p.add_argument("morphism")
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=_at_least(1), default=None)
     p.add_argument("--list", action="store_true", help="also list factors of length <= 8")
 
     p = command("bispecials", cmd_bispecials, "bispecial factors, or a successor orbit", (prefix, seed))
     p.add_argument("morphism")
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=_at_least(1), default=None)
     p.add_argument("--orbit", default=None, help="seed word for the successor orbit")
     p.add_argument("--steps", type=_at_least(0), default=3)
 

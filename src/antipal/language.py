@@ -48,9 +48,12 @@ room for n letters in the S indexed ones are their n-factors.  One order
 of the S starts by their C-letter windows serves every length up to C: one
 argsort of the keys when C = 64, one sort of pairs of ranks past that.
 Up to 64 letters one batched pass over it gives the first starts of every
-length at once, and from them every census row, the bispecial factors and
-the antipalindromic centres; a longer census row tests the first starts
-of its length only.  No query sorts every window, and strings are cut
+length at once, and from them every census row and the antipalindromic
+centres; a longer census row tests the first starts of its length only.
+The bispecial factors of every length come from one pass over its
+neighbours: a pair that shares exactly k letters gives a right special
+k-factor, and the letters before the starts of its run tell whether that
+factor is left special.  No query sorts every window, and strings are cut
 only for answers.
 """
 
@@ -204,17 +207,18 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.where(high > 0, high + 32, low)
 
 
-def _repeated(ids: np.ndarray) -> np.ndarray:
-    """The values that occur twice, where none occurs more often (as for
-    the heads or the tails of distinct binary words one letter longer)."""
-    ordered = np.sort(ids)
-    return ordered[1:][ordered[1:] == ordered[:-1]]
-
-
-def _bispecial_ids(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """The sorted ids that are both a repeated head (right special) and a
-    repeated tail (left special) of the distinct longer factors."""
-    return _repeated(np.concatenate((_repeated(heads), _repeated(tails))))
+def _since(values: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """At every place i, the least of the non-negative ``values[m..i]``, m
+    the last marked place at or before i, or -1 where no place up to i is
+    marked.  One ``np.minimum.accumulate`` reads every run at once: the run
+    from the r-th mark is shifted down by r times a step above every value,
+    so each run lies below all the runs before it, and shifted back after.
+    """
+    run = np.cumsum(marks, dtype=np.int64)
+    run *= int(values.max(initial=0)) + 2
+    shifted = values - run
+    shifted[run == 0] = -1  # before the first mark
+    return np.minimum.accumulate(shifted) + run
 
 
 @dataclass(frozen=True)
@@ -248,8 +252,8 @@ class FactorIndex:
             self.stable_up_to, self._size = n_max, bound
         else:
             self.stable_up_to, self._size = self._proven_below(n_max), prefix_len
-        text = text[: self._size + self._reach]
-        self._bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+        self._text = text[: self._size + self._reach]
+        self._bits = np.frombuffer(self._text.encode("ascii"), dtype=np.uint8) - ord("0")
         self._keys = _window_keys(self._bits)
         self._levels: list[np.ndarray] = []  # level k: dense ranks of the (64 * 2**k)-windows
         self._maps: list[np.ndarray] = []  # level k: its exchange map
@@ -343,40 +347,10 @@ class FactorIndex:
             maps.append(psi)
         return maps[level]
 
-    def _halves(self, n: int, starts: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-        """For n > 64: the level of the a-windows (a <= n < 2a) that cover
-        each length-n window, and the ranks of the a-window at the window's
-        start and of the one ending where it ends, at the given starts."""
-        level = (n // _KEY_LETTERS).bit_length() - 1
-        a, rank = _KEY_LETTERS << level, self._ranks(level)
-        return level, rank[starts], rank[starts + (n - a)]
-
-    def _key_ids(self, n, starts: np.ndarray) -> np.ndarray:
-        """Ids of the windows of n <= 64 letters at the given starts: the
-        top n bits of their keys.  n may be an array, one length per start
-        (n = 0 gives the empty word's id: a shift by the full key width
-        yields 0)."""
-        return self._keys[starts] >> np.uint64(_KEY_LETTERS - n)
-
-    def _ids_at(self, n: int, starts: np.ndarray) -> np.ndarray:
-        """Exact ids of the length-n windows at the given starts.
-
-        Past 64 letters the window is the a-window at its start followed
-        by the one ending where it ends (a <= n < 2a, so the two cover it),
-        and the id pairs their ranks, read as ``head * T + tail`` with T the
-        keyed text's length, above every rank.  Two words that agree on
-        their first a letters differ first inside the last a, so the ids
-        are ordered as the words are.
-        """
-        if n <= _KEY_LETTERS:
-            return self._key_ids(n, starts)
-        _, head, tail = self._halves(n, starts)
-        return _pair_ids(head, tail, self._keys.size)
-
     def _key_images(self, n, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ids of the windows of n <= 64 letters at the given starts, of
-        their mirror images and of their exchanges (n may be an array, as in
-        ``_key_ids``): the top n bits of the keys at the starts, of
+        their mirror images and of their exchanges (n may be an array, one
+        length per start): the top n bits of the keys at the starts, of
         ``_back`` at the ends, and the complement of the latter."""
         shift = np.uint64(_KEY_LETTERS - n)
         back = self._back[starts + n]
@@ -396,7 +370,10 @@ class FactorIndex:
         if n <= _KEY_LETTERS:
             ids, _, image = self._key_images(n, starts)
             return ids, image
-        level, head, tail = self._halves(n, starts)
+        # the a-windows (a <= n < 2a) at the window's start and ending at its end cover it
+        level = (n // _KEY_LETTERS).bit_length() - 1
+        a, rank = _KEY_LETTERS << level, self._ranks(level)
+        head, tail = rank[starts], rank[starts + (n - a)]
         psi, width = self._level_maps(level), self._keys.size
         return _pair_ids(head, tail, width), _image_ids(psi[tail], psi[head], width)
 
@@ -503,6 +480,14 @@ class FactorIndex:
         lcp[differ + 1] = common
         return order, lcp
 
+    @cached_property
+    def _places(self) -> np.ndarray:
+        """The place of each indexed start in ``_suffixes`` (the inverse of its order)."""
+        order, _ = self._suffixes
+        places = np.empty_like(order)
+        places[order] = np.arange(order.size, dtype=order.dtype)
+        return places
+
     def _starts(self, n: int) -> np.ndarray:
         """The first start of each distinct length-n window (n <= n_max) of
         the indexed letters, in the order of the words: the least start of
@@ -548,36 +533,40 @@ class FactorIndex:
         return frozenset(self.prefix[i : i + n] for i in starts.tolist())
 
     def bispecials(self) -> tuple[str, ...]:
-        """All bispecial factors within the certified range, shortest first.
+        """All bispecial factors within the certified range, shortest first,
+        by one rule at every length over the neighbours of ``_suffixes``
+        (its lcp intervals: Abouelhoda, Kurtz & Ohlebusch, J. Discrete
+        Algorithms 2, 2004).
 
-        Up to 63 letters one pass covers every length: the certified
-        factors of 1..64 letters (``_short_factors``) give the ids of their
-        heads and tails (their own ids less the last bit, or less the top
-        one), each with a bit set above it for its length, so
-        ids of different lengths stay apart and sort by length first, then
-        lexicographically.  The heads are sorted already, as the factors
-        are, so a binary search finds a start for each bispecial id.
-        A longer length k goes alone: as k < ``stable_up_to`` the indexed
-        (k+1)-factors are all of L_(k+1), and the first starts
-        of the distinct ones (``_starts``) give the k-ids of their heads and
-        of their tails.  A head id that occurs twice is a right special
-        k-factor, a tail id that occurs twice a left special one.  Only the
-        bispecial factors are cut from the prefix.
+        The starts whose windows begin with a k-letter w form one run of
+        neighbours joined by lcp >= k, those continued by 0 first, so each
+        pair j with ``lcp[j]`` = k < ``stable_up_to`` gives one right special
+        k-factor, and as the indexed starts hold all of L_(k+1) every one
+        comes this way.  w is left special when a pair inside its run has
+        different letters before its two starts: the nearest such pair on
+        either side of j has no lcp below k between it and j (``_since``,
+        forward and reversed).  Start 0 takes the letter before its
+        neighbour of longer common head, which lies in every run of two or
+        more starts that holds it, so it adds no false difference, and it
+        misses none, as every x·w of L_(k+1) also occurs at a start >= 1.
+        A pair that shares at least ``stable_up_to`` letters, with equal
+        letters before its starts, bounds no run and marks none: it is
+        dropped.  A stable sort by lcp puts the pairs, in the order of the
+        words, shortest first; the words are cut from the keyed text, as a
+        window may run past the prefix.
         """
+        order, lcp = self._suffixes
         top = self.stable_up_to
-        lengths, longer = self._shorter(min(top, _KEY_LETTERS))
-        n = (lengths - 1).astype(np.uint64)
-        tag = np.uint64(1) << n
-        ids = self._key_ids(lengths, longer)
-        heads = (ids >> np.uint64(1)) | tag
-        both = _bispecial_ids(heads, (ids & ~(_ALL << n)) | tag)
-        at = np.searchsorted(heads, both)
-        found = [self.prefix[i : i + k] for i, k in zip(longer[at].tolist(), n[at].tolist())]
-        for k in range(_KEY_LETTERS, top):
-            longer = self._starts(k + 1)
-            heads, tails = self._ids_at(k, longer), self._ids_at(k, longer + 1)
-            found.extend(sorted(self._cut(longer[np.isin(heads, _bispecial_ids(heads, tails))], k)))
-        return tuple(found)
+        before = self._bits[order - 1]
+        p = int(np.argmin(order))  # the place of start 0
+        before[p] = before[p - 1 if p + 1 == order.size or lcp[p] > lcp[p + 1] else p + 1]
+        differ = before[1:] != before[:-1]  # at j - 1, for the pair j
+        pairs = np.flatnonzero(differ | (lcp[1:] < top)) + 1
+        common, differ = lcp[pairs], differ[pairs - 1]
+        left = np.maximum(_since(common, differ), _since(common[::-1], differ[::-1])[::-1]) >= common
+        found = pairs[left & (common < top)]
+        found = found[np.argsort(lcp[found], kind="stable")]
+        return tuple(self._text[i : i + k] for i, k in zip(order[found].tolist(), lcp[found].tolist()))
 
     def census(self, lengths=None) -> tuple[CensusRow, ...]:
         """Distinct factor / palindrome / antipalindrome counts per length.
@@ -660,10 +649,12 @@ class FactorIndex:
         return self._least_half(starts[anti & (lengths == longest)], longest // 2)
 
     def _least_half(self, starts: np.ndarray, k: int) -> str:
-        """The least right half of the 2k-letter windows at the given starts
-        (ids are ordered as the words are)."""
+        """The least right half of the 2k-letter windows at the given starts:
+        the one whose start comes first in ``_suffixes``.  Each right half
+        starts at an indexed start, as its window's first start leaves room
+        for it."""
         right = starts + k
-        i = int(right[np.argmin(self._ids_at(k, right))])
+        i = int(right[np.argmin(self._places[right])])
         return self.prefix[i : i + k]
 
 

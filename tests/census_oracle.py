@@ -37,6 +37,14 @@ prints ``[morphism, letter, prefix length, n_max, stable_up_to,
 e_closure_check(), antipal_center(150)]`` for the indexes at (1200, 300):
 an oracle for the exchange ids past 64 letters off the grid family.
 
+    PYTHONPATH=src python tests/census_oracle.py --long-bispecials > long-bispecials.jsonl
+
+prints ``[morphism, letter, prefix length, n_max, stable_up_to,
+bispecials()]`` for the indexes with images of up to 4 letters at (1200,
+300): an oracle for the bispecial factors past 64 letters, those that head
+the prefix among them, on more hosts than the images of up to 3 letters
+that ``--queries`` reads.
+
     PYTHONPATH=src python tests/census_oracle.py --boundaries > boundaries.jsonl
 
 prints ``[morphism, letter, prefix length, n_max, stable_up_to,
@@ -54,6 +62,7 @@ from antipal.language import build_index
 from antipal.morphisms import Morphism, prolongable_letters
 
 CASES = ((4, 2000, 64), (3, 1200, 300))
+LONG_BISPECIALS = ((4, 1200, 300),)
 BOUNDARIES = tuple((2, 4 * n_max + 3, n_max) for n_max in (65, 128, 129, 256, 257))
 GRID = [*range(1, 65), 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096, 6144]
 
@@ -92,6 +101,11 @@ def long_query_lines():
         yield json.dumps([*head(idx), idx.e_closure_check(), idx.antipal_center(150)]) + "\n"
 
 
+def long_bispecial_lines():
+    for idx in indexes(LONG_BISPECIALS):
+        yield json.dumps([*head(idx), list(idx.bispecials())]) + "\n"
+
+
 def boundary_lines():
     for idx in indexes(BOUNDARIES):
         rows = [
@@ -113,6 +127,7 @@ if __name__ == "__main__":
         "--grid": lambda: lines(grid_indexes, GRID),
         "--grid-queries": lambda: query_lines(grid_indexes, 64),
         "--long-queries": long_query_lines,
+        "--long-bispecials": long_bispecial_lines,
         "--boundaries": boundary_lines,
     }
     sys.stdout.writelines(modes[sys.argv[1]]() if sys.argv[1:] else lines())

@@ -202,7 +202,7 @@ def test_bad_numeric_arguments_rejected(capsys):
     code, _, err = run(capsys, "classify", "0->01,1->10", "--prefix-len", "0")
     assert code == 1 and err.startswith("error: PreconditionViolated")
     code, _, err = run(capsys, "factors", "0->01,1->10", "--max-len", "0")
-    assert code == 1 and err.startswith("error: BadBounds")
+    assert code == 1 and "argument --max-len: must be at least 1, got 0" in err
 
 
 def test_short_prefix_without_max_len_names_the_options(capsys):
@@ -217,6 +217,24 @@ def test_short_prefix_without_max_len_names_the_options(capsys):
             assert "n_max" not in err, err
             code, _, err = run(capsys, command, "0->01,1->10", "--prefix-len", prefix_len, "--max-len", "1")
             assert code == 0 and err == "", (command, prefix_len)
+
+
+@pytest.mark.parametrize("command", ["factors", "bispecials"])
+def test_max_len_bounds_name_the_options(capsys, command):
+    """A --max-len below 1 is refused by the parser, and one past
+    --prefix-len by an error that names both options, not an n_max the
+    user never typed."""
+    for max_len in ("0", "-3"):
+        code, out, err = run(capsys, command, "0->01,1->10", "--max-len", max_len)
+        assert code == 1 and out == "", max_len
+        assert f"argument --max-len: must be at least 1, got {max_len}" in err, err
+    for options in (("--max-len", "30000"), ("--max-len", "401", "--prefix-len", "400")):
+        code, out, err = run(capsys, command, "0->01,1->10", *options)
+        assert code == 1 and out == "", options
+        assert err.startswith("error: BadBounds") and "--max-len" in err and "--prefix-len" in err, err
+        assert "n_max" not in err, err
+    code, _, err = run(capsys, command, "0->01,1->10", "--max-len", "400", "--prefix-len", "400")
+    assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("command", ["classify", "analyze", "factors", "bispecials", "bispecials-orbit", "fixedpoint"])

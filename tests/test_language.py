@@ -80,8 +80,8 @@ def test_build_index_basics():
 # there certifies fewer than n_max lengths, as N(64) = 479, so factors() also
 # reads uncertified rows; 0->000001 at 8 letters certifies none, and
 # Fibonacci at n_max 2 stops just where E-closure first fails.  Thue-Morse
-# and Fibonacci at (1200, 300) certify past 64 letters, where the bispecial
-# factors come from the rank levels one length at a time.
+# and Fibonacci at (1200, 300) certify past 64 letters, and have bispecial
+# factors longer than the packed keys.
 EXACT_SET_INDEXES = (
     (THETA, 512, 16),
     (THETA, 256, 64),
@@ -467,6 +467,50 @@ def test_certification_matches_sequential_scan_past_the_packed_keys():
         tops.add(idx.stable_up_to)
     assert {0, 257, 300} == tops
     assert sorted(closed for _, closed in expected.values()) == [False] * 8 + [True] * 4
+
+
+def test_bispecials_where_start_0_has_no_letter_before_it():
+    """Start 0 of ``0->1,1->101`` from letter 1 lies inside the runs of
+    windows of bispecial factors past 64 letters, and has no letter before
+    it: it takes the letter before its neighbour of longer common head.
+    The hosts with images of up to 2 letters never reach this past 64."""
+    idx = build_index(Morphism("1", "101"), "1", 1200, 300)
+    bispecials = idx.bispecials()
+    assert idx.stable_up_to == 300 and max(map(len, bispecials)) == 237
+    assert int(idx._places[0]) == 557
+    assert bispecials == tuple(bf_bispecials(idx.prefix, 300))
+
+
+def test_since_matches_bruteforce():
+    def since(values, marks):
+        out = []
+        for i in range(len(values)):
+            marked = [m for m in range(i + 1) if marks[m]]
+            out.append(min(values[marked[-1] : i + 1]) if marked else -1)
+        return out
+
+    rng = np.random.default_rng(50)
+    cases = [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=bool))]
+    for size in (1, 2, 7, 40):
+        values = rng.integers(0, 9, size).astype(np.int32)
+        cases += [(values, np.zeros(size, dtype=bool)), (values, np.arange(size) == 0)]
+        cases += [(values, rng.random(size) < p) for p in (0.1, 0.5, 0.9)]
+    for values, marks in cases:
+        assert language._since(values, marks).tolist() == since(values.tolist(), marks.tolist())
+
+
+def test_bispecials_read_no_length_alone(monkeypatch):
+    """The bispecial factors of every length come from one pass over the
+    order of the indexed starts: none is read from the first starts of one
+    length."""
+    idx = build_index(Morphism("0110", "1001"), "0", 20000, 1250)
+    idx.census()
+
+    def per_length(*args):
+        raise AssertionError("a pass per length")
+
+    monkeypatch.setattr(language.FactorIndex, "_starts", per_length)
+    assert max(map(len, idx.bispecials())) == 1024
 
 
 def test_exchange_ids_past_the_packed_keys():
