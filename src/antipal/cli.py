@@ -148,7 +148,7 @@ def _report_text(report: dict) -> str:
 
 def cmd_classify(args) -> int:
     m = parse_morphism(args.morphism)
-    cfg = EvidenceConfig(args.prefix_len, args.evidence_factor, args.seed_letter)
+    cfg = EvidenceConfig(args.prefix_len, args.seed_letter)
     report = classify(m, cfg).to_dict()
     _emit(args, report, _report_text(report))
     return 0
@@ -156,7 +156,7 @@ def cmd_classify(args) -> int:
 
 def cmd_analyze(args) -> int:
     m = parse_morphism(args.morphism)
-    cfg = EvidenceConfig(args.prefix_len, args.evidence_factor, args.seed_letter)
+    cfg = EvidenceConfig(args.prefix_len, args.seed_letter)
     full = classify(m, cfg)
     report = full.to_dict()
     chain = full.chain
@@ -391,7 +391,7 @@ def _complete_records(path: Path, space: list[str], cfg: EvidenceConfig) -> tupl
 
 
 def cmd_scan(args) -> int:
-    cfg = EvidenceConfig(args.prefix_len, args.evidence_factor)
+    cfg = EvidenceConfig(args.prefix_len)
     space = scan_space(args.max_image_len)
     out = Path(args.out)
 
@@ -421,13 +421,10 @@ def cmd_scan(args) -> int:
         "counterexample_candidates": candidates,
         "out": str(out),
     }
-    if args.format == "json":
-        print(json.dumps(summary, indent=2))
-    else:
-        print(f"records: {summary['records']} (resumed {summary['resumed']}) -> {out}")
-        for v, n in summary["verdicts"].items():
-            print(f"  {v}: {n}")
-        print(f"counterexample candidates: {len(candidates)}")
+    text = [f"records: {records} (resumed {resumed}) -> {out}"]
+    text += [f"  {v}: {n}" for v, n in summary["verdicts"].items()]
+    text.append(f"counterexample candidates: {len(candidates)}")
+    _emit(args, summary, "\n".join(text))
     if candidates:
         print(
             "CONSISTENCY ALERT: counterexample candidate(s) found: "
@@ -471,11 +468,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = command("analyze", cmd_analyze, "full report: classes, chain, frequencies, census", (prefix, seed))
     p.add_argument("morphism")
-    p.add_argument("--evidence-factor", type=int, default=4)
 
     p = command("classify", cmd_classify, "classification report only", (prefix, seed))
     p.add_argument("morphism")
-    p.add_argument("--evidence-factor", type=int, default=4)
 
     p = command("fixedpoint", cmd_fixedpoint, "print a fixed-point prefix")
     p.add_argument("morphism")
@@ -502,7 +497,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-image-len", type=_at_least(1), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--parallelism", type=_at_least(1), default=1, help="capped at the core count")
-    p.add_argument("--evidence-factor", type=int, default=4)
     p.add_argument("--overwrite", action="store_true")
 
     return parser

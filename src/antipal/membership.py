@@ -385,28 +385,29 @@ def _membership(kind, enumerate_witnesses, m, chain, m2, chain2) -> ClassMembers
     return ClassMembership(direct, conjugate, on_square, square_conjugate)
 
 
+# The second evidence prefix is this many times as long as the first.
+_SCALE = 4
+
+
 @dataclass(frozen=True)
 class EvidenceConfig:
     """Parameters for the two-scale antipalindrome evidence."""
 
     prefix_len: int = 25_000
-    factor: int = 4
     seed_letter: str | None = None
 
     def __post_init__(self):
         if self.prefix_len < 1:
             raise PreconditionViolated(f"prefix length must be at least 1, got {self.prefix_len}")
-        if self.factor < 2:
-            raise PreconditionViolated(f"evidence factor must be at least 2, got {self.factor}")
         if self.big_len >= _MAX_LEN:
             raise PreconditionViolated(
-                f"the evidence prefix must be shorter than {_MAX_LEN} letters, got {self.prefix_len} * {self.factor}"
+                f"the evidence prefix must be shorter than {_MAX_LEN} letters, got {_SCALE} * {self.prefix_len}"
             )
 
     @property
     def big_len(self) -> int:
         """Length of the second, longer evidence prefix."""
-        return self.prefix_len * self.factor
+        return _SCALE * self.prefix_len
 
 
 @dataclass(frozen=True)

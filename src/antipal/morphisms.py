@@ -93,9 +93,8 @@ def is_uniform(m: Morphism) -> bool:
 
 def is_primitive(m: Morphism) -> bool:
     """Entrywise positivity of the squared incidence matrix (binary Wielandt exponent)."""
-    (a, b), (c, d) = incidence(m)
-    sq = (a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d)
-    return all(entry > 0 for entry in sq)
+    counts = incidence(m)
+    return all(entry > 0 for row in counts for entry in _times(row, counts))
 
 
 def prolongable_letters(m: Morphism) -> frozenset[str]:

@@ -1,6 +1,8 @@
+import argparse
 import concurrent.futures
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -197,8 +199,8 @@ def test_scan_records_round_trip(tmp_path, capsys):
 
 
 def test_bad_numeric_arguments_rejected(capsys):
-    code, _, err = run(capsys, "classify", "0->01,1->10", "--evidence-factor", "1")
-    assert code == 1 and err.startswith("error: PreconditionViolated")
+    code, _, err = run(capsys, "classify", "0->01,1->10", "--evidence-factor", "4")
+    assert code == 1 and "unrecognized arguments: --evidence-factor 4" in err
     code, _, err = run(capsys, "classify", "0->01,1->10", "--prefix-len", "0")
     assert code == 1 and err.startswith("error: PreconditionViolated")
     code, _, err = run(capsys, "factors", "0->01,1->10", "--max-len", "0")
@@ -305,6 +307,9 @@ def test_analyze_short_prefix_has_no_census(capsys):
         ["fixedpoint", "0->01,1->10", "--seed-letter", "1"],
         ["equation", "commutation", "01", "01", "--prefix-len", "5"],
         ["classify", "0->01,1->10", "--format", "csv"],
+        # one option, --prefix-len, sets both evidence scales
+        ["analyze", "0->01,1->10", "--evidence-factor", "4"],
+        ["scan", "--max-image-len", "1", "--evidence-factor", "4"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
@@ -316,6 +321,18 @@ def test_options_rejected_at_parse_time(tmp_path, capsys, argv):
     assert code == 1 and stdout == ""
     assert "usage:" in err
     assert not out.exists()
+
+
+def test_readme_option_table_matches_the_parser():
+    """Each row of README's option table lists exactly the options that
+    subcommand's parser offers, --help aside."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = dict(re.findall(r"^\| `([a-z]+)` +\| (.*) \|$", readme.read_text(), re.MULTILINE))
+    subparsers = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert rows.keys() == subparsers.choices.keys()
+    for name, listed in rows.items():
+        offered = [o for a in subparsers.choices[name]._actions for o in a.option_strings if o.startswith("--")]
+        assert sorted(re.findall(r"`(--[a-z-]+)`", listed)) == sorted(o for o in offered if o != "--help"), name
 
 
 def _scan(capsys, out, *extra):
@@ -351,13 +368,17 @@ def test_scan_resume_refuses_other_settings(tmp_path, capsys):
     _scan(capsys, full, "--prefix-len", "1000", "--overwrite")
     lines = full.read_bytes().split(b"\n")
     damaged = b"\n".join(lines[:8]) + b"\n" + lines[8][:40]
+    # records whose longer scale is twice, not four times, the shorter one
+    halved = damaged.replace(b'"big_len":4000', b'"big_len":2000')
+    assert halved != damaged
     out = tmp_path / "resume.jsonl"
-    out.write_bytes(damaged)
-    for other in (["--prefix-len", "2000"], ["--prefix-len", "1000", "--evidence-factor", "2"]):
-        code, stdout, err = _scan(capsys, out, *other)
+    for made, prefix_len, lengths in ((damaged, "2000", "(1000, 4000)"), (halved, "1000", "(1000, 2000)")):
+        out.write_bytes(made)
+        code, stdout, err = _scan(capsys, out, "--prefix-len", prefix_len)
         assert code == 1 and stdout == ""
-        assert "made with evidence lengths (1000, 4000)" in err
-        assert out.read_bytes() == damaged
+        assert f"made with evidence lengths {lengths}" in err
+        assert out.read_bytes() == made
+    out.write_bytes(damaged)
     code, stdout, _ = _scan(capsys, out, "--prefix-len", "1000")
     assert code == 0 and json.loads(stdout)["resumed"] == 8
     assert out.read_bytes() == full.read_bytes()

@@ -377,10 +377,11 @@ def test_constructive_antipalindromes_a1():
 
 
 def test_evidence_config_rejects_lengths_the_kernel_cannot_take():
-    # the longer evidence prefix is prefix_len * factor letters; the kernel takes fewer than 2**30
-    with pytest.raises(PreconditionViolated):
-        EvidenceConfig(2**28, 4)
-    assert EvidenceConfig(2**28 - 1, 4).big_len == 2**30 - 4
+    # the longer evidence prefix is 4 * prefix_len letters; the kernel takes fewer than 2**30
+    with pytest.raises(PreconditionViolated, match=r"got 4 \* 268435456"):
+        EvidenceConfig(2**28)
+    assert EvidenceConfig(2**28 - 1).big_len == 2**30 - 4
+    assert [f.name for f in fields(EvidenceConfig)] == ["prefix_len", "seed_letter"]
 
 
 def test_a2_rebalance_preserves_fixed_point():
