@@ -63,37 +63,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadBounds, CyclicMorphism
 from .morphisms import Morphism, apply, conjugacy_chain, fixed_point_prefix, proven_prefix_len
-from .words import Word
+from .words import _KEY_LETTERS, Word, _bit_length, _window_keys
 # unused here, but perfbench/spans.py traces longest_antipalindrome at this binding
 from .words import longest_antipalindrome
 
-_KEY_LETTERS = 64
 # A rank level whose pair ids number at most _TABLE is ranked through a
 # table of every id, not sorted; tests set _TABLE to 0 to sort every level.
 _TABLE = 2**20
 _ALL = np.uint64(2**64 - 1)
-
-
-def _window_keys(bits: np.ndarray) -> np.ndarray:
-    """The packed 64-letter key at every start of a 0/1 array, first letter
-    in the top bit and letters past the end read as 0.
-
-    Row r of a byte matrix packs the letters from r on, so the key at
-    start 8j + r is the big-endian 8-byte word at byte j of row r: one
-    ``np.packbits`` and one strided read of all the keys.
-    """
-    size = bits.size
-    count = -(-size // 8)  # keys per row
-    width = 8 * (count + 7)  # letters per row: the last key reads 8 bytes
-    padded = np.zeros(width + 7, dtype=np.uint8)
-    padded[:size] = bits
-    rows = np.packbits(sliding_window_view(padded, width)[:8], axis=1)
-    words = np.ndarray((count, 8), dtype=">u8", buffer=rows, strides=(1, rows.strides[0]))
-    return words.astype(np.uint64, order="C").reshape(-1)[:size]
 
 
 def _lookup(distinct: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -197,14 +177,6 @@ def _level_ranks(keys: np.ndarray, count: int | None = None) -> np.ndarray:
         table[ids] = np.arange(ids.size, dtype=np.int32)
         return table[keys]
     return _dense_rank(keys)
-
-
-def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Bit length of each uint64 (the frexp exponent of each 32-bit half,
-    which a float64 holds exactly)."""
-    high = np.frexp((x >> np.uint64(32)).astype(np.float64))[1]
-    low = np.frexp((x & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
-    return np.where(high > 0, high + 32, low)
 
 
 def _since(values: np.ndarray, marks: np.ndarray) -> np.ndarray:

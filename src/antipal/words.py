@@ -10,8 +10,9 @@ the order.  A word fixed by ``reverse`` is a palindrome, a word fixed by
 ``exchange`` is an antipalindrome.  Antipalindromes have even length and
 the empty word is the only word that is both.
 
-The antipalindrome kernel imports numpy inside its functions, on first
-call, so importing this module does not load numpy.
+The antipalindrome kernel, and the packed 64-letter windows it shares with
+the factor index, import numpy inside their functions, on first call, so
+importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -125,28 +126,47 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     return w[:p], len(w) // p
 
 
-def _packed_keys(bits: np.ndarray) -> np.ndarray:
-    """From each start of a 0/1 array, 16 letters packed into one uint16
-    with the first letter in the top bit.
+# The packed-window format the antipalindrome kernel and the factor index
+# share: each start of a 0/1 array reads the _KEY_LETTERS letters from it
+# as one uint64, first letter in the top bit, and the first letter where
+# two windows differ is read from the bit length of their xor.
+_KEY_LETTERS = 64
 
-    Doubling steps: the key of 2b letters at i is the b-letter key at i
-    shifted up by b, or-ed with the b-letter key at i + b.  Letters past
-    the end read as 0, so the top k bits of a key are the k-letter window
-    at its start whenever that window lies inside the array.
+
+def _window_keys(bits: np.ndarray) -> np.ndarray:
+    """The packed 64-letter key at every start of a 0/1 array, first letter
+    in the top bit and letters past the end read as 0.
+
+    Row r of a byte matrix packs the letters from r on, so the key at
+    start 8j + r is the big-endian 8-byte word at byte j of row r: one
+    ``np.packbits`` and one strided read of all the keys.
     """
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
-    keys, b = bits.astype(np.uint16), 1
-    while b < 16:
-        wider = keys << np.uint16(b)
-        wider[:-b] |= keys[b:]
-        keys, b = wider, 2 * b
-    return keys
+    size = bits.size
+    count = -(-size // 8)  # keys per row
+    width = 8 * (count + 7)  # letters per row: the last key reads 8 bytes
+    padded = np.zeros(width + 7, dtype=np.uint8)
+    padded[:size] = bits
+    rows = np.packbits(sliding_window_view(padded, width)[:8], axis=1)
+    words = np.ndarray((count, 8), dtype=">u8", buffer=rows, strides=(1, rows.strides[0]))
+    return words.astype(np.uint64, order="C").reshape(-1)[:size]
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """Bit length of each uint64 (the frexp exponent of each 32-bit half,
+    which a float64 holds exactly)."""
+    import numpy as np
+
+    high = np.frexp((x >> np.uint64(32)).astype(np.float64))[1]
+    low = np.frexp((x & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(high > 0, high + 32, low)
 
 
 # The antipalindrome kernel settles the radii below _EXACT letters from the
-# letters alone and reads every longer radius from packed uint16 keys in a
-# doubling search.  Before a search pass that would compare more than
+# letters alone and reads every longer radius from the packed 64-letter keys
+# in a doubling search.  Before a search pass that would compare more than
 # _DENSITY * m letters the periodic runs among its centres are settled in
 # closed form; tests set _DENSITY to 0 to run that step before every pass.
 _EXACT = 16
@@ -159,31 +179,31 @@ def _agree(keys: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> 
     ``S[a+t] != S[b+t]``, or hi if the windows agree up to hi, given the
     packed keys of S and ``lo < hi``.
 
-    Reads one key every 16 letters from lo on; the leading zero bits of the
+    Reads one key every 64 letters from lo on; the leading zero bits of the
     first nonzero xor give t.  A key start past the end of S is clamped to
     the last key: every letter it stands for lies past the end, where the
     caller's cap (a centre's room, a run's edge) already holds.
     """
     import numpy as np
 
-    steps = np.arange(lo, hi, 16)
+    steps = np.arange(lo, hi, _KEY_LETTERS)
     last = keys.size - 1
     x = keys[np.minimum(a[:, None] + steps, last)] ^ keys[np.minimum(b[:, None] + steps, last)]
     j = (x != 0).argmax(axis=1)
     first = x[np.arange(x.shape[0]), j]
-    t = steps[j] + 16 - np.frexp(first)[1]  # the exponent of a positive key is its bit length
+    t = steps[j] + _KEY_LETTERS - _bit_length(first)
     return np.where(first != 0, np.minimum(t, hi), hi)
 
 
 def _extension(keys: np.ndarray, a: np.ndarray, b: np.ndarray, cap: np.ndarray) -> np.ndarray:
     """For each pair of starts, the number of letters on which ``S[a..]`` and
     ``S[b..]`` agree, at most cap: ``_agree`` over windows that double from
-    16 letters, so the keys read are proportional to the answer."""
+    64 letters, so the keys read are proportional to the answer."""
     import numpy as np
 
     out = np.zeros(len(a), dtype=np.int64)
     todo = np.flatnonzero(cap > 0)
-    lo, hi = 0, 16
+    lo, hi = 0, _KEY_LETTERS
     while len(todo):
         t = np.minimum(_agree(keys, a[todo], b[todo], lo, hi), cap[todo])
         out[todo] = t
@@ -244,10 +264,11 @@ def longest_antipalindrome(w: Word) -> int:
       W steps of two slice comparisons each, with no difference word, key or
       edge loop.
     * **A doubling search beyond W.**  The centres that survive step W
-      reach W, and ``best = W``.  Only these words build d and the packed
-      16-letter keys of ``S = d + reverse(d)``.  The radius-r window right
-      of centre c is ``S[c+1 .. c+r]`` and its mirror image left of c is
-      ``S[2m-c .. 2m-c+r-1]``, so the keys at those two starts compare 16
+      reach W, and ``best = W``.  Only these words build d and the
+      64-letter keys of ``S = d + reverse(d)`` (``_window_keys``, the
+      format the factor index reads).  The radius-r window right of
+      centre c is ``S[c+1 .. c+r]`` and its mirror image left of c is
+      ``S[2m-c .. 2m-c+r-1]``, so the keys at those two starts compare 64
       letters of both sides of c at once.  The second half of S reads d
       leftwards, so a run of d is extended to the left like to the right.
       The survivor with the most room is the one nearest the middle
@@ -257,7 +278,7 @@ def longest_antipalindrome(w: Word) -> int:
       which ends the search).  Only the survivors whose room is above
       ``best`` are then listed.  From ``lo = W``, each pass drops the
       survivors whose room is at most ``best``, gives every other one its
-      radius capped at ``r = max(2 lo, 16)`` from the keys of the new
+      radius capped at ``r = max(2 lo, 64)`` from the keys of the new
       letters ``[lo, r)`` alone (``_agree``), records the largest in
       ``best``, keeps the survivors that reach r and sets ``lo = r``, until
       no survivor is left.
@@ -327,7 +348,7 @@ def longest_antipalindrome(w: Word) -> int:
     top = int(near[np.minimum(near, size - 1 - near).argmax()]) + width
     room = min(top, m - 1 - top)
     d = letters[1:] ^ letters[:-1]
-    keys = _packed_keys(np.concatenate((d, d[::-1])))
+    keys = _window_keys(np.concatenate((d, d[::-1])))
     lo = best = width
     if room > lo:
         c = np.array([top])
@@ -341,7 +362,7 @@ def longest_antipalindrome(w: Word) -> int:
             best = max(best, settled)
         if not len(alive):
             return 2 * (best + 1)
-        r = max(2 * lo, 16)
+        r = max(2 * lo, _KEY_LETTERS)
         radius = np.minimum(_agree(keys, alive + 1, 2 * m - alive, lo, r), np.minimum(alive, m - 1 - alive))
         best = max(best, int(radius.max()))
         alive, lo = alive[radius == r], r

@@ -25,10 +25,9 @@ from antipal import (
     theta_decode,
 )
 from antipal.cli import scan_space
-from antipal.language import _window_keys
 from antipal.membership import EvidenceConfig
 from antipal.morphisms import fixed_point_prefix, fixed_point_source, parse_morphism
-from antipal.words import _packed_keys
+from antipal.words import _bit_length, _window_keys
 from bruteforce import (
     bf_fixed_point_prefix,
     bf_longest_antipalindrome,
@@ -162,19 +161,27 @@ def test_bounded_period_rejects_bad_bounds():
         smallest_period("", 0)
 
 
-@pytest.mark.parametrize(
-    "dtype, build", [(np.uint16, _packed_keys), (np.uint64, _window_keys)], ids=["uint16", "uint64"]
-)
-def test_packed_keys_read_every_window(dtype, build):
-    """The kernel's 16-letter keys and the factor index's 64-letter keys."""
-    rng = random.Random(4096)
-    text = "".join(rng.choice("01") for _ in range(4096))
-    width = 8 * np.dtype(dtype).itemsize
-    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-    keys = build(bits)
-    expected = [int(text[i : i + width].ljust(width, "0"), 2) for i in range(len(text))]
-    assert keys.dtype == dtype
-    assert np.array_equal(keys, np.array(expected, dtype=dtype))
+def test_window_keys_match_bruteforce_windows():
+    """The byte-packed 64-letter keys, which the kernel and the factor index
+    both read, at every size up to 130 letters, at 1001 and at 4096: byte
+    and 64-letter boundaries, and the zeros past the end."""
+    rng = np.random.default_rng(21)
+    for size in (*range(1, 131), 1001, 4096):
+        text = "".join(rng.choice(["0", "1"], size))
+        keys = _window_keys(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
+        expected = [int(text[i : i + 64].ljust(64, "0"), 2) for i in range(size)]
+        assert keys.dtype == np.uint64 and keys.tolist() == expected, size
+
+
+def test_bit_length_matches_int_bit_length():
+    """Exact over the whole uint64 range, where a float64 of the value
+    itself would round up: 2**64 - 1 reads 64 bits, not 65."""
+    edges = [0, 1, 2**31, 2**32 - 1, 2**32, 2**53 - 1, 2**53 + 1, 2**63, 2**64 - 1]
+    rng = np.random.default_rng(64)
+    uniform = rng.integers(0, 2**64, 1000, dtype=np.uint64)
+    shifted = uniform >> rng.integers(0, 64, 1000, dtype=np.uint64)  # every bit length
+    values = np.concatenate((np.array(edges, dtype=np.uint64), uniform, shifted))
+    assert _bit_length(values).tolist() == [int(v).bit_length() for v in values.tolist()]
 
 
 def test_longest_antipalindrome_matches_bruteforce():
@@ -335,7 +342,8 @@ def count_agree(monkeypatch):
     letters = []
 
     def counting_agree(keys, a, b, lo, hi):
-        letters.append(len(a) * 16 * -(-(hi - lo) // 16))
+        width = antipal.words._KEY_LETTERS
+        letters.append(len(a) * width * -(-(hi - lo) // width))
         return agree(keys, a, b, lo, hi)
 
     monkeypatch.setattr(antipal.words, "_agree", counting_agree)
@@ -462,13 +470,13 @@ def test_bounded_evidence_builds_no_hash(monkeypatch):
     such a word builds no packed keys and compares none; a longer one
     builds them and searches."""
     letters = count_agree(monkeypatch)
-    packed_keys, builds = antipal.words._packed_keys, []
+    window_keys, builds = antipal.words._window_keys, []
 
-    def counting_packed_keys(bits):
+    def counting_window_keys(bits):
         builds.append(bits.size)
-        return packed_keys(bits)
+        return window_keys(bits)
 
-    monkeypatch.setattr(antipal.words, "_packed_keys", counting_packed_keys)
+    monkeypatch.setattr(antipal.words, "_window_keys", counting_window_keys)
     cfg = EvidenceConfig()
     sources = {fixed_point_source(parse_morphism(text)) for text in scan_space(4)} - {None}
     bounded = searched = 0
