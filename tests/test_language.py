@@ -156,10 +156,9 @@ def _first_occurrence_ends(text, size):
     """For n = 1..64, the end of the last first occurrence of an n-letter
     word at the first ``size`` starts of ``text`` (which runs 63 letters
     past them): the 64-letter windows there (``_window_keys``, checked
-    against string windows in test_words.py) are matched against the
-    distinct ones of a head that grows until it holds them all, and the
-    first start of a word is the least of those of the distinct windows it
-    heads."""
+    against string windows below) are matched against the distinct ones of
+    a head that grows until it holds them all, and the first start of a
+    word is the least of those of the distinct windows it heads."""
     keys = _window_keys(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))[:size]
     head = 4096
     while True:
@@ -762,6 +761,17 @@ def test_only_the_exchange_closure_builds_exchange_maps():
     assert len(idx._maps) == len(idx._levels) == 5  # the top windows' level, 1024 letters, and those below
     for psi, rank in zip(idx._maps, idx._levels):
         assert psi.dtype == np.int32 and psi.size == int(rank.max()) + 1
+
+
+def test_window_keys_match_bruteforce_windows():
+    """The byte-packed keys at every size up to 130 letters and at 1001:
+    byte and 64-letter boundaries, and the zeros past the end."""
+    rng = np.random.default_rng(21)
+    for size in (*range(1, 131), 1001):
+        text = "".join(rng.choice(["0", "1"], size))
+        keys = _window_keys(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
+        expected = [int(text[i : i + 64].ljust(64, "0"), 2) for i in range(size)]
+        assert keys.dtype == np.uint64 and keys.tolist() == expected, size
 
 
 def test_back_keys_match_bruteforce_windows():

